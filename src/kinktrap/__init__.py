@@ -50,6 +50,7 @@ from .linearized import (
     dominant_frequency,
     in_well_equilibrium_separation,
     linearized_frequencies,
+    measured_frequency,
 )
 from .scattering import (
     Outcome,
@@ -103,6 +104,7 @@ __all__ = [
     "dominant_frequency",
     "in_well_equilibrium_separation",
     "linearized_frequencies",
+    "measured_frequency",
     "Outcome",
     "OutcomeRecord",
     "Scenario",

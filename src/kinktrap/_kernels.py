@@ -1,14 +1,25 @@
 """Hot-loop integration kernels.
 
 The same source runs compiled under numba when it is installed and as plain
-Python otherwise (the decorator degrades to a no-op).  Expressions here must
-stay term-for-term identical to the reference formulas in dynamics.py so the
-two paths agree to the last bit wherever libm allows.
+Python otherwise (the decorator degrades to a no-op).  No test compares the
+compiled and the plain-Python results bit for bit.
+
+Each formula has one home:
+
+  force   _accel.  dynamics.accelerations is the floor check plus _accel.
+  step    _run_verlet and _run_rk4.  integrator.step is a one-step
+          integrate, and a custom force (integrator's accel_fn) enters the
+          same runners as their trailing accel argument.
+  energy  pair_energy, used by dynamics.total_energy and by the E column of
+          `kinktrap simulate`.  Each runner repeats it inline, because in
+          plain Python a call per step costs about 6% of a Verlet step; a
+          parity test pins the inline copies to pair_energy bit for bit.
 
 Status codes returned by the runners:
   0  completed the requested number of steps
   1  exit-radius predicate fired
-  2  separation fell below the coincidence floor
+  2  separation fell below the coincidence floor; the runner returns the
+     positions (and velocities) of the step or RK4 stage that breached it
 """
 
 from __future__ import annotations
@@ -54,21 +65,17 @@ def _accel(x1, x2, k, alpha, n, A, beta):
     return a1, a2, g1, g2
 
 
-@njit(cache=True)
-def _energy(x1, v1, x2, v2, k, alpha, n, A, beta):
-    dx = x1 - x2
+def pair_energy(dx, v1, v2, g1, g2, k, alpha, n, A):
+    """Kinetic + spring + repulsion + well energy, given dx = x1 - x2 and the
+    Gaussian factors g = exp(-beta x^2).  Works on floats and numpy arrays."""
     sep = abs(dx)
     p = 1.0
     for _ in range(n):
         p *= sep
-    g1 = math.exp(-beta * x1 * x1)
-    g2 = math.exp(-beta * x2 * x2)
-    kinetic = 0.5 * (v1 * v1 + v2 * v2)
-    spring = 0.5 * k * dx * dx
-    repulsion = alpha / p
-    # well terms paired before the grand total so particle exchange is exact
-    well = (-A * g1) + (-A * g2)
-    return kinetic + spring + repulsion + well
+    # kinetic + spring + repulsion + well in one expression, so numpy reuses
+    # its temporaries on arrays; the well terms are paired before the grand
+    # total so particle exchange is exact
+    return 0.5 * (v1 * v1 + v2 * v2) + 0.5 * k * dx * dx + alpha / p + ((-A * g1) + (-A * g2))
 
 
 @njit(cache=True)
@@ -76,12 +83,14 @@ def _run_verlet(
     x1, v1, x2, v2, t0, dt, nsteps,
     k, alpha, n, A, beta,
     floor, exit_radius, e0,
-    rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2,
+    rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2, accel=_accel,
 ):
     """Velocity Verlet (kick-drift-kick), fixed step, force reused across steps.
 
     exit_radius <= 0 disables the escape predicate; rec_stride <= 0 disables
-    recording.  Returns (status, steps, x1, v1, x2, v2, max_abs_drift, nrec).
+    recording; accel has _accel's signature and return.  Returns (status,
+    steps, x1, v1, x2, v2, max_abs_drift, nrec).  The energy below is
+    pair_energy written inline.
     """
     maxd = 0.0
     nrec = 0
@@ -89,7 +98,7 @@ def _run_verlet(
     dx = x1 - x2
     if abs(dx) < floor:
         return STATUS_COINCIDENT, steps, x1, v1, x2, v2, maxd, nrec
-    a1, a2, g1, g2 = _accel(x1, x2, k, alpha, n, A, beta)
+    a1, a2, g1, g2 = accel(x1, x2, k, alpha, n, A, beta)
     h2 = 0.5 * dt
     status = STATUS_RAN_ALL
     for i in range(nsteps):
@@ -100,10 +109,8 @@ def _run_verlet(
         dx = x1 - x2
         sep = abs(dx)
         if sep < floor:
-            steps = i + 1
-            status = STATUS_COINCIDENT
-            break
-        a1, a2, g1, g2 = _accel(x1, x2, k, alpha, n, A, beta)
+            return STATUS_COINCIDENT, i + 1, x1, v1, x2, v2, maxd, nrec
+        a1, a2, g1, g2 = accel(x1, x2, k, alpha, n, A, beta)
         v1 += h2 * a1
         v2 += h2 * a2
         steps = i + 1
@@ -139,9 +146,12 @@ def _run_rk4(
     x1, v1, x2, v2, t0, dt, nsteps,
     k, alpha, n, A, beta,
     floor, exit_radius, e0,
-    rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2,
+    rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2, accel=_accel,
 ):
-    """Classical RK4 on (x1, v1, x2, v2); cross-check scheme, not symplectic."""
+    """Classical RK4 on (x1, v1, x2, v2); cross-check scheme, not symplectic.
+
+    Arguments and return as _run_verlet.
+    """
     maxd = 0.0
     nrec = 0
     steps = 0
@@ -150,34 +160,28 @@ def _run_rk4(
     h2 = 0.5 * dt
     status = STATUS_RAN_ALL
     for i in range(nsteps):
-        a1, b1, _, _ = _accel(x1, x2, k, alpha, n, A, beta)
+        a1, b1, _, _ = accel(x1, x2, k, alpha, n, A, beta)
         xa1 = x1 + h2 * v1
         xa2 = x2 + h2 * v2
         va1 = v1 + h2 * a1
         va2 = v2 + h2 * b1
         if abs(xa1 - xa2) < floor:
-            steps = i + 1
-            status = STATUS_COINCIDENT
-            break
-        a2_, b2, _, _ = _accel(xa1, xa2, k, alpha, n, A, beta)
+            return STATUS_COINCIDENT, i + 1, xa1, va1, xa2, va2, maxd, nrec
+        a2_, b2, _, _ = accel(xa1, xa2, k, alpha, n, A, beta)
         xb1 = x1 + h2 * va1
         xb2 = x2 + h2 * va2
         vb1 = v1 + h2 * a2_
         vb2 = v2 + h2 * b2
         if abs(xb1 - xb2) < floor:
-            steps = i + 1
-            status = STATUS_COINCIDENT
-            break
-        a3, b3, _, _ = _accel(xb1, xb2, k, alpha, n, A, beta)
+            return STATUS_COINCIDENT, i + 1, xb1, vb1, xb2, vb2, maxd, nrec
+        a3, b3, _, _ = accel(xb1, xb2, k, alpha, n, A, beta)
         xc1 = x1 + dt * vb1
         xc2 = x2 + dt * vb2
         vc1 = v1 + dt * a3
         vc2 = v2 + dt * b3
         if abs(xc1 - xc2) < floor:
-            steps = i + 1
-            status = STATUS_COINCIDENT
-            break
-        a4, b4, _, _ = _accel(xc1, xc2, k, alpha, n, A, beta)
+            return STATUS_COINCIDENT, i + 1, xc1, vc1, xc2, vc2, maxd, nrec
+        a4, b4, _, _ = accel(xc1, xc2, k, alpha, n, A, beta)
         sixth = dt / 6.0
         x1 = x1 + sixth * (v1 + 2.0 * va1 + 2.0 * vb1 + vc1)
         x2 = x2 + sixth * (v2 + 2.0 * va2 + 2.0 * vb2 + vc2)
@@ -186,9 +190,7 @@ def _run_rk4(
         dx = x1 - x2
         sep = abs(dx)
         if sep < floor:
-            steps = i + 1
-            status = STATUS_COINCIDENT
-            break
+            return STATUS_COINCIDENT, i + 1, x1, v1, x2, v2, maxd, nrec
         steps = i + 1
         p = 1.0
         for _ in range(n):

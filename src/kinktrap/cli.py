@@ -17,30 +17,24 @@ import argparse
 import math
 import sys
 from enum import Enum
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from . import __version__
+from ._kernels import pair_energy
 from .dynamics import (
     CMState,
     CoincidentParticles,
     ModelParams,
     equilibrium_separation,
-    from_cm,
 )
-from .integrator import (
-    IntegratorConfig,
-    Scheme,
-    StepBudgetExhausted,
-    TimeLimit,
-    integrate,
-)
+from .integrator import IntegratorConfig, Scheme, StepBudgetExhausted
 from .linearized import (
     InsufficientOscillations,
-    dominant_frequency,
     in_well_equilibrium_separation,
     linearized_frequencies,
+    measured_frequency,
 )
 from .scattering import Scenario, run_scattering
 from .sweep import SweepSpec, sensitivity, sweep, zoom
@@ -56,27 +50,6 @@ class ConfigError(Exception):
 # settings
 # ---------------------------------------------------------------------------
 
-_DEFAULTS: dict = {
-    "k": 1.0,
-    "alpha": 1.0,
-    "n": 2,
-    "A": 2.0,
-    "beta": 1.0,
-    "v0": 0.1,
-    "launch_offset": -10.0,
-    "separation": None,
-    "t_max": 5000.0,
-    "exit_radius": 10.0,
-    "dt": 1e-3,
-    "scheme": "VelocityVerlet",
-    "v_min": 0.05,
-    "v_max": 0.30,
-    "dv": 0.001,
-    "workers": 1,
-    "out": None,
-}
-
-
 def _conv_float(key: str, raw: str) -> float:
     try:
         return float(raw)
@@ -91,31 +64,45 @@ def _conv_int(key: str, raw: str) -> int:
         raise ConfigError(f"config key {key!r}: expected an integer, got {raw!r}") from None
 
 
-def _conv_separation(key: str, raw: str) -> Optional[float]:
+def _conv_optional_float(key: str, raw: str) -> Optional[float]:
     if raw.lower() in ("none", ""):
         return None
     return _conv_float(key, raw)
 
 
-_CONFIG_CONVERTERS = {
-    "k": _conv_float,
-    "alpha": _conv_float,
-    "n": _conv_int,
-    "A": _conv_float,
-    "beta": _conv_float,
-    "v0": _conv_float,
-    "launch_offset": _conv_float,
-    "separation": _conv_separation,
-    "t_max": _conv_float,
-    "exit_radius": _conv_float,
-    "dt": _conv_float,
-    "scheme": lambda key, raw: raw,
-    "v_min": _conv_float,
-    "v_max": _conv_float,
-    "dv": _conv_float,
-    "workers": _conv_int,
-    "out": lambda key, raw: raw,
+def _conv_text(key: str, raw: str) -> str:
+    return raw
+
+
+_CONVERTERS_BY_TYPE = {
+    float: _conv_float,
+    int: _conv_int,
+    Optional[float]: _conv_optional_float,
+    Scheme: _conv_text,
 }
+
+
+def _field_settings(cls, names) -> dict:
+    """{name: (default, converter)} read off the dataclass fields that
+    consume these settings."""
+    hints = get_type_hints(cls)
+    return {name: (getattr(cls, name), _CONVERTERS_BY_TYPE[hints[name]]) for name in names}
+
+
+# The published settings: (default, config-file converter) per key.  Each
+# default lives on the dataclass that uses it; v0, workers and out are the
+# command line's own.
+_SETTINGS = {
+    **_field_settings(ModelParams, ("k", "alpha", "n", "A", "beta")),
+    **_field_settings(Scenario, ("launch_offset", "separation", "t_max", "exit_radius")),
+    **_field_settings(IntegratorConfig, ("dt", "scheme")),
+    **_field_settings(SweepSpec, ("v_min", "v_max", "dv")),
+    "v0": (0.1, _conv_float),
+    "workers": (1, _conv_int),
+    "out": (None, _conv_text),
+}
+
+_SCHEMES = [scheme.value for scheme in Scheme]
 
 
 def load_config(path: str) -> dict:
@@ -137,18 +124,18 @@ def load_config(path: str) -> dict:
         key, _, raw = text.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _CONFIG_CONVERTERS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _CONFIG_CONVERTERS[key](key, raw)
+        values[key] = _SETTINGS[key][1](key, raw)
     return values
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults <- config file <- flags, later layers winning."""
-    res = dict(_DEFAULTS)
+    res = {key: default for key, (default, _) in _SETTINGS.items()}
     if getattr(args, "config", None):
         res.update(load_config(args.config))
-    for key in _DEFAULTS:
+    for key in _SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
             res[key] = val
@@ -161,10 +148,12 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"--halfwidth must be positive, got {halfwidth!r}")
         res["v_min"] = center - halfwidth
         res["v_max"] = center + halfwidth
-    if res["scheme"] not in ("VelocityVerlet", "RK4"):
+    try:
+        res["scheme"] = Scheme(res["scheme"])
+    except ValueError:
         raise ConfigError(
-            f"scheme must be VelocityVerlet or RK4, got {res['scheme']!r}"
-        )
+            f"scheme must be {' or '.join(_SCHEMES)}, got {res['scheme']!r}"
+        ) from None
     return res
 
 
@@ -172,8 +161,19 @@ def _params(res: dict) -> ModelParams:
     return ModelParams(k=res["k"], alpha=res["alpha"], n=res["n"], A=res["A"], beta=res["beta"])
 
 
+def _scenario(res: dict) -> Scenario:
+    return Scenario(
+        params=_params(res),
+        v0=res["v0"],
+        launch_offset=res["launch_offset"],
+        separation=res["separation"],
+        t_max=res["t_max"],
+        exit_radius=res["exit_radius"],
+    )
+
+
 def _integrator_config(res: dict, max_steps: int) -> IntegratorConfig:
-    return IntegratorConfig(scheme=Scheme(res["scheme"]), dt=res["dt"], max_steps=max_steps)
+    return IntegratorConfig(scheme=res["scheme"], dt=res["dt"], max_steps=max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +248,18 @@ _SIM_KEYS = _MODEL_KEYS + [
 
 
 def _cmd_simulate(res: dict, args: argparse.Namespace) -> int:
-    params = _params(res)
-    sc = Scenario(
-        params=params,
-        v0=res["v0"],
-        launch_offset=res["launch_offset"],
-        separation=res["separation"],
-        t_max=res["t_max"],
-        exit_radius=res["exit_radius"],
-    )
+    sc = _scenario(res)
+    params = sc.params
     cfg = _integrator_config(res, args.max_steps)
     rec = run_scattering(sc, cfg, record_every=args.record_every)
     traj = rec.trajectory
-    dx = traj.x2 - traj.x1
-    energy = (
-        0.5 * (traj.v1 ** 2 + traj.v2 ** 2)
-        + 0.5 * params.k * dx * dx
-        + params.alpha / np.abs(dx) ** params.n
-        - params.A * np.exp(-params.beta * traj.x1 ** 2)
-        - params.A * np.exp(-params.beta * traj.x2 ** 2)
-    )
+
+    def gaussian(x):
+        # math.exp per element, as in the kernels: np.exp may differ in the last bit
+        return np.array([math.exp(a) for a in (-params.beta * x * x).tolist()])
+
+    energy = pair_energy(traj.x1 - traj.x2, traj.v1, traj.v2, gaussian(traj.x1), gaussian(traj.x2),
+                         params.k, params.alpha, params.n, params.A)
     settings = {**res, "record_every": args.record_every, "max_steps": args.max_steps}
     meta = {
         "outcome": rec.outcome.value,
@@ -353,16 +345,8 @@ _SENS_KEYS = _MODEL_KEYS + [
 
 
 def _cmd_sensitivity(res: dict, args: argparse.Namespace) -> int:
-    sc = Scenario(
-        params=_params(res),
-        v0=res["v0"],
-        launch_offset=res["launch_offset"],
-        separation=res["separation"],
-        t_max=res["t_max"],
-        exit_radius=res["exit_radius"],
-    )
     cfg = _integrator_config(res, args.max_steps)
-    report = sensitivity(sc, cfg, seed_delta=args.seed_delta,
+    report = sensitivity(_scenario(res), cfg, seed_delta=args.seed_delta,
                          sample_interval=args.sample_interval)
     settings = {**res, "seed_delta": args.seed_delta,
                 "sample_interval": args.sample_interval, "max_steps": args.max_steps}
@@ -381,15 +365,6 @@ def _cmd_sensitivity(res: dict, args: argparse.Namespace) -> int:
 
 
 _LINCMP_KEYS = _MODEL_KEYS + ["t_max", "dt", "scheme", "max_steps"]
-
-
-def _measured_frequency(params, cm0, cfg, t_max, use_cm_coordinate):
-    """Integrate from rest and time the mean crossings of R(t) or r(t)."""
-    stride = max(1, int(round(0.01 / cfg.dt)))
-    result = integrate(from_cm(cm0), params, cfg, TimeLimit(t_max), record_every=stride)
-    traj = result.diagnostics.trajectory
-    series = traj.R if use_cm_coordinate else traj.r
-    return dominant_frequency(traj.t, series), traj
 
 
 def _cmd_linear_compare(res: dict, args: argparse.Namespace) -> int:
@@ -412,14 +387,14 @@ def _cmd_linear_compare(res: dict, args: argparse.Namespace) -> int:
 
     amp = 0.05 / math.sqrt(params.beta)
     try:
-        omega_cm, traj_cm = _measured_frequency(
+        omega_cm, traj_cm = measured_frequency(
             params, CMState(t=0.0, R=amp, V=0.0, r=0.5 * s_in, w=0.0),
             cfg, t_max, use_cm_coordinate=True)
         if float(np.max(np.abs(traj_cm.R))) > 5.0 * amp:
             print("error: the pair escaped the well during the probe run",
                   file=sys.stderr)
             return 2
-        omega_rel, _ = _measured_frequency(
+        omega_rel, _ = measured_frequency(
             params, CMState(t=0.0, R=0.0, V=0.0, r=0.5 * (s_in + 0.01), w=0.0),
             cfg, t_max, use_cm_coordinate=False)
     except InsufficientOscillations as exc:
@@ -473,8 +448,8 @@ def _add_model(p):
 
 def _add_integrator(p):
     p.add_argument("--dt", type=float, help="time step")
-    p.add_argument("--scheme", choices=["VelocityVerlet", "RK4"], help="integrator")
-    p.add_argument("--max-steps", type=int, default=10_000_000,
+    p.add_argument("--scheme", choices=_SCHEMES, help="integrator")
+    p.add_argument("--max-steps", type=int, default=IntegratorConfig.max_steps,
                    help="hard step budget per trajectory")
 
 

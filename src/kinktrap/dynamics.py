@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _kernels
+
 __all__ = [
     "ModelParams",
     "State",
@@ -115,21 +117,9 @@ def external_force(x: float, params: ModelParams) -> float:
     return (-2.0 * params.A * params.beta) * x * math.exp(-params.beta * x * x)
 
 
-def _abs_pow_int(base: float, exponent: int) -> float:
-    # |base|**exponent by repeated multiplication; exponent is a small integer,
-    # and this keeps the arithmetic identical to the compiled kernels.
-    out = 1.0
-    b = abs(base)
-    for _ in range(exponent):
-        out *= b
-    return out
-
-
-def _separation_checked(x1: float, x2: float, floor: float) -> float:
-    sep = abs(x1 - x2)
-    if sep < floor:
+def _check_separation(x1: float, x2: float, floor: float) -> None:
+    if abs(x1 - x2) < floor:
         raise CoincidentParticles(x1, x2, floor)
-    return sep
 
 
 def accelerations(
@@ -143,11 +133,10 @@ def accelerations(
     the mirror image.  The internal part is computed once and negated so the
     action-reaction pair cancels exactly in floating point.
     """
-    dx = state.x1 - state.x2
-    sep = _separation_checked(state.x1, state.x2, coincidence_floor)
-    internal = -params.k * dx + params.n * params.alpha * dx / _abs_pow_int(dx, params.n + 2)
-    a1 = internal + external_force(state.x1, params)
-    a2 = -internal + external_force(state.x2, params)
+    _check_separation(state.x1, state.x2, coincidence_floor)
+    a1, a2, _, _ = _kernels._accel(
+        state.x1, state.x2, params.k, params.alpha, params.n, params.A, params.beta
+    )
     return a1, a2
 
 
@@ -157,14 +146,13 @@ def total_energy(
     coincidence_floor: float = DEFAULT_COINCIDENCE_FLOOR,
 ) -> float:
     """Conserved energy: kinetic + spring + repulsion + well terms."""
-    dx = state.x1 - state.x2
-    sep = _separation_checked(state.x1, state.x2, coincidence_floor)
-    kinetic = 0.5 * (state.v1 * state.v1 + state.v2 * state.v2)
-    spring = 0.5 * params.k * dx * dx
-    repulsion = params.alpha / _abs_pow_int(dx, params.n)
-    # well terms paired before the grand total so particle exchange is exact
-    well = external_potential(state.x1, params) + external_potential(state.x2, params)
-    return kinetic + spring + repulsion + well
+    _check_separation(state.x1, state.x2, coincidence_floor)
+    g1 = math.exp(-params.beta * state.x1 * state.x1)
+    g2 = math.exp(-params.beta * state.x2 * state.x2)
+    return _kernels.pair_energy(
+        state.x1 - state.x2, state.v1, state.v2, g1, g2,
+        params.k, params.alpha, params.n, params.A,
+    )
 
 
 def to_cm(state: State) -> CMState:

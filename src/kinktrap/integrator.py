@@ -9,7 +9,7 @@ update code.  Both run at fixed dt so results are bitwise reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Optional, Union
 
@@ -194,65 +194,23 @@ def step(
     cfg: IntegratorConfig,
     accel_fn: Optional[AccelFn] = None,
 ) -> State:
-    """Advance one fixed step of cfg.dt under cfg.scheme.
+    """Advance one fixed step of cfg.dt under cfg.scheme: a one-step integrate.
 
-    accel_fn, when given, replaces the model forces entirely (testing seam);
-    it maps (x1, x2) -> (a1, a2).
+    The step runs from t = 0 and the result carries state.t + cfg.dt, because
+    at a large state.t the rounding of t + dt can make TimeLimit ask for two
+    steps.  accel_fn is as in integrate.
     """
-    accel = accel_fn if accel_fn is not None else _model_accel(params)
-    floor = cfg.coincidence_floor
-    dt = cfg.dt
-    x1, v1, x2, v2 = state.x1, state.v1, state.x2, state.v2
-    if abs(x1 - x2) < floor:
-        raise CoincidentParticles(x1, x2, floor)
-    if cfg.scheme is Scheme.VELOCITY_VERLET:
-        h2 = 0.5 * dt
-        a1, a2 = accel(x1, x2)
-        v1 += h2 * a1
-        v2 += h2 * a2
-        x1 += dt * v1
-        x2 += dt * v2
-        if abs(x1 - x2) < floor:
-            raise CoincidentParticles(x1, x2, floor)
-        a1, a2 = accel(x1, x2)
-        v1 += h2 * a1
-        v2 += h2 * a2
-    else:
-        h2 = 0.5 * dt
-        a1, b1 = accel(x1, x2)
-        xa1, xa2 = x1 + h2 * v1, x2 + h2 * v2
-        va1, va2 = v1 + h2 * a1, v2 + h2 * b1
-        _check_floor(xa1, xa2, floor)
-        a2_, b2 = accel(xa1, xa2)
-        xb1, xb2 = x1 + h2 * va1, x2 + h2 * va2
-        vb1, vb2 = v1 + h2 * a2_, v2 + h2 * b2
-        _check_floor(xb1, xb2, floor)
-        a3, b3 = accel(xb1, xb2)
-        xc1, xc2 = x1 + dt * vb1, x2 + dt * vb2
-        vc1, vc2 = v1 + dt * a3, v2 + dt * b3
-        _check_floor(xc1, xc2, floor)
-        a4, b4 = accel(xc1, xc2)
-        sixth = dt / 6.0
-        x1 = x1 + sixth * (v1 + 2.0 * va1 + 2.0 * vb1 + vc1)
-        x2 = x2 + sixth * (v2 + 2.0 * va2 + 2.0 * vb2 + vc2)
-        v1 = v1 + sixth * (a1 + 2.0 * a2_ + 2.0 * a3 + a4)
-        v2 = v2 + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        if abs(x1 - x2) < floor:
-            raise CoincidentParticles(x1, x2, floor)
-    return State(t=state.t + dt, x1=x1, v1=v1, x2=x2, v2=v2)
+    result = integrate(replace(state, t=0.0), params, cfg, TimeLimit(cfg.dt), accel_fn=accel_fn)
+    return replace(result.final, t=state.t + cfg.dt)
 
 
-def _check_floor(x1: float, x2: float, floor: float) -> None:
-    if abs(x1 - x2) < floor:
-        raise CoincidentParticles(x1, x2, floor)
+def _with_nan_factors(accel_fn: AccelFn):
+    """Give an (x1, x2) -> (a1, a2) hook the kernels' force signature; its
+    Gaussian factors are NaN, as the model energy means nothing under it."""
 
-
-def _model_accel(params: ModelParams) -> AccelFn:
-    k, alpha, n, A, beta = params.k, params.alpha, params.n, params.A, params.beta
-
-    def accel(x1: float, x2: float) -> tuple[float, float]:
-        a1, a2, _, _ = _kernels._accel(x1, x2, k, alpha, n, A, beta)
-        return a1, a2
+    def accel(x1, x2, k, alpha, n, A, beta):
+        a1, a2 = accel_fn(x1, x2)
+        return a1, a2, math.nan, math.nan
 
     return accel
 
@@ -273,7 +231,9 @@ def integrate(
     StepBudgetExhausted.  A separation below cfg.coincidence_floor raises
     CoincidentParticles.  record_every=m keeps every m-th step in the returned
     trajectory (plus the initial and final points); note m=1 on a long run
-    stores five float64 arrays of one entry per step.
+    stores five float64 arrays of one entry per step.  accel_fn, when given,
+    replaces the model forces entirely (testing seam); it maps (x1, x2) ->
+    (a1, a2), and the energy drift of such a run is NaN.
 
     Results are bitwise deterministic for identical inputs and configuration.
     """
@@ -291,36 +251,31 @@ def integrate(
             raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
         stride = record_every
 
-    if stride > 0:
-        cap = n_limit // stride + 1
-        rec_t = np.empty(cap)
-        rec_x1 = np.empty(cap)
-        rec_v1 = np.empty(cap)
-        rec_x2 = np.empty(cap)
-        rec_v2 = np.empty(cap)
-    else:
-        rec_t = rec_x1 = rec_v1 = rec_x2 = rec_v2 = _EMPTY
+    # recording buffers for t, x1, v1, x2, v2
+    rec = [np.empty(n_limit // stride + 1 if stride > 0 else 0) for _ in _COLUMNS]
 
     exit_arg = exit_radius if exit_radius is not None else -1.0
 
-    if accel_fn is not None:
-        e0 = math.nan
-        status, steps, x1, v1, x2, v2, maxd, nrec = _run_hooked(
-            state, cfg, n_limit, exit_arg, stride,
-            rec_t, rec_x1, rec_v1, rec_x2, rec_v2, accel_fn,
-        )
-        rel_drift = math.nan
-    else:
+    runner = _kernels._run_verlet if cfg.scheme is Scheme.VELOCITY_VERLET else _kernels._run_rk4
+    if accel_fn is None:
         e0 = total_energy(state, params, cfg.coincidence_floor)
-        runner = _kernels._run_verlet if cfg.scheme is Scheme.VELOCITY_VERLET else _kernels._run_rk4
-        status, steps, x1, v1, x2, v2, maxd, nrec = runner(
-            state.x1, state.v1, state.x2, state.v2, state.t, cfg.dt, n_limit,
-            params.k, params.alpha, params.n, params.A, params.beta,
-            cfg.coincidence_floor, exit_arg, e0,
-            stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2,
-        )
+        hook = ()
+    else:
+        e0 = math.nan
+        # the compiled runners cannot call back into Python
+        runner = getattr(runner, "py_func", runner)
+        hook = (_with_nan_factors(accel_fn),)
+    status, steps, x1, v1, x2, v2, maxd, nrec = runner(
+        state.x1, state.v1, state.x2, state.v2, state.t, cfg.dt, n_limit,
+        params.k, params.alpha, params.n, params.A, params.beta,
+        cfg.coincidence_floor, exit_arg, e0,
+        stride, *rec, *hook,
+    )
+    if accel_fn is None:
         denom = abs(e0) if abs(e0) > 1e-300 else 1.0
         rel_drift = maxd / denom
+    else:
+        rel_drift = math.nan
 
     final = State(t=state.t + steps * cfg.dt, x1=x1, v1=v1, x2=x2, v2=v2)
 
@@ -329,9 +284,7 @@ def integrate(
 
     trajectory = None
     if stride > 0:
-        trajectory = _assemble_trajectory(
-            state, final, steps, stride, nrec, rec_t, rec_x1, rec_v1, rec_x2, rec_v2
-        )
+        trajectory = _assemble_trajectory(state, final, steps, stride, nrec, rec)
 
     diag = IntegrationDiagnostics(
         steps=steps,
@@ -348,89 +301,15 @@ def integrate(
     raise StepBudgetExhausted(steps)
 
 
-_EMPTY = np.empty(0)
+_COLUMNS = ("t", "x1", "v1", "x2", "v2")
 
 
-def _assemble_trajectory(initial, final, steps, stride, nrec, rec_t, rec_x1, rec_v1, rec_x2, rec_v2):
-    head = 1
-    tail = 1 if (steps > 0 and steps % stride != 0) else 0
-    m = head + nrec + tail
-    t = np.empty(m)
-    x1 = np.empty(m)
-    v1 = np.empty(m)
-    x2 = np.empty(m)
-    v2 = np.empty(m)
-    t[0], x1[0], v1[0], x2[0], v2[0] = initial.t, initial.x1, initial.v1, initial.x2, initial.v2
-    t[1 : 1 + nrec] = rec_t[:nrec]
-    x1[1 : 1 + nrec] = rec_x1[:nrec]
-    v1[1 : 1 + nrec] = rec_v1[:nrec]
-    x2[1 : 1 + nrec] = rec_x2[:nrec]
-    v2[1 : 1 + nrec] = rec_v2[:nrec]
-    if tail:
-        t[-1], x1[-1], v1[-1], x2[-1], v2[-1] = final.t, final.x1, final.v1, final.x2, final.v2
-    return Trajectory(t=t, x1=x1, v1=v1, x2=x2, v2=v2)
-
-
-def _run_hooked(state, cfg, nsteps, exit_radius, rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2, accel):
-    """Plain-Python mirror of the compiled runners for custom-force tests."""
-    floor = cfg.coincidence_floor
-    dt = cfg.dt
-    verlet = cfg.scheme is Scheme.VELOCITY_VERLET
-    x1, v1, x2, v2 = state.x1, state.v1, state.x2, state.v2
-    t0 = state.t
-    nrec = 0
-    steps = 0
-    if abs(x1 - x2) < floor:
-        return _kernels.STATUS_COINCIDENT, steps, x1, v1, x2, v2, math.nan, nrec
-    h2 = 0.5 * dt
-    status = _kernels.STATUS_RAN_ALL
-    if verlet:
-        a1, a2 = accel(x1, x2)
-    for i in range(nsteps):
-        if verlet:
-            v1 += h2 * a1
-            v2 += h2 * a2
-            x1 += dt * v1
-            x2 += dt * v2
-            if abs(x1 - x2) < floor:
-                steps = i + 1
-                status = _kernels.STATUS_COINCIDENT
-                break
-            a1, a2 = accel(x1, x2)
-            v1 += h2 * a1
-            v2 += h2 * a2
-        else:
-            c1, d1 = accel(x1, x2)
-            xa1, xa2 = x1 + h2 * v1, x2 + h2 * v2
-            va1, va2 = v1 + h2 * c1, v2 + h2 * d1
-            c2, d2 = accel(xa1, xa2)
-            xb1, xb2 = x1 + h2 * va1, x2 + h2 * va2
-            vb1, vb2 = v1 + h2 * c2, v2 + h2 * d2
-            c3, d3 = accel(xb1, xb2)
-            xc1, xc2 = x1 + dt * vb1, x2 + dt * vb2
-            vc1, vc2 = v1 + dt * c3, v2 + dt * d3
-            c4, d4 = accel(xc1, xc2)
-            sixth = dt / 6.0
-            x1 = x1 + sixth * (v1 + 2.0 * va1 + 2.0 * vb1 + vc1)
-            x2 = x2 + sixth * (v2 + 2.0 * va2 + 2.0 * vb2 + vc2)
-            v1 = v1 + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            v2 = v2 + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            if abs(x1 - x2) < floor:
-                steps = i + 1
-                status = _kernels.STATUS_COINCIDENT
-                break
-        steps = i + 1
-        if rec_stride > 0 and steps % rec_stride == 0 and nrec < rec_t.shape[0]:
-            rec_t[nrec] = t0 + steps * dt
-            rec_x1[nrec] = x1
-            rec_v1[nrec] = v1
-            rec_x2[nrec] = x2
-            rec_v2[nrec] = v2
-            nrec += 1
-        if exit_radius > 0.0:
-            R = 0.5 * (x1 + x2)
-            V = 0.5 * (v1 + v2)
-            if (R >= exit_radius or R <= -exit_radius) and R * V > 0.0:
-                status = _kernels.STATUS_EXIT
-                break
-    return status, steps, x1, v1, x2, v2, math.nan, nrec
+def _assemble_trajectory(initial, final, steps, stride, nrec, rec):
+    """The initial point, the nrec recorded steps, and the final point unless
+    the last step fell on the stride and was recorded already."""
+    with_final = steps % stride != 0
+    columns = []
+    for name, recorded in zip(_COLUMNS, rec):
+        tail = [getattr(final, name)] if with_final else []
+        columns.append(np.concatenate(([getattr(initial, name)], recorded[:nrec], tail)))
+    return Trajectory(*columns)

@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import CMState, ModelParams, equilibrium_separation
+from .dynamics import CMState, ModelParams, equilibrium_separation, from_cm
+from .integrator import IntegratorConfig, TimeLimit, Trajectory, integrate
 
 __all__ = [
     "LinearizedParams",
@@ -32,6 +33,7 @@ __all__ = [
     "delta_offset",
     "closed_form_trajectory",
     "dominant_frequency",
+    "measured_frequency",
     "in_well_equilibrium_separation",
 ]
 
@@ -177,6 +179,25 @@ def dominant_frequency(ts: np.ndarray, xs: np.ndarray) -> float:
         raise InsufficientOscillations(len(crossings))
     half_periods = np.diff(np.asarray(crossings))
     return math.pi / float(half_periods.mean())
+
+
+def measured_frequency(
+    params: ModelParams,
+    cm0: CMState,
+    cfg: IntegratorConfig,
+    t_max: float,
+    use_cm_coordinate: bool,
+) -> tuple[float, Trajectory]:
+    """Integrate from cm0 to t_max, sampling every 0.01 time units, and time
+    the mean crossings of R(t) (use_cm_coordinate) or r(t).
+
+    Returns the dominant_frequency estimate and the sampled trajectory.
+    """
+    stride = max(1, int(round(0.01 / cfg.dt)))
+    result = integrate(from_cm(cm0), params, cfg, TimeLimit(t_max), record_every=stride)
+    traj = result.diagnostics.trajectory
+    series = traj.R if use_cm_coordinate else traj.r
+    return dominant_frequency(traj.t, series), traj
 
 
 def in_well_equilibrium_separation(params: ModelParams) -> float:

@@ -41,10 +41,10 @@ class SweepSpec:
     v_min: float = 0.05
     v_max: float = 0.30
     dv: float = 0.001
-    launch_offset: float = -10.0
-    separation: Optional[float] = None
-    t_max: float = 5000.0
-    exit_radius: float = 10.0
+    launch_offset: float = Scenario.launch_offset
+    separation: Optional[float] = Scenario.separation
+    t_max: float = Scenario.t_max
+    exit_radius: float = Scenario.exit_radius
     cfg: IntegratorConfig = IntegratorConfig()
 
     def __post_init__(self):

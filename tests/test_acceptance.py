@@ -41,13 +41,12 @@ from kinktrap import (
     SweepSpec,
     TimeLimit,
     accelerations,
-    dominant_frequency,
     equilibrium_separation,
-    from_cm,
     in_well_equilibrium_separation,
     initial_state,
     integrate,
     linearized_frequencies,
+    measured_frequency,
     run_scattering,
     sensitivity,
     sweep,
@@ -283,11 +282,9 @@ class TestCriterion6:
         ]
 
         amp = 0.05 / math.sqrt(params.beta)
-        state = from_cm(CMState(t=0.0, R=amp, V=0.0, r=0.5 * s_in, w=0.0))
-        stride = max(1, int(round(0.01 / CFG.dt)))
-        result = integrate(state, params, CFG, TimeLimit(200.0), record_every=stride)
-        traj = result.diagnostics.trajectory
-        measured = dominant_frequency(traj.t, traj.R)
+        measured, _ = measured_frequency(
+            params, CMState(t=0.0, R=amp, V=0.0, r=0.5 * s_in, w=0.0), CFG, 200.0,
+            use_cm_coordinate=True)
 
         gaps = [abs(measured - lp.omega_R) / lp.omega_R for lp in readings]
         freq_ok = min(gaps) < 0.10

@@ -185,6 +185,19 @@ class TestCsvSchema:
             values = [float(c) for c in cells]
             assert values[5] == pytest.approx(0.5 * (values[1] + values[2]), rel=1e-12)
 
+    def test_energy_column_reproduces_the_reported_drift(self, tmp_path, capsys):
+        """With every step recorded, max|E - E[0]|/|E[0]| over the E column is
+        the header's energy_drift to the last bit."""
+        out = tmp_path / "dense.csv"
+        code, _, _ = run_cli(
+            ["simulate", "--v0", "0.3", "--record-every", "1", "--out", str(out)], capsys)
+        assert code == 0
+        text = out.read_text()
+        _, rows = csv_body(text)
+        energy = [float(row.rsplit(",", 1)[1]) for row in rows]
+        drift = max(abs(e - energy[0]) for e in energy) / abs(energy[0])
+        assert drift == float(meta_value(text, "energy_drift"))
+
     def test_stdout_is_the_default_sink(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--A", "0", "--t-max", "20", "--record-every", "5000"],

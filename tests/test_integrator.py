@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from kinktrap import (
+    CoincidentParticles,
     Composite,
     ExitRadius,
     IntegratorConfig,
@@ -26,6 +27,7 @@ from kinktrap import (
     step,
     total_energy,
 )
+from kinktrap import _kernels
 from modified_energy import modified_energy
 
 R0 = equilibrium_separation(ModelParams())
@@ -83,6 +85,21 @@ class TestSingleStep:
                 b = r.final
                 assert (a.x1, a.v1, a.x2, a.v2) == (b.x1, b.v1, b.x2, b.v2)
                 assert a.t == b.t
+
+    @pytest.mark.parametrize("scheme", [Scheme.VELOCITY_VERLET, Scheme.RK4])
+    @pytest.mark.parametrize("hooked", [False, True], ids=["model", "hook"])
+    def test_large_start_time_changes_only_the_clock(self, scheme, hooked):
+        """From t = 1e5 a step moves the pair exactly as from t = 0 and
+        advances t by dt; TimeLimit(t + dt) there would ask for two steps."""
+        p = ModelParams()
+        cfg = IntegratorConfig(scheme=scheme)
+        accel_fn = (lambda x1, x2: (-(x1 - x2), -(x2 - x1))) if hooked else None
+        late = State(1e5, -0.7, 0.2, 0.6, -0.1)
+        a = step(late, p, cfg, accel_fn=accel_fn)
+        b = step(State(0.0, late.x1, late.v1, late.x2, late.v2), p, cfg, accel_fn=accel_fn)
+        assert (a.x1, a.v1, a.x2, a.v2) == (b.x1, b.v1, b.x2, b.v2)
+        assert a.t == late.t + cfg.dt
+        assert b.t == cfg.dt
 
     def test_scheme_gap_shrinks_at_third_order(self):
         # |VV - RK4| after one step is dominated by the Verlet O(dt^3) local
@@ -173,6 +190,46 @@ class TestCustomForceHook:
         assert abs(r.final.v2) < 1e-5
         # model energy is meaningless under a replaced force law
         assert math.isnan(r.diagnostics.max_energy_drift)
+
+
+class TestCoincidence:
+    @pytest.mark.parametrize("accel_fn", [None, lambda x1, x2: (0.0, 0.0)],
+                             ids=["model", "hook"])
+    def test_rk4_stage_breach_reports_the_breaching_pair(self, accel_fn):
+        """Closing head-on at relative speed 2, the pair meets exactly at
+        RK4's first half-step stage while both ends of the step are 0.001
+        apart; the error must name the stage pair, hooked or not."""
+        p = ModelParams(alpha=1e-30, n=1)
+        cfg = IntegratorConfig(scheme=Scheme.RK4)
+        s = State(0.0, -5e-4, 1.0, 5e-4, -1.0)
+        with pytest.raises(CoincidentParticles) as exc:
+            integrate(s, p, cfg, TimeLimit(cfg.dt), accel_fn=accel_fn)
+        assert abs(exc.value.x1 - exc.value.x2) < cfg.coincidence_floor
+
+
+class TestKernelEnergyParity:
+    @pytest.mark.parametrize("runner", [_kernels._run_verlet, _kernels._run_rk4],
+                             ids=["verlet", "rk4"])
+    def test_inline_energy_equals_total_energy_bitwise(self, runner):
+        """Each runner writes the energy inline; after one step its peak
+        drift must be |total_energy(final) - e0| to the last bit."""
+        rng = random.Random(11)
+        empty = np.empty(0)
+        for _ in range(200):
+            p = ModelParams(k=rng.uniform(0.5, 2.0), alpha=rng.uniform(0.5, 2.0),
+                            n=rng.randint(1, 4), A=rng.uniform(-1.0, 3.0),
+                            beta=rng.uniform(0.1, 2.0))
+            x1 = rng.uniform(-3.0, 3.0)
+            s = State(0.0, x1, rng.uniform(-1.0, 1.0),
+                      x1 + rng.uniform(0.4, 2.5), rng.uniform(-1.0, 1.0))
+            e0 = total_energy(s, p)
+            status, steps, fx1, fv1, fx2, fv2, maxd, _ = runner(
+                s.x1, s.v1, s.x2, s.v2, 0.0, 1e-2, 1,
+                p.k, p.alpha, p.n, p.A, p.beta,
+                1e-12, -1.0, e0, 0, empty, empty, empty, empty, empty,
+            )
+            assert (status, steps) == (_kernels.STATUS_RAN_ALL, 1)
+            assert maxd == abs(total_energy(State(0.0, fx1, fv1, fx2, fv2), p) - e0)
 
 
 class TestSchemeCrossCheck:
