@@ -1,15 +1,31 @@
-"""Hot-loop integration kernels.
+"""Hot-loop integration kernels: a readable Python reference and a C copy.
 
-The same source runs compiled under numba when it is installed and as plain
-Python otherwise (the decorator degrades to a no-op).  No test compares the
-compiled and the plain-Python results bit for bit.
+The Python runners below are the reference.  `_kernels.c` mirrors them
+operation for operation; it is built once with the system gcc and loaded
+through ctypes, and then `_run_verlet` and `_run_rk4` are thin wrappers
+around it that keep the Python function as `py_func`.  BACKEND names the
+runners in use: "c" or "python".
+
+  build   gcc -O2 -ffp-contract=off -fPIC -shared -lm.  -ffp-contract=off
+          keeps gcc from fusing a multiply and an add into one FMA, which
+          rounds once instead of twice; -ffast-math and -march=native are
+          left out for the same reason.  exp is libm's, which is what
+          math.exp calls, so the C results equal the reference bit for bit.
+          A tier-1 test compares them on random runs.
+  cache   __pycache__/ next to this file, under a name keyed by a CRC-32 of
+          the C source, the flags and the platform.  The build writes a
+          temporary file there and renames it into place, so concurrent
+          first imports never load half a library.  It happens at import,
+          so that a sweep builds before it forks its workers.
+  fallback  without gcc, or when the build or the load fails, one line on
+          stderr says why and the Python reference runs (about 50x slower).
 
 Each formula has one home:
 
   force   _accel.  dynamics.accelerations is the floor check plus _accel.
   step    _run_verlet and _run_rk4.  integrator.step is a one-step
           integrate, and a custom force (integrator's accel_fn) enters the
-          same runners as their trailing accel argument.
+          Python runners as their trailing accel argument.
   energy  pair_energy, used by dynamics.total_energy and by the E column of
           `kinktrap simulate`.  Each runner repeats it inline, because in
           plain Python a call per step costs about 6% of a Verlet step; a
@@ -24,31 +40,27 @@ Status codes returned by the runners:
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import platform
+import shutil
+import sys
+import zlib
+from pathlib import Path
+from typing import Optional
 
-try:
-    from numba import njit
+import numpy as np
 
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def decorate(fn):
-            return fn
-
-        return decorate
-
+# Always False: nothing uses numba.  Kept because perfbench/record_reference.py
+# reads it.
+NUMBA_ENABLED = False
 
 STATUS_RAN_ALL = 0
 STATUS_EXIT = 1
 STATUS_COINCIDENT = 2
 
 
-@njit(cache=True)
 def _accel(x1, x2, k, alpha, n, A, beta):
     """Accelerations plus the Gaussian factors, which the energy reuses."""
     dx = x1 - x2
@@ -78,7 +90,6 @@ def pair_energy(dx, v1, v2, g1, g2, k, alpha, n, A):
     return 0.5 * (v1 * v1 + v2 * v2) + 0.5 * k * dx * dx + alpha / p + ((-A * g1) + (-A * g2))
 
 
-@njit(cache=True)
 def _run_verlet(
     x1, v1, x2, v2, t0, dt, nsteps,
     k, alpha, n, A, beta,
@@ -141,7 +152,6 @@ def _run_verlet(
     return status, steps, x1, v1, x2, v2, maxd, nrec
 
 
-@njit(cache=True)
 def _run_rk4(
     x1, v1, x2, v2, t0, dt, nsteps,
     k, alpha, n, A, beta,
@@ -219,3 +229,103 @@ def _run_rk4(
                 status = STATUS_EXIT
                 break
     return status, steps, x1, v1, x2, v2, maxd, nrec
+
+
+# Returned by the C runners where the Python reference raises
+# ZeroDivisionError (an exact contact under a zero coincidence floor); the
+# wrapper then re-runs the reference, which raises it.
+_STATUS_DEFER = -1
+
+_SOURCE = Path(__file__).with_name("_kernels.c")
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_D, _I = ctypes.c_double, ctypes.c_int64
+_ARGTYPES = (
+    [_D] * 6 + [_I] + [_D, _D, _I] + [_D] * 5  # x1 .. dt, nsteps, k .. e0
+    + [_I, _I] + [ctypes.c_void_p] * 5          # rec_stride, capacity, buffers
+    + [ctypes.POINTER(_D), ctypes.POINTER(_I)]  # out: state and drift; steps, nrec
+)
+
+
+def _load(source: Path, cache_dir: Path) -> Optional[ctypes.CDLL]:
+    """Build source with gcc into cache_dir, unless a build of the same
+    source, flags and platform is there, and load it.  On failure print one
+    line to stderr and return None."""
+    try:
+        key = zlib.crc32(" ".join((*_FLAGS, sys.platform, platform.machine())).encode()
+                         + source.read_bytes())
+        lib = cache_dir / f"{source.stem}-{key:08x}.so"
+        if not lib.exists():
+            _build(source, lib)
+        return ctypes.CDLL(str(lib))
+    except OSError as exc:
+        print(f"kinktrap: no C kernel ({exc}); running the Python reference kernels",
+              file=sys.stderr)
+        return None
+
+
+def _build(source: Path, lib: Path) -> None:
+    import subprocess  # only a first import builds
+
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise OSError("gcc not found")
+    lib.parent.mkdir(exist_ok=True)
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    try:
+        proc = subprocess.run([gcc, *_FLAGS, "-o", str(tmp), str(source), "-lm"],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
+            raise OSError(f"gcc failed: {lines[0]}")
+        os.replace(tmp, lib)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _capacity(buffers) -> int:
+    """The common length of the recording buffers, which must be aligned,
+    writeable, C-contiguous 1-D float64 arrays, before C writes to them."""
+    for b in buffers:
+        if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.ndim == 1
+                and b.flags.carray):
+            raise ValueError("recording buffers must be writeable, aligned, "
+                             "C-contiguous 1-D float64 arrays")
+    cap = buffers[0].shape[0]
+    if any(b.shape[0] != cap for b in buffers):
+        raise ValueError(f"recording buffers differ in length: {[b.shape[0] for b in buffers]}")
+    return cap
+
+
+def _c_runner(fn, reference):
+    """A ctypes wrapper of fn with reference's 21 positional arguments and
+    return tuple; reference stays reachable as py_func."""
+    fn.argtypes = _ARGTYPES
+    fn.restype = ctypes.c_int
+
+    def run(x1, v1, x2, v2, t0, dt, nsteps, k, alpha, n, A, beta,
+            floor, exit_radius, e0, rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2):
+        rec = (rec_t, rec_x1, rec_v1, rec_x2, rec_v2)
+        cap = _capacity(rec)
+        out = (_D * 5)()
+        counts = (_I * 2)()
+        status = fn(x1, v1, x2, v2, t0, dt, nsteps, k, alpha, n, A, beta,
+                    floor, exit_radius, e0, rec_stride, cap,
+                    *(b.ctypes.data for b in rec), out, counts)
+        if status == _STATUS_DEFER:
+            return reference(x1, v1, x2, v2, t0, dt, nsteps, k, alpha, n, A, beta,
+                             floor, exit_radius, e0, rec_stride, *rec)
+        return status, counts[0], out[0], out[1], out[2], out[3], out[4], counts[1]
+
+    run.__name__ = run.__qualname__ = reference.__name__
+    run.__doc__ = reference.__doc__
+    run.py_func = reference
+    return run
+
+
+_LIB = _load(_SOURCE, _SOURCE.parent / "__pycache__")
+if _LIB is None:
+    BACKEND = "python"
+else:
+    BACKEND = "c"
+    _run_verlet = _c_runner(_LIB.run_verlet, _run_verlet)
+    _run_rk4 = _c_runner(_LIB.run_rk4, _run_rk4)

@@ -21,7 +21,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from ._kernels import pair_energy
 from .dynamics import (
     CMState,
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kinktrap",
                      description="bound pair scattering off a Gaussian well")
     parser.add_argument("--version", action="version",
-                        version=f"kinktrap {__version__}")
+                        version=f"kinktrap {__version__} (kernel: {_kernels.BACKEND})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="integrate one launch and dump the trajectory")

@@ -262,7 +262,7 @@ def integrate(
         hook = ()
     else:
         e0 = math.nan
-        # the compiled runners cannot call back into Python
+        # the C runners cannot call back into Python
         runner = getattr(runner, "py_func", runner)
         hook = (_with_nan_factors(accel_fn),)
     status, steps, x1, v1, x2, v2, maxd, nrec = runner(

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kinktrap import __version__
+from kinktrap import __version__, _kernels
 from kinktrap.cli import ConfigError, load_config, main
 
 
@@ -328,4 +328,4 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "kinktrap", "--version"],
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
-        assert proc.stdout.strip() == f"kinktrap {__version__}"
+        assert proc.stdout.strip() == f"kinktrap {__version__} (kernel: {_kernels.BACKEND})"
