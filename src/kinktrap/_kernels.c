@@ -48,8 +48,10 @@ static int accel(const Model *m, double x1, double x2,
     return 0;
 }
 
-/* The runners' shared tail after a completed step: the inline energy
- * (pair_energy), the drift peak, the recording test and the exit test. */
+/* _after_step, the runners' shared tail after a completed step: the drift
+ * peak, with pair_energy written inline, the recording test and the exit
+ * test.  Model and Tail hold its model and tail tuples; Tail adds cap, the
+ * common length of the buffers. */
 static int after_step(const Model *m, const Tail *r, int64_t steps,
                       double x1, double v1, double x2, double v2,
                       double dx, double sep, double g1, double g2,

@@ -26,10 +26,12 @@ Each formula has one home:
   step    _run_verlet and _run_rk4.  integrator.step is a one-step
           integrate, and a custom force (integrator's accel_fn) enters the
           Python runners as their trailing accel argument.
-  energy  pair_energy, used by dynamics.total_energy and by the E column of
-          `kinktrap simulate`.  Each runner repeats it inline, because in
-          plain Python a call per step costs about 6% of a Verlet step; a
-          parity test pins the inline copies to pair_energy bit for bit.
+  energy  pair_energy, used by dynamics.total_energy, by the E column of
+          `kinktrap simulate` and by _after_step.
+  tail    _after_step, the bookkeeping both runners do after a completed
+          step: the drift peak, the recording test and the exit test.
+          after_step in _kernels.c mirrors it, energy included; a parity
+          test pins that C energy to pair_energy bit for bit.
 
 Status codes returned by the runners:
   0  completed the requested number of steps
@@ -90,6 +92,34 @@ def pair_energy(dx, v1, v2, g1, g2, k, alpha, n, A):
     return 0.5 * (v1 * v1 + v2 * v2) + 0.5 * k * dx * dx + alpha / p + ((-A * g1) + (-A * g2))
 
 
+def _after_step(model, tail, steps, x1, v1, x2, v2, dx, g1, g2, maxd, nrec):
+    """The runners' shared tail after a completed step: the drift peak, the
+    recording test and the exit test.
+
+    model is (k, alpha, n, A); tail is (t0, dt, exit_radius, e0, rec_stride,
+    rec), rec the five recording buffers.  Returns (status, maxd, nrec).
+    """
+    k, alpha, n, A = model
+    t0, dt, exit_radius, e0, rec_stride, rec = tail
+    d = abs(pair_energy(dx, v1, v2, g1, g2, k, alpha, n, A) - e0)
+    if d > maxd:
+        maxd = d
+    if rec_stride > 0 and steps % rec_stride == 0 and nrec < rec[0].shape[0]:
+        rec_t, rec_x1, rec_v1, rec_x2, rec_v2 = rec
+        rec_t[nrec] = t0 + steps * dt
+        rec_x1[nrec] = x1
+        rec_v1[nrec] = v1
+        rec_x2[nrec] = x2
+        rec_v2[nrec] = v2
+        nrec += 1
+    if exit_radius > 0.0:
+        R = 0.5 * (x1 + x2)
+        V = 0.5 * (v1 + v2)
+        if (R >= exit_radius or R <= -exit_radius) and R * V > 0.0:
+            return STATUS_EXIT, maxd, nrec
+    return STATUS_RAN_ALL, maxd, nrec
+
+
 def _run_verlet(
     x1, v1, x2, v2, t0, dt, nsteps,
     k, alpha, n, A, beta,
@@ -100,14 +130,14 @@ def _run_verlet(
 
     exit_radius <= 0 disables the escape predicate; rec_stride <= 0 disables
     recording; accel has _accel's signature and return.  Returns (status,
-    steps, x1, v1, x2, v2, max_abs_drift, nrec).  The energy below is
-    pair_energy written inline.
+    steps, x1, v1, x2, v2, max_abs_drift, nrec).
     """
+    model = (k, alpha, n, A)
+    tail = (t0, dt, exit_radius, e0, rec_stride, (rec_t, rec_x1, rec_v1, rec_x2, rec_v2))
     maxd = 0.0
     nrec = 0
     steps = 0
-    dx = x1 - x2
-    if abs(dx) < floor:
+    if abs(x1 - x2) < floor:
         return STATUS_COINCIDENT, steps, x1, v1, x2, v2, maxd, nrec
     a1, a2, g1, g2 = accel(x1, x2, k, alpha, n, A, beta)
     h2 = 0.5 * dt
@@ -118,37 +148,16 @@ def _run_verlet(
         x1 += dt * v1
         x2 += dt * v2
         dx = x1 - x2
-        sep = abs(dx)
-        if sep < floor:
+        if abs(dx) < floor:
             return STATUS_COINCIDENT, i + 1, x1, v1, x2, v2, maxd, nrec
         a1, a2, g1, g2 = accel(x1, x2, k, alpha, n, A, beta)
         v1 += h2 * a1
         v2 += h2 * a2
         steps = i + 1
-        p = 1.0
-        for _ in range(n):
-            p *= sep
-        kinetic = 0.5 * (v1 * v1 + v2 * v2)
-        spring = 0.5 * k * dx * dx
-        repulsion = alpha / p
-        well = (-A * g1) + (-A * g2)
-        e = kinetic + spring + repulsion + well
-        d = abs(e - e0)
-        if d > maxd:
-            maxd = d
-        if rec_stride > 0 and steps % rec_stride == 0 and nrec < rec_t.shape[0]:
-            rec_t[nrec] = t0 + steps * dt
-            rec_x1[nrec] = x1
-            rec_v1[nrec] = v1
-            rec_x2[nrec] = x2
-            rec_v2[nrec] = v2
-            nrec += 1
-        if exit_radius > 0.0:
-            R = 0.5 * (x1 + x2)
-            V = 0.5 * (v1 + v2)
-            if (R >= exit_radius or R <= -exit_radius) and R * V > 0.0:
-                status = STATUS_EXIT
-                break
+        status, maxd, nrec = _after_step(model, tail, steps, x1, v1, x2, v2, dx, g1, g2,
+                                         maxd, nrec)
+        if status != STATUS_RAN_ALL:
+            break
     return status, steps, x1, v1, x2, v2, maxd, nrec
 
 
@@ -162,6 +171,8 @@ def _run_rk4(
 
     Arguments and return as _run_verlet.
     """
+    model = (k, alpha, n, A)
+    tail = (t0, dt, exit_radius, e0, rec_stride, (rec_t, rec_x1, rec_v1, rec_x2, rec_v2))
     maxd = 0.0
     nrec = 0
     steps = 0
@@ -198,36 +209,15 @@ def _run_rk4(
         v1 = v1 + sixth * (a1 + 2.0 * a2_ + 2.0 * a3 + a4)
         v2 = v2 + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         dx = x1 - x2
-        sep = abs(dx)
-        if sep < floor:
+        if abs(dx) < floor:
             return STATUS_COINCIDENT, i + 1, x1, v1, x2, v2, maxd, nrec
         steps = i + 1
-        p = 1.0
-        for _ in range(n):
-            p *= sep
         g1 = math.exp(-beta * x1 * x1)
         g2 = math.exp(-beta * x2 * x2)
-        kinetic = 0.5 * (v1 * v1 + v2 * v2)
-        spring = 0.5 * k * dx * dx
-        repulsion = alpha / p
-        well = (-A * g1) + (-A * g2)
-        e = kinetic + spring + repulsion + well
-        d = abs(e - e0)
-        if d > maxd:
-            maxd = d
-        if rec_stride > 0 and steps % rec_stride == 0 and nrec < rec_t.shape[0]:
-            rec_t[nrec] = t0 + steps * dt
-            rec_x1[nrec] = x1
-            rec_v1[nrec] = v1
-            rec_x2[nrec] = x2
-            rec_v2[nrec] = v2
-            nrec += 1
-        if exit_radius > 0.0:
-            R = 0.5 * (x1 + x2)
-            V = 0.5 * (v1 + v2)
-            if (R >= exit_radius or R <= -exit_radius) and R * V > 0.0:
-                status = STATUS_EXIT
-                break
+        status, maxd, nrec = _after_step(model, tail, steps, x1, v1, x2, v2, dx, g1, g2,
+                                         maxd, nrec)
+        if status != STATUS_RAN_ALL:
+            break
     return status, steps, x1, v1, x2, v2, maxd, nrec
 
 

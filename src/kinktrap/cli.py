@@ -89,14 +89,21 @@ def _field_settings(cls, names) -> dict:
     return {name: (getattr(cls, name), _CONVERTERS_BY_TYPE[hints[name]]) for name in names}
 
 
+# The settings each dataclass takes from the command line, in the order the
+# CSV header echoes them.
+_MODEL = ["k", "alpha", "n", "A", "beta"]
+_LAUNCH = ["launch_offset", "separation", "t_max", "exit_radius"]
+_INTEGRATOR = ["dt", "scheme"]
+_GRID = ["v_min", "v_max", "dv"]
+
 # The published settings: (default, config-file converter) per key.  Each
 # default lives on the dataclass that uses it; v0, workers and out are the
 # command line's own.
 _SETTINGS = {
-    **_field_settings(ModelParams, ("k", "alpha", "n", "A", "beta")),
-    **_field_settings(Scenario, ("launch_offset", "separation", "t_max", "exit_radius")),
-    **_field_settings(IntegratorConfig, ("dt", "scheme")),
-    **_field_settings(SweepSpec, ("v_min", "v_max", "dv")),
+    **_field_settings(ModelParams, _MODEL),
+    **_field_settings(Scenario, _LAUNCH),
+    **_field_settings(IntegratorConfig, _INTEGRATOR),
+    **_field_settings(SweepSpec, _GRID),
     "v0": (0.1, _conv_float),
     "workers": (1, _conv_int),
     "out": (None, _conv_text),
@@ -157,31 +164,25 @@ def _resolve(args: argparse.Namespace) -> dict:
     return res
 
 
+def _pick(res: dict, names: list) -> dict:
+    return {name: res[name] for name in names}
+
+
 def _params(res: dict) -> ModelParams:
-    return ModelParams(k=res["k"], alpha=res["alpha"], n=res["n"], A=res["A"], beta=res["beta"])
+    return ModelParams(**_pick(res, _MODEL))
 
 
 def _scenario(res: dict) -> Scenario:
-    return Scenario(
-        params=_params(res),
-        v0=res["v0"],
-        launch_offset=res["launch_offset"],
-        separation=res["separation"],
-        t_max=res["t_max"],
-        exit_radius=res["exit_radius"],
-    )
+    return Scenario(params=_params(res), v0=res["v0"], **_pick(res, _LAUNCH))
 
 
 def _integrator_config(res: dict, max_steps: int) -> IntegratorConfig:
-    return IntegratorConfig(scheme=res["scheme"], dt=res["dt"], max_steps=max_steps)
+    return IntegratorConfig(max_steps=max_steps, **_pick(res, _INTEGRATOR))
 
 
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
-
-_MODEL_KEYS = ["k", "alpha", "n", "A", "beta"]
-
 
 def _fmt(value) -> str:
     """Shortest round-trip form: repr for floats, bare text otherwise."""
@@ -241,10 +242,7 @@ def _emit_csv(
 # subcommands
 # ---------------------------------------------------------------------------
 
-_SIM_KEYS = _MODEL_KEYS + [
-    "v0", "launch_offset", "separation", "t_max", "exit_radius",
-    "dt", "scheme", "record_every", "max_steps",
-]
+_SIM_KEYS = [*_MODEL, "v0", *_LAUNCH, *_INTEGRATOR, "record_every", "max_steps"]
 
 
 def _cmd_simulate(res: dict, args: argparse.Namespace) -> int:
@@ -275,26 +273,14 @@ def _cmd_simulate(res: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_KEYS = _MODEL_KEYS + [
-    "v_min", "v_max", "dv", "launch_offset", "separation", "t_max",
-    "exit_radius", "dt", "scheme", "max_steps",
-]
+_SWEEP_KEYS = [*_MODEL, *_GRID, *_LAUNCH, *_INTEGRATOR, "max_steps"]
 
 _SWEEP_HEADER = ["v0", "outcome", "v_final", "t_end", "energy_drift", "steps"]
 
 
 def _sweep_spec(res: dict, max_steps: int) -> SweepSpec:
-    return SweepSpec(
-        params=_params(res),
-        v_min=res["v_min"],
-        v_max=res["v_max"],
-        dv=res["dv"],
-        launch_offset=res["launch_offset"],
-        separation=res["separation"],
-        t_max=res["t_max"],
-        exit_radius=res["exit_radius"],
-        cfg=_integrator_config(res, max_steps),
-    )
+    return SweepSpec(params=_params(res), cfg=_integrator_config(res, max_steps),
+                     **_pick(res, _GRID + _LAUNCH))
 
 
 def _class_counts(records) -> dict:
@@ -338,10 +324,9 @@ def _cmd_zoom(res: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-_SENS_KEYS = _MODEL_KEYS + [
-    "v0", "launch_offset", "separation", "t_max", "dt", "scheme",
-    "seed_delta", "sample_interval", "max_steps",
-]
+# sensitivity runs to t_max with no exit test
+_SENS_KEYS = [*_MODEL, "v0", *(key for key in _LAUNCH if key != "exit_radius"),
+              *_INTEGRATOR, "seed_delta", "sample_interval", "max_steps"]
 
 
 def _cmd_sensitivity(res: dict, args: argparse.Namespace) -> int:
@@ -364,7 +349,7 @@ def _cmd_sensitivity(res: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-_LINCMP_KEYS = _MODEL_KEYS + ["t_max", "dt", "scheme", "max_steps"]
+_LINCMP_KEYS = [*_MODEL, "t_max", *_INTEGRATOR, "max_steps"]
 
 
 def _cmd_linear_compare(res: dict, args: argparse.Namespace) -> int:

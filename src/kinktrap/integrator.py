@@ -2,7 +2,8 @@
 
 VelocityVerlet is the production scheme (symplectic, second order, one force
 evaluation per step).  RK4 is carried as an independent cross-check: same
-trajectories to O(dt^2) accuracy, entirely different arithmetic, no shared
+trajectories to O(dt^2) accuracy, entirely different arithmetic.  The two
+share the bookkeeping after each step (drift peak, recording, exit test), not
 update code.  Both run at fixed dt so results are bitwise reproducible.
 """
 

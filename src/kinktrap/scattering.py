@@ -54,10 +54,12 @@ class Scenario:
     def __post_init__(self):
         if not (self.v0 > 0.0 and math.isfinite(self.v0)):
             raise ValueError(f"v0 must be positive, got {self.v0!r}")
-        if not (self.t_max > 0.0):
-            raise ValueError(f"t_max must be positive, got {self.t_max!r}")
+        if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
         if not (self.exit_radius > 0.0):
             raise ValueError(f"exit_radius must be positive, got {self.exit_radius!r}")
+        if not math.isfinite(self.launch_offset):
+            raise ValueError(f"launch_offset must be finite, got {self.launch_offset!r}")
         if self.launch_offset == 0.0:
             raise ValueError("launch_offset must be nonzero (the pair starts outside the well)")
         if not (self.exit_radius <= abs(self.launch_offset)):
@@ -65,8 +67,9 @@ class Scenario:
                 f"exit_radius ({self.exit_radius!r}) must not exceed |launch_offset| "
                 f"({abs(self.launch_offset)!r}); otherwise the launch point is already outside"
             )
-        if self.separation is not None and not (self.separation > 0.0):
-            raise ValueError(f"separation must be positive, got {self.separation!r}")
+        if self.separation is not None and not (self.separation > 0.0
+                                                and math.isfinite(self.separation)):
+            raise ValueError(f"separation must be positive and finite, got {self.separation!r}")
 
     @property
     def resolved_separation(self) -> float:

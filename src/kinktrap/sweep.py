@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -35,7 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A family of scattering scenarios differing only in launch speed."""
+    """A family of scattering scenarios differing only in launch speed.
+
+    The launch settings are Scenario's, which checks them.
+    """
 
     params: ModelParams
     v_min: float = 0.05
@@ -54,16 +58,12 @@ class SweepSpec:
             raise ValueError(f"v_max must be >= v_min, got {self.v_max!r} < {self.v_min!r}")
         if not (self.dv > 0.0):
             raise ValueError(f"dv must be positive, got {self.dv!r}")
+        self.scenario(self.v_min)
 
     def scenario(self, v0: float) -> Scenario:
-        return Scenario(
-            params=self.params,
-            v0=v0,
-            launch_offset=self.launch_offset,
-            separation=self.separation,
-            t_max=self.t_max,
-            exit_radius=self.exit_radius,
-        )
+        """The scenario at launch speed v0; every other Scenario field is this spec's."""
+        return Scenario(v0=v0, **{f.name: getattr(self, f.name)
+                                  for f in fields(Scenario) if f.name != "v0"})
 
 
 @dataclass(frozen=True)
@@ -128,18 +128,13 @@ def _classify_point(spec: SweepSpec, v0: float) -> SweepRecord:
     )
 
 
-def _point_task(args: tuple[SweepSpec, float]) -> SweepRecord:
-    spec, v0 = args
-    return _classify_point(spec, v0)
-
-
 def _run_points(spec: SweepSpec, v0s: list[float], workers: int) -> list[SweepRecord]:
     if workers <= 1 or len(v0s) <= 1:
         return [_classify_point(spec, v0) for v0 in v0s]
     # fork keeps compiled kernels warm in the children; map() preserves order.
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        return list(pool.map(_point_task, [(spec, v0) for v0 in v0s], chunksize=1))
+        return list(pool.map(partial(_classify_point, spec), v0s, chunksize=1))
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:

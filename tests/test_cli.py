@@ -108,6 +108,15 @@ class TestExitCodes:
         assert code == 1
         assert "v0 must be positive" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--launch-offset=-inf"],
+        ["sweep", "--t-max", "inf"],
+    ], ids=["simulate-launch-offset", "sweep-t-max"])
+    def test_non_finite_launch_setting_exits_one(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "finite" in err
+
     def test_no_well_linear_compare_exits_two(self, capsys):
         code, _, err = run_cli(["linear-compare", "--A", "0"], capsys)
         assert code == 2

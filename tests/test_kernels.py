@@ -8,13 +8,17 @@ with the same sentinel so that a write past nrec shows too.
 """
 
 import math
+import os
 import random
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kinktrap import _kernels
+from kinktrap import _kernels, cli
 
 RUNNERS = {"verlet": "_run_verlet", "rk4": "_run_rk4"}
 STRIDES = (0, 1, 7, 100)
@@ -173,3 +177,43 @@ def test_the_build_is_cached_under_a_key_of_the_source(c_backend, tmp_path):
     source.write_text(source.read_text() + "/* edited */\n")
     assert _kernels._load(source, cache) is not None
     assert len(list(cache.iterdir())) == 2
+
+
+# A small sweep (transmit, reflect and time-limit rows) and an RK4 run
+# recorded at an odd stride.
+FALLBACK_RUNS = {
+    "sweep": ["sweep", "--v-min", "0.2", "--v-max", "0.3", "--dv", "0.05",
+              "--launch-offset=-4", "--exit-radius", "4", "--t-max", "60"],
+    "simulate": ["simulate", "--scheme", "RK4", "--v0", "0.3", "--t-max", "25",
+                 "--record-every", "7"],
+}
+
+
+def test_the_python_fallback_writes_the_c_bytes_end_to_end(c_backend, tmp_path):
+    """A copy of the package with no built library, run where gcc cannot be
+    found, says once that it falls back, names the python kernel and writes
+    the CSV bytes of the C kernel."""
+    package = Path(_kernels.__file__).parent
+    copy = tmp_path / "kinktrap"
+    copy.mkdir()
+    for source in [*package.glob("*.py"), _kernels._SOURCE]:
+        shutil.copy(source, copy)
+    no_gcc = tmp_path / "bin"
+    no_gcc.mkdir()
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    env["PATH"] = str(no_gcc)
+
+    def fallback(*argv):
+        proc = subprocess.run([sys.executable, "-m", "kinktrap", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert "gcc not found" in line and "Python reference" in line
+        return proc.stdout
+
+    assert fallback("--version").strip().endswith("(kernel: python)")
+    for name, argv in FALLBACK_RUNS.items():
+        out_c, out_py = tmp_path / f"{name}-c.csv", tmp_path / f"{name}-py.csv"
+        assert cli.main([*argv, "--out", str(out_c)]) == 0
+        fallback(*argv, "--out", str(out_py))
+        assert out_py.read_bytes() == out_c.read_bytes(), name

@@ -41,6 +41,10 @@ class TestScenario:
         ({"v0": 0.1, "launch_offset": 0.0}, "launch_offset must be nonzero"),
         ({"v0": 0.1, "exit_radius": 12.0}, "must not exceed"),
         ({"v0": 0.1, "separation": 0.0}, "separation must be positive"),
+        ({"v0": 0.1, "t_max": math.inf}, "t_max must be positive and finite"),
+        ({"v0": 0.1, "launch_offset": -math.inf}, "launch_offset must be finite"),
+        ({"v0": 0.1, "launch_offset": math.nan}, "launch_offset must be finite"),
+        ({"v0": 0.1, "separation": math.inf}, "separation must be positive and finite"),
     ])
     def test_invalid_scenarios_are_rejected(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):

@@ -56,6 +56,9 @@ class TestGrid:
         {"v_min": 0.3, "v_max": 0.2},
         {"dv": 0.0},
         {"dv": -0.001},
+        {"exit_radius": -1.0},
+        {"t_max": math.inf},
+        {"launch_offset": -math.inf},
     ])
     def test_bad_specs_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
