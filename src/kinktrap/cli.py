@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from enum import Enum
 from typing import Optional, get_type_hints
 
@@ -212,6 +213,20 @@ def _echo_command(command: str, settings: dict, keys: list) -> str:
     return " ".join(parts)
 
 
+# Body rows formatted and written per chunk: the output is streamed, never
+# held whole.
+_CHUNK_ROWS = 8192
+
+
+def _column_text(column) -> list:
+    """A column's cells as text: repr over tolist() for a float64 array (what
+    _fmt gives each of its floats, at a fraction of the cost), _fmt per cell
+    for anything else."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return list(map(repr, column.tolist()))
+    return [_fmt(cell) for cell in column]
+
+
 def _emit_csv(
     out: Optional[str],
     command: str,
@@ -219,8 +234,10 @@ def _emit_csv(
     echo_keys: list,
     meta: dict,
     header: list,
-    rows,
+    columns: tuple,
 ) -> None:
+    """Write the metadata, the header and a body given as equal-length
+    columns (arrays, lists or tuples), one line per row."""
     lines = [f"# kinktrap-version {__version__}"]
     lines.append(f"# command = {_echo_command(command, settings, echo_keys)}")
     for key in echo_keys:
@@ -228,14 +245,12 @@ def _emit_csv(
     for key, value in meta.items():
         lines.append(f"# {key} = {_fmt(value)}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sink = open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
+    with sink as fh:
+        fh.write("\n".join(lines) + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            cells = [_column_text(col[start:start + _CHUNK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +282,9 @@ def _cmd_simulate(res: dict, args: argparse.Namespace) -> int:
         "mean_cm_speed_tail": rec.mean_cm_speed_tail,
         "steps": rec.steps,
     }
-    rows = zip(traj.t, traj.x1, traj.x2, traj.v1, traj.v2, traj.R, traj.r, energy)
+    columns = (traj.t, traj.x1, traj.x2, traj.v1, traj.v2, traj.R, traj.r, energy)
     _emit_csv(res["out"], "simulate", settings, _SIM_KEYS, meta,
-              ["t", "x1", "x2", "v1", "v2", "R", "r", "E"], rows)
+              ["t", "x1", "x2", "v1", "v2", "R", "r", "E"], columns)
     return 0
 
 
@@ -281,6 +296,11 @@ _SWEEP_HEADER = ["v0", "outcome", "v_final", "t_end", "energy_drift", "steps"]
 def _sweep_spec(res: dict, max_steps: int) -> SweepSpec:
     return SweepSpec(params=_params(res), cfg=_integrator_config(res, max_steps),
                      **_pick(res, _GRID + _LAUNCH))
+
+
+def _sweep_columns(records) -> tuple:
+    """The _SWEEP_HEADER columns of these records."""
+    return tuple([getattr(r, name) for r in records] for name in _SWEEP_HEADER)
 
 
 def _class_counts(records) -> dict:
@@ -295,11 +315,8 @@ def _cmd_sweep(res: dict, args: argparse.Namespace) -> int:
     records = sweep(spec, workers=res["workers"])
     settings = {**res, "max_steps": args.max_steps}
     meta = {"points": len(records), **_class_counts(records)}
-    rows = (
-        (r.v0, r.outcome, r.v_final, r.t_end, r.energy_drift, r.steps)
-        for r in records
-    )
-    _emit_csv(res["out"], "sweep", settings, _SWEEP_KEYS, meta, _SWEEP_HEADER, rows)
+    _emit_csv(res["out"], "sweep", settings, _SWEEP_KEYS, meta, _SWEEP_HEADER,
+              _sweep_columns(records))
     return 0
 
 
@@ -314,13 +331,10 @@ def _cmd_zoom(res: dict, args: argparse.Namespace) -> int:
     settings = {**res, "max_steps": args.max_steps,
                 "factor": args.factor, "depth": args.depth}
     meta = {"rows": len(zoom_rows), **_class_counts([zr.record for zr in zoom_rows])}
-    rows = (
-        (zr.depth, zr.record.v0, zr.record.outcome, zr.record.v_final,
-         zr.record.t_end, zr.record.energy_drift, zr.record.steps)
-        for zr in zoom_rows
-    )
+    columns = ([zr.depth for zr in zoom_rows],
+               *_sweep_columns([zr.record for zr in zoom_rows]))
     _emit_csv(res["out"], "zoom", settings, _ZOOM_KEYS, meta,
-              ["depth"] + _SWEEP_HEADER, rows)
+              ["depth"] + _SWEEP_HEADER, columns)
     return 0
 
 
@@ -344,8 +358,8 @@ def _cmd_sensitivity(res: dict, args: argparse.Namespace) -> int:
         "window_end": None if report.window is None else report.window[1],
         "t_first_unit": report.t_first_unit,
     }
-    rows = zip(report.times, report.distances)
-    _emit_csv(res["out"], "sensitivity", settings, _SENS_KEYS, meta, ["t", "d"], rows)
+    _emit_csv(res["out"], "sensitivity", settings, _SENS_KEYS, meta, ["t", "d"],
+              (report.times, report.distances))
     return 0
 
 
@@ -403,7 +417,8 @@ def _cmd_linear_compare(res: dict, args: argparse.Namespace) -> int:
         meta = {"r0": r0, "s_in": s_in,
                 "delta_full": lp_full.delta, "delta_half": lp_half.delta}
         _emit_csv(res["out"], "linear-compare", settings, _LINCMP_KEYS, meta,
-                  ["quantity", "measured", "r_eq_r0", "r_eq_half_r0"], table)
+                  ["quantity", "measured", "r_eq_r0", "r_eq_half_r0"],
+                  tuple(zip(*table)))
     return 0
 
 

@@ -52,12 +52,14 @@ class SweepSpec:
     cfg: IntegratorConfig = IntegratorConfig()
 
     def __post_init__(self):
-        if not (self.v_min > 0.0):
-            raise ValueError(f"v_min must be positive, got {self.v_min!r}")
+        if not (self.v_min > 0.0 and math.isfinite(self.v_min)):
+            raise ValueError(f"v_min must be positive and finite, got {self.v_min!r}")
+        if not math.isfinite(self.v_max):
+            raise ValueError(f"v_max must be finite, got {self.v_max!r}")
         if not (self.v_max >= self.v_min):
             raise ValueError(f"v_max must be >= v_min, got {self.v_max!r} < {self.v_min!r}")
-        if not (self.dv > 0.0):
-            raise ValueError(f"dv must be positive, got {self.dv!r}")
+        if not (self.dv > 0.0 and math.isfinite(self.dv)):
+            raise ValueError(f"dv must be positive and finite, got {self.dv!r}")
         self.scenario(self.v_min)
 
     def scenario(self, v0: float) -> Scenario:

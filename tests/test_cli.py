@@ -1,13 +1,15 @@
 """Command line contract: config resolution, exit codes, CSV schema, regeneration."""
 
+import math
 import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from kinktrap import __version__, _kernels
-from kinktrap.cli import ConfigError, load_config, main
+from kinktrap import Outcome, __version__, _kernels
+from kinktrap.cli import _CHUNK_ROWS, ConfigError, _emit_csv, _fmt, load_config, main
 
 
 def run_cli(args, capsys):
@@ -117,6 +119,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "finite" in err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["sweep", "--v-max", "inf"], "v_max"),
+        (["sweep", "--dv", "inf"], "dv"),
+        (["zoom", "--dv", "nan"], "dv"),
+    ], ids=["sweep-v-max", "sweep-dv", "zoom-dv-nan"])
+    def test_non_finite_grid_setting_exits_one(self, argv, field, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {field} must be") and "finite" in err
+
     def test_no_well_linear_compare_exits_two(self, capsys):
         code, _, err = run_cli(["linear-compare", "--A", "0"], capsys)
         assert code == 2
@@ -213,6 +225,74 @@ class TestCsvSchema:
             capsys)
         assert code == 0
         assert out.startswith("# kinktrap-version")
+
+
+class TestCsvWriter:
+    """The writer formats float64 arrays a column at a time and streams the
+    body in chunks; its bytes must be those of _fmt on every cell, row by row."""
+
+    @staticmethod
+    def written_and_expected(tmp_path, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        out = tmp_path / "w.csv"
+        _emit_csv(str(out), "simulate", {"v0": 0.1}, ["v0"], {"rows": len(columns[0])},
+                  header, columns)
+        expected = "".join(
+            [f"# kinktrap-version {__version__}\n",
+             "# command = kinktrap simulate --v0 0.1\n",
+             "# v0 = 0.1\n",
+             f"# rows = {len(columns[0])}\n",
+             ",".join(header) + "\n"]
+            + [",".join(_fmt(cell) for cell in row) + "\n" for row in zip(*columns)])
+        return out.read_bytes(), expected.encode()
+
+    def test_float_array_edge_values(self, tmp_path):
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-05, 1e16, 0.1]
+        column = np.array(values)
+        written, expected = self.written_and_expected(tmp_path, (column, column[::-1]))
+        assert written == expected
+        assert b"\nnan,0.1\n" in written and b"\n-0.0,5e-324\n" in written
+
+    def test_columns_that_are_not_float_arrays(self, tmp_path):
+        columns = (
+            [0.1, -0.0, math.inf, 1e16, 2.5],
+            [0, -3, 2**70, 7, 1],
+            list(Outcome)[:4] + [Outcome.TRAPPED],
+            [None] * 5,
+            ["omega_cm", "a b", "", "x", "y"],
+            np.arange(5, dtype=np.int64),
+            np.array([True, False, True, True, False]),
+        )
+        written, expected = self.written_and_expected(tmp_path, columns)
+        assert written == expected
+        assert b"\n0.1,0,Transmitted,none,omega_cm,0,true\n" in written
+
+    @pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1],
+                             ids=["empty", "one", "chunk-1", "chunk", "chunk+1"])
+    def test_chunk_boundaries(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        columns = (list(range(rows)), rng.standard_normal(rows),
+                   rng.standard_normal(rows) * 1e-300)
+        written, expected = self.written_and_expected(tmp_path, columns)
+        assert written == expected
+        assert written.count(b"\n") == 5 + rows
+
+    def test_stdout_and_out_get_the_same_bytes(self, tmp_path, capsys):
+        argv = ["simulate", "--A", "0", "--t-max", "20", "--record-every", "1"]
+        out = tmp_path / "sim.csv"
+        code, text, _ = run_cli(argv + ["--out", str(out)], capsys)
+        assert (code, text) == (0, "")
+        code, text, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(csv_body(text)[1]) > 2 * _CHUNK_ROWS
+        assert text.encode() == out.read_bytes()
+
+    def test_a_failed_run_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code, _, err = run_cli(["simulate", "--max-steps", "100", "--record-every", "10",
+                                "--out", str(out)], capsys)
+        assert code == 2 and "budget" in err
+        assert not out.exists()
 
 
 class TestRegeneration:

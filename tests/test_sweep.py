@@ -59,6 +59,10 @@ class TestGrid:
         {"exit_radius": -1.0},
         {"t_max": math.inf},
         {"launch_offset": -math.inf},
+        {"v_min": math.inf},
+        {"v_max": math.inf},
+        {"dv": math.inf},
+        {"dv": math.nan},
     ])
     def test_bad_specs_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
