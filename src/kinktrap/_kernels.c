@@ -1,4 +1,6 @@
-/* The Verlet and RK4 runners of _kernels.py, operation for operation.
+/* The Python reference of _kernels.py, operation for operation: the Verlet
+ * and RK4 runners, energy_column (the E column of `kinktrap simulate`) and
+ * format_rows (the CSV rows of float64 columns).
  *
  * Every expression keeps the order of its Python counterpart, and the
  * library is built with -O2 -ffp-contract=off (no fused multiply-add, no
@@ -9,10 +11,15 @@
  * under a zero coincidence floor), a runner returns DEFER and the ctypes
  * wrapper re-runs the reference, which raises it.  math.exp would also raise
  * on overflow, but beta > 0 (ModelParams) keeps the argument <= 0.
+ *
+ * format_rows writes each float as the bytes of Python's repr: the shortest
+ * digits that read back to the same double, found with Ryu (U. Adams, "Ryu:
+ * fast float-to-string conversion", PLDI 2018), laid out as repr lays them out.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 enum { DEFER = -1, RAN_ALL = 0, EXIT = 1, COINCIDENT = 2 };
 
@@ -48,25 +55,32 @@ static int accel(const Model *m, double x1, double x2,
     return 0;
 }
 
-/* _after_step, the runners' shared tail after a completed step: the drift
- * peak, with pair_energy written inline, the recording test and the exit
- * test.  Model and Tail hold its model and tail tuples; Tail adds cap, the
- * common length of the buffers. */
-static int after_step(const Model *m, const Tail *r, int64_t steps,
-                      double x1, double v1, double x2, double v2,
-                      double dx, double sep, double g1, double g2,
-                      double *maxd, int64_t *nrec)
+/* pair_energy, with dx = x1 - x2 and the Gaussian factors g = exp(-beta x^2);
+ * nonzero where the Python reference divides by zero (e keeps the IEEE
+ * quotient, which is what numpy gives on arrays). */
+static inline int pair_energy(const Model *m, double dx, double v1, double v2,
+                              double g1, double g2, double *e)
 {
+    double sep = fabs(dx);
     double p = 1.0;
     for (int64_t j = 0; j < m->n; j++)
         p *= sep;
-    if (p == 0.0)
+    *e = 0.5 * (v1 * v1 + v2 * v2) + 0.5 * m->k * dx * dx + m->alpha / p
+         + ((-m->A * g1) + (-m->A * g2));
+    return p == 0.0;
+}
+
+/* _tail's after_step, the runners' shared bookkeeping after a completed
+ * step: the drift peak, the recording test and the exit test.  Model and
+ * Tail hold what _tail closes over, maxd and nrec its running totals. */
+static int after_step(const Model *m, const Tail *r, int64_t steps,
+                      double x1, double v1, double x2, double v2,
+                      double dx, double g1, double g2,
+                      double *maxd, int64_t *nrec)
+{
+    double e;
+    if (pair_energy(m, dx, v1, v2, g1, g2, &e))
         return DEFER;
-    double kinetic = 0.5 * (v1 * v1 + v2 * v2);
-    double spring = 0.5 * m->k * dx * dx;
-    double repulsion = m->alpha / p;
-    double well = (-m->A * g1) + (-m->A * g2);
-    double e = kinetic + spring + repulsion + well;
     double d = fabs(e - r->e0);
     if (d > *maxd)
         *maxd = d;
@@ -87,6 +101,7 @@ static int after_step(const Model *m, const Tail *r, int64_t steps,
     return RAN_ALL;
 }
 
+/* _tail's done: the runner's results into out and counts. */
 static int done(int status, int64_t steps, double x1, double v1, double x2, double v2,
                 double maxd, int64_t nrec, double *out, int64_t *counts)
 {
@@ -144,15 +159,14 @@ SIGNATURE(run_verlet)
         x1 += dt * v1;
         x2 += dt * v2;
         dx = x1 - x2;
-        double sep = fabs(dx);
-        if (sep < floor_)
+        if (fabs(dx) < floor_)
             RETURN(COINCIDENT, i + 1, x1, v1, x2, v2);
         if (accel(&m, x1, x2, &a1, &a2, &g1, &g2))
             return DEFER;
         v1 += h2 * a1;
         v2 += h2 * a2;
         steps = i + 1;
-        status = after_step(&m, &tail, steps, x1, v1, x2, v2, dx, sep, g1, g2, &maxd, &nrec);
+        status = after_step(&m, &tail, steps, x1, v1, x2, v2, dx, g1, g2, &maxd, &nrec);
         if (status != RAN_ALL)
             break;
     }
@@ -199,15 +213,300 @@ SIGNATURE(run_rk4)
         v1 = v1 + sixth * (a1 + 2.0 * a2_ + 2.0 * a3 + a4);
         v2 = v2 + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4);
         double dx = x1 - x2;
-        double sep = fabs(dx);
-        if (sep < floor_)
+        if (fabs(dx) < floor_)
             RETURN(COINCIDENT, i + 1, x1, v1, x2, v2);
         steps = i + 1;
         g1 = exp(-beta * x1 * x1);
         g2 = exp(-beta * x2 * x2);
-        status = after_step(&m, &tail, steps, x1, v1, x2, v2, dx, sep, g1, g2, &maxd, &nrec);
+        status = after_step(&m, &tail, steps, x1, v1, x2, v2, dx, g1, g2, &maxd, &nrec);
         if (status != RAN_ALL)
             break;
     }
     RETURN(status, steps, x1, v1, x2, v2);
+}
+
+/* energy_column: pair_energy at each of len recorded states, into out. */
+void energy_column(const double *x1, const double *v1, const double *x2, const double *v2,
+                   int64_t len, double k, double alpha, int64_t n, double A, double beta,
+                   double *out)
+{
+    const Model m = {k, alpha, A, beta, n};
+    for (int64_t i = 0; i < len; i++) {
+        double g1 = exp(-beta * x1[i] * x1[i]);
+        double g2 = exp(-beta * x2[i] * x2[i]);
+        pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2, &out[i]);
+    }
+}
+
+/* The integer helpers of shortest, below. */
+
+static inline int32_t pow5bits(int32_t e)     /* bitlen(5^e), for 0 <= e <= 3528 */
+{
+    return (int32_t)((((uint32_t)e * 1217359u) >> 19) + 1);
+}
+
+static inline uint32_t log10_pow2(int32_t e)  /* floor(log10(2^e)), 0 <= e <= 1650 */
+{
+    return ((uint32_t)e * 78913u) >> 18;
+}
+
+static inline uint32_t log10_pow5(int32_t e)  /* floor(log10(5^e)), 0 <= e <= 2620 */
+{
+    return ((uint32_t)e * 732923u) >> 20;
+}
+
+static inline int multiple_of_pow5(uint64_t v, uint32_t p)   /* v > 0 */
+{
+    uint32_t count = 0;
+    while (v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+/* (m * mul) >> j, mul the 128-bit table entry, j >= 64. */
+static inline uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    unsigned __int128 lo = (unsigned __int128)m * mul[0];
+    unsigned __int128 hi = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((lo >> 64) + hi) >> (j - 64));
+}
+
+static inline int decimal_length(uint64_t v)  /* v < 10^17 */
+{
+    static const uint64_t powers[] = {
+        10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull, 10000000ull,
+        100000000ull, 1000000000ull, 10000000000ull, 100000000000ull,
+        1000000000000ull, 10000000000000ull, 100000000000000ull,
+        1000000000000000ull, 10000000000000000ull};
+    int len = 1;
+    while (len < 17 && v >= powers[len - 1])
+        len++;
+    return len;
+}
+
+/* Ryu's d2d: the shortest decimal digits * 10^e10 that read back as the
+ * double with this biased exponent and mantissa field (not both zero), the
+ * closest of them, ties to even.  pow5_inv[2q..2q+1] holds the low and high
+ * words of 2^(bitlen(5^q) - 1 + 125) / 5^q + 1 and pow5[2i..2i+1] those of
+ * 5^i scaled to 125 bits; _kernels.py computes both. */
+static uint64_t shortest(uint32_t ieee_exponent, uint64_t ieee_mantissa,
+                         const uint64_t *pow5_inv, const uint64_t *pow5, int32_t *e10)
+{
+    int32_t e2;
+    uint64_t m2;
+    if (ieee_exponent == 0) {
+        e2 = 1 - 1023 - 52 - 2;
+        m2 = ieee_mantissa;
+    } else {
+        e2 = (int32_t)ieee_exponent - 1023 - 52 - 2;
+        m2 = (1ull << 52) | ieee_mantissa;
+    }
+    const int accept_bounds = (m2 & 1) == 0;
+    /* In units of 2^e2, x is mv and the midpoints to its neighbours are
+     * mv + 2 and mv - 1 - mm_shift; mm_shift is 0 at a power of two, whose
+     * lower neighbour is nearer.  Even mantissas own those midpoints. */
+    const uint64_t mv = 4 * m2;
+    const uint32_t mm_shift = ieee_mantissa != 0 || ieee_exponent <= 1;
+    uint64_t vr, vp, vm;
+    int vm_trailing_zeros = 0, vr_trailing_zeros = 0;
+    if (e2 >= 0) {
+        const uint32_t q = log10_pow2(e2) - (e2 > 3);
+        *e10 = (int32_t)q;
+        const int32_t i = -e2 + (int32_t)q + 125 + pow5bits((int32_t)q) - 1;
+        const uint64_t *mul = pow5_inv + 2 * q;
+        vr = mul_shift(4 * m2, mul, i);
+        vp = mul_shift(4 * m2 + 2, mul, i);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, i);
+        if (q <= 21) {
+            /* at most one of mp, mv and mm is a multiple of 5 */
+            if (mv % 5 == 0)
+                vr_trailing_zeros = multiple_of_pow5(mv, q);
+            else if (accept_bounds)
+                vm_trailing_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        const uint32_t q = log10_pow5(-e2) - (-e2 > 1);
+        *e10 = (int32_t)q + e2;
+        const int32_t i = -e2 - (int32_t)q;
+        const int32_t j = (int32_t)q - (pow5bits(i) - 125);
+        const uint64_t *mul = pow5 + 2 * i;
+        vr = mul_shift(4 * m2, mul, j);
+        vp = mul_shift(4 * m2 + 2, mul, j);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, j);
+        if (q <= 1) {
+            /* mv = 4 m2 has at least two trailing zero bits */
+            vr_trailing_zeros = 1;
+            if (accept_bounds)
+                vm_trailing_zeros = mm_shift == 1;
+            else
+                --vp;
+        } else if (q < 63) {
+            vr_trailing_zeros = (mv & ((1ull << q) - 1)) == 0;
+        }
+    }
+
+    /* Drop digits while the interval [vm, vp] still holds a shorter number. */
+    int32_t removed = 0;
+    uint32_t last_removed = 0;
+    uint64_t output;
+    if (vm_trailing_zeros || vr_trailing_zeros) {
+        /* rare: the bounds or the value may be exact decimals */
+        while (vp / 10 > vm / 10) {
+            vm_trailing_zeros &= vm % 10 == 0;
+            vr_trailing_zeros &= last_removed == 0;
+            last_removed = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        if (vm_trailing_zeros) {
+            while (vm % 10 == 0) {
+                vr_trailing_zeros &= last_removed == 0;
+                last_removed = (uint32_t)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+                removed++;
+            }
+        }
+        if (vr_trailing_zeros && last_removed == 5 && vr % 2 == 0)
+            last_removed = 4;   /* exactly halfway: round to even */
+        output = vr + ((vr == vm && (!accept_bounds || !vm_trailing_zeros))
+                       || last_removed >= 5);
+    } else {
+        int round_up = 0;
+        if (vp / 100 > vm / 100) {   /* most often two digits go at once */
+            round_up = vr % 100 >= 50;
+            vr /= 100;
+            vp /= 100;
+            vm /= 100;
+            removed += 2;
+        }
+        while (vp / 10 > vm / 10) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        output = vr + (vr == vm || round_up);
+    }
+    *e10 += removed;
+    while (output % 10 == 0) {
+        output /= 10;
+        *e10 += 1;
+    }
+    return output;
+}
+
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* x as repr(x) writes it, into out (24 bytes at most); returns the length.
+ * Plain notation when the decimal exponent lies in [-4, 16), with ".0" on an
+ * integral value; otherwise d[.ddd]e+XX, with at least two exponent digits. */
+static int format_double(char *out, double x, const uint64_t *pow5_inv, const uint64_t *pow5)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const uint64_t mantissa = bits & ((1ull << 52) - 1);
+    const uint32_t exponent = (uint32_t)(bits >> 52) & 0x7ff;
+    char *p = out;
+    if (exponent == 0x7ff && mantissa != 0) {
+        memcpy(p, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (exponent == 0x7ff) {
+        memcpy(p, "inf", 3);
+        return (int)(p - out) + 3;
+    }
+    if (exponent == 0 && mantissa == 0) {
+        memcpy(p, "0.0", 3);
+        return (int)(p - out) + 3;
+    }
+    int32_t e10;
+    uint64_t v = shortest(exponent, mantissa, pow5_inv, pow5, &e10);
+    char digits[20];
+    const int len = decimal_length(v);
+    int i = len;
+    for (; i >= 2; i -= 2) {
+        memcpy(digits + i - 2, DIGIT_PAIRS + 2 * (v % 100), 2);
+        v /= 100;
+    }
+    if (i == 1)
+        digits[0] = (char)('0' + v);
+    const int decpt = e10 + len;   /* x = 0.digits * 10^decpt */
+    if (decpt > -4 && decpt <= 16) {
+        if (decpt <= 0) {
+            *p++ = '0';
+            *p++ = '.';
+            for (int i = 0; i < -decpt; i++)
+                *p++ = '0';
+            memcpy(p, digits, len);
+            p += len;
+        } else if (decpt < len) {
+            memcpy(p, digits, decpt);
+            p += decpt;
+            *p++ = '.';
+            memcpy(p, digits + decpt, len - decpt);
+            p += len - decpt;
+        } else {
+            memcpy(p, digits, len);
+            p += len;
+            for (int i = len; i < decpt; i++)
+                *p++ = '0';
+            *p++ = '.';
+            *p++ = '0';
+        }
+    } else {
+        *p++ = digits[0];
+        if (len > 1) {
+            *p++ = '.';
+            memcpy(p, digits + 1, len - 1);
+            p += len - 1;
+        }
+        *p++ = 'e';
+        int e = decpt - 1;
+        *p++ = e < 0 ? '-' : '+';
+        if (e < 0)
+            e = -e;
+        if (e >= 100) {
+            *p++ = (char)('0' + e / 100);
+            e %= 100;
+        }
+        *p++ = (char)('0' + e / 10);
+        *p++ = (char)('0' + e % 10);
+    }
+    return (int)(p - out);
+}
+
+/* format_rows: rows start..stop of the ncols columns as CSV text, cells
+ * joined by ',' and each row ended by '\n', into buf.  Returns the number of
+ * bytes written, or -1, having written nothing past buf + cap, when the text
+ * does not fit. */
+int64_t format_rows(const double *const *cols, int64_t ncols, int64_t start, int64_t stop,
+                    const uint64_t *pow5_inv, const uint64_t *pow5, char *buf, int64_t cap)
+{
+    char cell[32];
+    int64_t pos = 0;
+    for (int64_t i = start; i < stop; i++) {
+        for (int64_t j = 0; j < ncols; j++) {
+            int len = format_double(cell, cols[j][i], pow5_inv, pow5);
+            if (len + 1 > cap - pos)
+                return -1;
+            memcpy(buf + pos, cell, len);
+            pos += len;
+            buf[pos++] = j + 1 < ncols ? ',' : '\n';
+        }
+    }
+    return pos;
 }

@@ -1,17 +1,17 @@
-"""Hot-loop integration kernels: a readable Python reference and a C copy.
+"""Hot loops: a readable Python reference and a C copy.
 
-The Python runners below are the reference.  `_kernels.c` mirrors them
+The Python functions below are the reference.  `_kernels.c` mirrors them
 operation for operation; it is built once with the system gcc and loaded
-through ctypes, and then `_run_verlet` and `_run_rk4` are thin wrappers
-around it that keep the Python function as `py_func`.  BACKEND names the
-runners in use: "c" or "python".
+through ctypes, and then `_run_verlet`, `_run_rk4`, `energy_column` and
+`format_rows` are thin wrappers around it that keep the Python function as
+`py_func`.  BACKEND names the implementation in use: "c" or "python".
 
   build   gcc -O2 -ffp-contract=off -fPIC -shared -lm.  -ffp-contract=off
           keeps gcc from fusing a multiply and an add into one FMA, which
           rounds once instead of twice; -ffast-math and -march=native are
           left out for the same reason.  exp is libm's, which is what
           math.exp calls, so the C results equal the reference bit for bit.
-          A tier-1 test compares them on random runs.
+          Tier-1 tests compare them on random input.
   cache   __pycache__/ next to this file, under a name keyed by a CRC-32 of
           the C source, the flags and the platform.  The build writes a
           temporary file there and renames it into place, so concurrent
@@ -26,12 +26,20 @@ Each formula has one home:
   step    _run_verlet and _run_rk4.  integrator.step is a one-step
           integrate, and a custom force (integrator's accel_fn) enters the
           Python runners as their trailing accel argument.
-  energy  pair_energy, used by dynamics.total_energy, by the E column of
-          `kinktrap simulate` and by _after_step.
-  tail    _after_step, the bookkeeping both runners do after a completed
-          step: the drift peak, the recording test and the exit test.
-          after_step in _kernels.c mirrors it, energy included; a parity
-          test pins that C energy to pair_energy bit for bit.
+  energy  pair_energy, used by dynamics.total_energy, by energy_column (the
+          E column of `kinktrap simulate`) and by the tail.  In C it is the
+          static pair_energy, which after_step and energy_column call; parity
+          tests pin both to the Python energy bit for bit.
+  tail    _tail, the bookkeeping both runners do after a completed step:
+          the drift peak, the recording test and the exit test.  after_step
+          and done in _kernels.c mirror its two closures.
+  text    format_rows, the CSV rows of a body of float64 columns: repr of
+          each cell.  The C copy finds the shortest round-trip digits with
+          Ryu (U. Adams, PLDI 2018), ties to even, and lays them out as repr
+          does; its 128-bit power-of-5 tables are computed exactly from
+          Python ints by _ryu_tables on the first call and passed in.  A
+          tier-1 test compares it with repr on a million random doubles and
+          the edge cases.
 
 Status codes returned by the runners:
   0  completed the requested number of steps
@@ -43,6 +51,7 @@ Status codes returned by the runners:
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import platform
@@ -92,32 +101,62 @@ def pair_energy(dx, v1, v2, g1, g2, k, alpha, n, A):
     return 0.5 * (v1 * v1 + v2 * v2) + 0.5 * k * dx * dx + alpha / p + ((-A * g1) + (-A * g2))
 
 
-def _after_step(model, tail, steps, x1, v1, x2, v2, dx, g1, g2, maxd, nrec):
-    """The runners' shared tail after a completed step: the drift peak, the
-    recording test and the exit test.
+def energy_column(x1, v1, x2, v2, k, alpha, n, A, beta):
+    """pair_energy at each state of a recorded trajectory, as a float64 array.
+    The Gaussian factors come from math.exp per element, as in the runners:
+    np.exp may differ in the last bit."""
+    def gaussian(x):
+        return np.array([math.exp(a) for a in (-beta * x * x).tolist()])
 
-    model is (k, alpha, n, A); tail is (t0, dt, exit_radius, e0, rec_stride,
-    rec), rec the five recording buffers.  Returns (status, maxd, nrec).
+    return pair_energy(x1 - x2, v1, v2, gaussian(x1), gaussian(x2), k, alpha, n, A)
+
+
+def format_rows(columns, start, stop):
+    """Rows start..stop of equal-length float64 array columns as CSV text:
+    repr of each cell, cells joined by ',' and every row ended by a newline."""
+    cells = [map(repr, column[start:stop].tolist()) for column in columns]
+    text = "\n".join(map(",".join, zip(*cells)))
+    return text + "\n" if text else ""
+
+
+def _tail(k, alpha, n, A, t0, dt, exit_radius, e0, rec_stride, rec):
+    """The runners' shared bookkeeping, as two closures over one run's model,
+    recording buffers (rec, five arrays of one length) and running totals.
+
+    after_step(steps, x1, v1, x2, v2, dx, g1, g2), called after each completed
+    step, tracks the drift peak, records every rec_stride-th step while the
+    buffers last and runs the exit test; it returns STATUS_EXIT or
+    STATUS_RAN_ALL.  done(status, steps, x1, v1, x2, v2) is the runner's
+    return tuple.
     """
-    k, alpha, n, A = model
-    t0, dt, exit_radius, e0, rec_stride, rec = tail
-    d = abs(pair_energy(dx, v1, v2, g1, g2, k, alpha, n, A) - e0)
-    if d > maxd:
-        maxd = d
-    if rec_stride > 0 and steps % rec_stride == 0 and nrec < rec[0].shape[0]:
-        rec_t, rec_x1, rec_v1, rec_x2, rec_v2 = rec
-        rec_t[nrec] = t0 + steps * dt
-        rec_x1[nrec] = x1
-        rec_v1[nrec] = v1
-        rec_x2[nrec] = x2
-        rec_v2[nrec] = v2
-        nrec += 1
-    if exit_radius > 0.0:
-        R = 0.5 * (x1 + x2)
-        V = 0.5 * (v1 + v2)
-        if (R >= exit_radius or R <= -exit_radius) and R * V > 0.0:
-            return STATUS_EXIT, maxd, nrec
-    return STATUS_RAN_ALL, maxd, nrec
+    rec_t, rec_x1, rec_v1, rec_x2, rec_v2 = rec
+    cap = rec_t.shape[0]
+    maxd = 0.0
+    nrec = 0
+
+    def after_step(steps, x1, v1, x2, v2, dx, g1, g2):
+        nonlocal maxd, nrec
+        d = abs(pair_energy(dx, v1, v2, g1, g2, k, alpha, n, A) - e0)
+        if d > maxd:
+            maxd = d
+        if rec_stride > 0 and steps % rec_stride == 0 and nrec < cap:
+            rec_t[nrec] = t0 + steps * dt
+            rec_x1[nrec] = x1
+            rec_v1[nrec] = v1
+            rec_x2[nrec] = x2
+            rec_v2[nrec] = v2
+            nrec += 1
+        if exit_radius > 0.0:
+            R = 0.5 * (x1 + x2)
+            V = 0.5 * (v1 + v2)
+            if (R >= exit_radius or R <= -exit_radius) and R * V > 0.0:
+                return STATUS_EXIT
+        return STATUS_RAN_ALL
+
+    def done(status, steps, x1, v1, x2, v2):
+        return status, steps, x1, v1, x2, v2, maxd, nrec
+
+    return after_step, done
 
 
 def _run_verlet(
@@ -132,13 +171,11 @@ def _run_verlet(
     recording; accel has _accel's signature and return.  Returns (status,
     steps, x1, v1, x2, v2, max_abs_drift, nrec).
     """
-    model = (k, alpha, n, A)
-    tail = (t0, dt, exit_radius, e0, rec_stride, (rec_t, rec_x1, rec_v1, rec_x2, rec_v2))
-    maxd = 0.0
-    nrec = 0
+    after_step, done = _tail(k, alpha, n, A, t0, dt, exit_radius, e0, rec_stride,
+                             (rec_t, rec_x1, rec_v1, rec_x2, rec_v2))
     steps = 0
     if abs(x1 - x2) < floor:
-        return STATUS_COINCIDENT, steps, x1, v1, x2, v2, maxd, nrec
+        return done(STATUS_COINCIDENT, steps, x1, v1, x2, v2)
     a1, a2, g1, g2 = accel(x1, x2, k, alpha, n, A, beta)
     h2 = 0.5 * dt
     status = STATUS_RAN_ALL
@@ -149,16 +186,15 @@ def _run_verlet(
         x2 += dt * v2
         dx = x1 - x2
         if abs(dx) < floor:
-            return STATUS_COINCIDENT, i + 1, x1, v1, x2, v2, maxd, nrec
+            return done(STATUS_COINCIDENT, i + 1, x1, v1, x2, v2)
         a1, a2, g1, g2 = accel(x1, x2, k, alpha, n, A, beta)
         v1 += h2 * a1
         v2 += h2 * a2
         steps = i + 1
-        status, maxd, nrec = _after_step(model, tail, steps, x1, v1, x2, v2, dx, g1, g2,
-                                         maxd, nrec)
+        status = after_step(steps, x1, v1, x2, v2, dx, g1, g2)
         if status != STATUS_RAN_ALL:
             break
-    return status, steps, x1, v1, x2, v2, maxd, nrec
+    return done(status, steps, x1, v1, x2, v2)
 
 
 def _run_rk4(
@@ -171,13 +207,11 @@ def _run_rk4(
 
     Arguments and return as _run_verlet.
     """
-    model = (k, alpha, n, A)
-    tail = (t0, dt, exit_radius, e0, rec_stride, (rec_t, rec_x1, rec_v1, rec_x2, rec_v2))
-    maxd = 0.0
-    nrec = 0
+    after_step, done = _tail(k, alpha, n, A, t0, dt, exit_radius, e0, rec_stride,
+                             (rec_t, rec_x1, rec_v1, rec_x2, rec_v2))
     steps = 0
     if abs(x1 - x2) < floor:
-        return STATUS_COINCIDENT, steps, x1, v1, x2, v2, maxd, nrec
+        return done(STATUS_COINCIDENT, steps, x1, v1, x2, v2)
     h2 = 0.5 * dt
     status = STATUS_RAN_ALL
     for i in range(nsteps):
@@ -187,21 +221,21 @@ def _run_rk4(
         va1 = v1 + h2 * a1
         va2 = v2 + h2 * b1
         if abs(xa1 - xa2) < floor:
-            return STATUS_COINCIDENT, i + 1, xa1, va1, xa2, va2, maxd, nrec
+            return done(STATUS_COINCIDENT, i + 1, xa1, va1, xa2, va2)
         a2_, b2, _, _ = accel(xa1, xa2, k, alpha, n, A, beta)
         xb1 = x1 + h2 * va1
         xb2 = x2 + h2 * va2
         vb1 = v1 + h2 * a2_
         vb2 = v2 + h2 * b2
         if abs(xb1 - xb2) < floor:
-            return STATUS_COINCIDENT, i + 1, xb1, vb1, xb2, vb2, maxd, nrec
+            return done(STATUS_COINCIDENT, i + 1, xb1, vb1, xb2, vb2)
         a3, b3, _, _ = accel(xb1, xb2, k, alpha, n, A, beta)
         xc1 = x1 + dt * vb1
         xc2 = x2 + dt * vb2
         vc1 = v1 + dt * a3
         vc2 = v2 + dt * b3
         if abs(xc1 - xc2) < floor:
-            return STATUS_COINCIDENT, i + 1, xc1, vc1, xc2, vc2, maxd, nrec
+            return done(STATUS_COINCIDENT, i + 1, xc1, vc1, xc2, vc2)
         a4, b4, _, _ = accel(xc1, xc2, k, alpha, n, A, beta)
         sixth = dt / 6.0
         x1 = x1 + sixth * (v1 + 2.0 * va1 + 2.0 * vb1 + vc1)
@@ -210,15 +244,14 @@ def _run_rk4(
         v2 = v2 + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         dx = x1 - x2
         if abs(dx) < floor:
-            return STATUS_COINCIDENT, i + 1, x1, v1, x2, v2, maxd, nrec
+            return done(STATUS_COINCIDENT, i + 1, x1, v1, x2, v2)
         steps = i + 1
         g1 = math.exp(-beta * x1 * x1)
         g2 = math.exp(-beta * x2 * x2)
-        status, maxd, nrec = _after_step(model, tail, steps, x1, v1, x2, v2, dx, g1, g2,
-                                         maxd, nrec)
+        status = after_step(steps, x1, v1, x2, v2, dx, g1, g2)
         if status != STATUS_RAN_ALL:
             break
-    return status, steps, x1, v1, x2, v2, maxd, nrec
+    return done(status, steps, x1, v1, x2, v2)
 
 
 # Returned by the C runners where the Python reference raises
@@ -288,7 +321,7 @@ def _capacity(buffers) -> int:
 
 def _c_runner(fn, reference):
     """A ctypes wrapper of fn with reference's 21 positional arguments and
-    return tuple; reference stays reachable as py_func."""
+    return tuple; reference runs where C defers to it."""
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int
 
@@ -306,10 +339,81 @@ def _c_runner(fn, reference):
                              floor, exit_radius, e0, rec_stride, *rec)
         return status, counts[0], out[0], out[1], out[2], out[3], out[4], counts[1]
 
-    run.__name__ = run.__qualname__ = reference.__name__
-    run.__doc__ = reference.__doc__
-    run.py_func = reference
     return run
+
+
+def _c_energy_column(fn):
+    """A ctypes wrapper of fn with energy_column's arguments and return."""
+    fn.argtypes = [ctypes.c_void_p] * 4 + [_I, _D, _D, _I, _D, _D, ctypes.c_void_p]
+    fn.restype = None
+
+    def energy_column(x1, v1, x2, v2, k, alpha, n, A, beta):
+        states = [np.require(a, np.float64, ("C", "A")) for a in (x1, v1, x2, v2)]
+        shape = states[0].shape
+        if len(shape) != 1 or any(a.shape != shape for a in states):
+            raise ValueError(f"states must be 1-D arrays of one length, got shapes "
+                             f"{[a.shape for a in states]}")
+        out = np.empty(shape)
+        fn(*(a.ctypes.data for a in states), shape[0], k, alpha, n, A, beta, out.ctypes.data)
+        return out
+
+    return energy_column
+
+
+# The longest repr of a float64 ("-2.2250738585072014e-308") is 24 bytes; a
+# cell adds its ',' or newline.
+_CELL_BYTES = 25
+
+
+@functools.cache
+def _ryu_tables():
+    """Ryu's 128-bit multipliers as rows of (low, high) uint64 words, exact
+    from Python ints: 2**(bitlen(5**i) - 1 + 125) // 5**i + 1 for i < 342,
+    and 5**i scaled to 125 bits for i < 326.  Built on the first C format."""
+    inverse, power = [], []
+    for i in range(342):
+        p = 5**i
+        bits = p.bit_length()
+        inverse.append((1 << (bits - 1 + 125)) // p + 1)
+        if i < 326:
+            power.append(p << (125 - bits) if bits < 125 else p >> (bits - 125))
+    mask = (1 << 64) - 1
+    return tuple(np.array([(v & mask, v >> 64) for v in table], dtype=np.uint64)
+                 for table in (inverse, power))
+
+
+def _c_format_rows(fn):
+    """A ctypes wrapper of fn with format_rows's arguments and return."""
+    fn.argtypes = [ctypes.c_void_p, _I, _I, _I] + [ctypes.c_void_p] * 3 + [_I]
+    fn.restype = _I
+
+    def format_rows(columns, start, stop):
+        if not 0 <= start <= stop:
+            raise ValueError(f"bad row range {start}..{stop}")
+        for c in columns:
+            if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 1
+                    and c.flags.c_contiguous and c.flags.aligned and c.shape[0] >= stop):
+                raise ValueError(f"columns must be aligned, C-contiguous 1-D float64 "
+                                 f"arrays of at least {stop} cells")
+        inverse, power = _ryu_tables()
+        buf = np.empty(_CELL_BYTES * len(columns) * (stop - start), dtype=np.uint8)
+        pointers = (ctypes.c_void_p * len(columns))(*(c.ctypes.data for c in columns))
+        size = fn(pointers, len(columns), start, stop, inverse.ctypes.data,
+                  power.ctypes.data, buf.ctypes.data, buf.shape[0])
+        if size < 0:
+            raise RuntimeError("format_rows: the text outgrew its buffer")
+        return str(memoryview(buf)[:size], "ascii")
+
+    return format_rows
+
+
+def _bind(wrapper, reference):
+    """wrapper with reference's name and docstring; reference stays reachable
+    as py_func."""
+    wrapper.__name__ = wrapper.__qualname__ = reference.__name__
+    wrapper.__doc__ = reference.__doc__
+    wrapper.py_func = reference
+    return wrapper
 
 
 _LIB = _load(_SOURCE, _SOURCE.parent / "__pycache__")
@@ -317,5 +421,7 @@ if _LIB is None:
     BACKEND = "python"
 else:
     BACKEND = "c"
-    _run_verlet = _c_runner(_LIB.run_verlet, _run_verlet)
-    _run_rk4 = _c_runner(_LIB.run_rk4, _run_rk4)
+    _run_verlet = _bind(_c_runner(_LIB.run_verlet, _run_verlet), _run_verlet)
+    _run_rk4 = _bind(_c_runner(_LIB.run_rk4, _run_rk4), _run_rk4)
+    energy_column = _bind(_c_energy_column(_LIB.energy_column), energy_column)
+    format_rows = _bind(_c_format_rows(_LIB.format_rows), format_rows)

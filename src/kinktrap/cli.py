@@ -23,7 +23,6 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import __version__, _kernels
-from ._kernels import pair_energy
 from .dynamics import (
     CMState,
     CoincidentParticles,
@@ -218,15 +217,6 @@ def _echo_command(command: str, settings: dict, keys: list) -> str:
 _CHUNK_ROWS = 8192
 
 
-def _column_text(column) -> list:
-    """A column's cells as text: repr over tolist() for a float64 array (what
-    _fmt gives each of its floats, at a fraction of the cost), _fmt per cell
-    for anything else."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return list(map(repr, column.tolist()))
-    return [_fmt(cell) for cell in column]
-
-
 def _emit_csv(
     out: Optional[str],
     command: str,
@@ -237,7 +227,9 @@ def _emit_csv(
     columns: tuple,
 ) -> None:
     """Write the metadata, the header and a body given as equal-length
-    columns (arrays, lists or tuples), one line per row."""
+    columns (arrays, lists or tuples), one line per row.  A body of float64
+    arrays only is written by _kernels.format_rows, any other body cell by
+    cell through _fmt; both give _fmt's text for every cell."""
     lines = [f"# kinktrap-version {__version__}"]
     lines.append(f"# command = {_echo_command(command, settings, echo_keys)}")
     for key in echo_keys:
@@ -245,11 +237,21 @@ def _emit_csv(
     for key, value in meta.items():
         lines.append(f"# {key} = {_fmt(value)}")
     lines.append(",".join(header))
+    rows = len(columns[0])
+    # columns of unequal length take the zip(strict=True) path, which raises
+    floats = all(isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1
+                 and len(col) == rows for col in columns)
+    if floats:
+        columns = [np.require(col, np.float64, ("C", "A")) for col in columns]
     sink = open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
     with sink as fh:
         fh.write("\n".join(lines) + "\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            cells = [_column_text(col[start:start + _CHUNK_ROWS]) for col in columns]
+        for start in range(0, rows, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, rows)
+            if floats:
+                fh.write(_kernels.format_rows(columns, start, stop))
+                continue
+            cells = [map(_fmt, col[start:stop]) for col in columns]
             fh.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
 
 
@@ -266,13 +268,8 @@ def _cmd_simulate(res: dict, args: argparse.Namespace) -> int:
     cfg = _integrator_config(res, args.max_steps)
     rec = run_scattering(sc, cfg, record_every=args.record_every)
     traj = rec.trajectory
-
-    def gaussian(x):
-        # math.exp per element, as in the kernels: np.exp may differ in the last bit
-        return np.array([math.exp(a) for a in (-params.beta * x * x).tolist()])
-
-    energy = pair_energy(traj.x1 - traj.x2, traj.v1, traj.v2, gaussian(traj.x1), gaussian(traj.x2),
-                         params.k, params.alpha, params.n, params.A)
+    energy = _kernels.energy_column(traj.x1, traj.v1, traj.x2, traj.v2, params.k,
+                                    params.alpha, params.n, params.A, params.beta)
     settings = {**res, "record_every": args.record_every, "max_steps": args.max_steps}
     meta = {
         "outcome": rec.outcome.value,

@@ -9,8 +9,6 @@ output is identical for 1, 4, or N workers.
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Optional
@@ -32,6 +30,10 @@ __all__ = [
     "zoom",
     "sensitivity",
 ]
+
+# The most grid points a SweepSpec may hold; sweep lists every launch speed
+# before the first point runs.
+MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,11 @@ class SweepSpec:
             raise ValueError(f"v_max must be >= v_min, got {self.v_max!r} < {self.v_min!r}")
         if not (self.dv > 0.0 and math.isfinite(self.dv)):
             raise ValueError(f"dv must be positive and finite, got {self.dv!r}")
+        ratio = (self.v_max - self.v_min) / self.dv
+        if ratio > MAX_GRID_POINTS - 1:
+            raise ValueError(f"v_min..v_max = {self.v_min!r}..{self.v_max!r} in steps of "
+                             f"dv = {self.dv!r} gives {ratio + 1:.3g} grid points, "
+                             f"more than {MAX_GRID_POINTS}")
         self.scenario(self.v_min)
 
     def scenario(self, v0: float) -> Scenario:
@@ -133,6 +140,10 @@ def _classify_point(spec: SweepSpec, v0: float) -> SweepRecord:
 def _run_points(spec: SweepSpec, v0s: list[float], workers: int) -> list[SweepRecord]:
     if workers <= 1 or len(v0s) <= 1:
         return [_classify_point(spec, v0) for v0 in v0s]
+    # imported here: the pool costs every other import of the package ~30 ms
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # fork keeps compiled kernels warm in the children; map() preserves order.
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:

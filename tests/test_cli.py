@@ -129,6 +129,12 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {field} must be") and "finite" in err
 
+    def test_oversized_grid_exits_one(self, capsys):
+        code, out, err = run_cli(["sweep", "--dv", "1e-300"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: v_min..v_max = 0.05..0.3 in steps of dv = 1e-300 "
+                              "gives 2.5e+299 grid points")
+
     def test_no_well_linear_compare_exits_two(self, capsys):
         code, _, err = run_cli(["linear-compare", "--A", "0"], capsys)
         assert code == 2
@@ -227,9 +233,26 @@ class TestCsvSchema:
         assert out.startswith("# kinktrap-version")
 
 
+@pytest.fixture
+def format_calls(monkeypatch):
+    """The (start, stop) of every _kernels.format_rows call the writer makes;
+    the calls reach the C copy where gcc built it."""
+    calls = []
+    real = _kernels.format_rows
+    assert hasattr(real, "py_func") == (_kernels.BACKEND == "c")
+
+    def spy(columns, start, stop):
+        calls.append((start, stop))
+        return real(columns, start, stop)
+
+    monkeypatch.setattr(_kernels, "format_rows", spy)
+    return calls
+
+
 class TestCsvWriter:
-    """The writer formats float64 arrays a column at a time and streams the
-    body in chunks; its bytes must be those of _fmt on every cell, row by row."""
+    """The writer streams the body in chunks, a body of float64 arrays only
+    through _kernels.format_rows and any other column by column; its bytes
+    must be those of _fmt on every cell, row by row."""
 
     @staticmethod
     def written_and_expected(tmp_path, columns):
@@ -246,14 +269,28 @@ class TestCsvWriter:
             + [",".join(_fmt(cell) for cell in row) + "\n" for row in zip(*columns)])
         return out.read_bytes(), expected.encode()
 
-    def test_float_array_edge_values(self, tmp_path):
+    def test_float_array_edge_values(self, tmp_path, format_calls):
         values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-05, 1e16, 0.1]
         column = np.array(values)
         written, expected = self.written_and_expected(tmp_path, (column, column[::-1]))
         assert written == expected
         assert b"\nnan,0.1\n" in written and b"\n-0.0,5e-324\n" in written
+        assert format_calls == [(0, len(values))]
 
-    def test_columns_that_are_not_float_arrays(self, tmp_path):
+    def test_float_bodies_are_written_by_format_rows(self, tmp_path, format_calls):
+        """Float64 arrays only, a reversed and a strided view among them, over
+        two chunks: format_rows writes each chunk, in C where gcc built it."""
+        rng = np.random.default_rng(3)
+        rows = _CHUNK_ROWS + 5
+        grid = rng.standard_normal((rows, 3)) * np.array([1.0, 1e-300, 1e300])
+        column = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+        columns = (column, column[::-1], grid[:, 1], np.arange(rows, dtype=np.float64))
+        assert not (columns[1].flags.c_contiguous or columns[2].flags.c_contiguous)
+        written, expected = self.written_and_expected(tmp_path, columns)
+        assert written == expected
+        assert format_calls == [(0, _CHUNK_ROWS), (_CHUNK_ROWS, rows)]
+
+    def test_columns_that_are_not_float_arrays(self, tmp_path, format_calls):
         columns = (
             [0.1, -0.0, math.inf, 1e16, 2.5],
             [0, -3, 2**70, 7, 1],
@@ -266,6 +303,7 @@ class TestCsvWriter:
         written, expected = self.written_and_expected(tmp_path, columns)
         assert written == expected
         assert b"\n0.1,0,Transmitted,none,omega_cm,0,true\n" in written
+        assert format_calls == []
 
     @pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1],
                              ids=["empty", "one", "chunk-1", "chunk", "chunk+1"])

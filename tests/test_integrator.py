@@ -211,9 +211,9 @@ class TestKernelEnergyParity:
     @pytest.mark.parametrize("runner", [_kernels._run_verlet, _kernels._run_rk4],
                              ids=["verlet", "rk4"])
     def test_inline_energy_equals_total_energy_bitwise(self, runner):
-        """The C runners write pair_energy inline (after_step in _kernels.c);
-        after one step the peak drift must be |total_energy(final) - e0| to
-        the last bit."""
+        """The C runners have their own pair_energy (in _kernels.c, called by
+        after_step); after one step the peak drift must be
+        |total_energy(final) - e0| to the last bit."""
         rng = random.Random(11)
         empty = np.empty(0)
         for _ in range(200):

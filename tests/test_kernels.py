@@ -1,12 +1,14 @@
-"""The C runners against their Python reference, bit for bit.
+"""The C kernels against their Python reference, bit for bit.
 
-`_kernels._run_verlet` and `_kernels._run_rk4` call the C copy in
-`_kernels.c` whenever gcc can build it; `py_func` is the Python runner it
-mirrors.  Every comparison is of the whole return tuple, floats as hex, and
-of the bytes of the five recording buffers, which both sides receive filled
-with the same sentinel so that a write past nrec shows too.
+`_kernels._run_verlet`, `_run_rk4`, `energy_column` and `format_rows` call
+the C copy in `_kernels.c` whenever gcc can build it; `py_func` is the
+Python function it mirrors.  Every runner comparison is of the whole return
+tuple, floats as hex, and of the bytes of the five recording buffers, which
+both sides receive filled with the same sentinel so that a write past nrec
+shows too.  The E column is compared as bytes, and the CSV text with repr.
 """
 
+import ctypes
 import math
 import os
 import random
@@ -152,6 +154,112 @@ def test_a_wrong_recording_buffer_raises(c_backend, scheme, bad):
     args = (-1.0, 0.3, 1.0, -0.3, 0.0, 1e-3, 10, 1.0, 1.0, 2, 2.0, 1.0, 1e-12, -1.0, 0.0, 1)
     with pytest.raises(ValueError):
         getattr(_kernels, RUNNERS[scheme])(*args, good, good, bad, good, good)
+
+
+def _assert_same_rows(written, expected):
+    """Equal texts, or the first row where they part."""
+    if written != expected:
+        for i, (a, b) in enumerate(zip(written.splitlines(), expected.splitlines())):
+            assert a == b, f"row {i}"
+        assert written == expected
+
+
+def _neighbours(values):
+    """Each value with the doubles on either side of it."""
+    x = np.array(values)
+    with np.errstate(over="ignore"):
+        return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+# Exact ties between the two nearest shortest-digit candidates, which repr
+# breaks to the even one; rounding them up would end them in 3.
+TIES = [1318.8284301757812, 14952.423461914062, 1698191082685399.2, -251299372490427.12,
+        -19267498070990.062]
+
+EDGE_VALUES = np.concatenate([
+    [2.0**e for e in range(-1074, 1024)],
+    [float(f"1e{e}") for e in range(-323, 309)],
+    _neighbours([5e-324, sys.float_info.max, sys.float_info.min, 2.0**53,
+                 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e23, 1.0, 0.1]),
+    TIES,
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf],
+])
+
+
+def test_format_rows_writes_the_bytes_of_repr_on_random_doubles(c_backend):
+    """A million random bit patterns, as four columns, over every exponent."""
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**64, size=(4, 250_000), dtype=np.uint64)
+    columns = list(bits.view(np.float64))
+    assert (_kernels.format_rows(columns, 0, 250_000)
+            == _kernels.format_rows.py_func(columns, 0, 250_000))
+    assert (_kernels.format_rows(columns, 1000, 1003)
+            == _kernels.format_rows.py_func(columns, 1000, 1003))
+    assert _kernels.format_rows(columns, 7, 7) == ""
+
+
+def test_format_rows_writes_the_bytes_of_repr_on_edge_values(c_backend):
+    """Powers of 2 and 10 over the whole range, the subnormal and largest
+    doubles, 2**53 and its neighbours, each side of the switches to exponent
+    notation, ties, signed zeros, nan and the infinities, and the negatives
+    of all of them."""
+    column = np.concatenate([EDGE_VALUES, -EDGE_VALUES])
+    written = _kernels.format_rows([column], 0, len(column))
+    _assert_same_rows(written, "".join(f"{value!r}\n" for value in column.tolist()))
+    for text in ("\n1e+16\n", "\n9999999999999998.0\n", "\n0.0001\n",
+                 "\n9.999999999999999e-05\n", "\n5e-324\n", "\n-0.0\n", "\nnan\n",
+                 "\n-inf\n", "\n1318.8284301757812\n", "\n9007199254740992.0\n"):
+        assert text in written
+    assert max(len(line) for line in written.splitlines()) + 1 <= _kernels._CELL_BYTES
+
+
+def test_format_rows_writes_nothing_past_its_capacity(c_backend):
+    """A buffer too short for the text makes C return -1, and the bytes
+    after the capacity it was given stay as they were."""
+    columns = [np.array([-2.2250738585072014e-308, 0.1]), np.array([1e16, -5e-324])]
+    text = _kernels.format_rows.py_func(columns, 0, 2).encode()
+    inverse, power = _kernels._ryu_tables()
+    pointers = (ctypes.c_void_p * 2)(*(c.ctypes.data for c in columns))
+    size = len(text) + 16
+    for cap in (0, 1, 24, 25, len(text) - 1, len(text)):
+        buf = ctypes.create_string_buffer(b"#" * size, size)
+        written = _kernels._LIB.format_rows(pointers, 2, 0, 2, inverse.ctypes.data,
+                                           power.ctypes.data, buf, cap)
+        if cap < len(text):
+            assert written == -1, cap
+        else:
+            assert written == len(text) and buf.raw[:written] == text
+        assert buf.raw[cap:] == b"#" * (size - cap), cap
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros(4, dtype=np.float32),
+    np.zeros(8)[::2],
+    np.zeros(3),
+    [0.0] * 4,
+], ids=["float32", "strided", "short", "list"])
+def test_format_rows_rejects_a_column_c_cannot_read(c_backend, bad):
+    with pytest.raises(ValueError):
+        _kernels.format_rows([np.zeros(4), bad], 0, 4)
+
+
+def test_energy_column_matches_the_reference_bit_for_bit(c_backend):
+    """Random models and states, strided inputs, n = 0 and an exact contact,
+    where both sides give the IEEE quotient (inf)."""
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        k, alpha, A, beta = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), \
+            rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.0)
+        n = int(rng.integers(0, 5))
+        x1, v1, v2 = rng.uniform(-4.0, 4.0, size=(3, 2000))
+        x2 = x1 + rng.uniform(-3.0, 3.0, 2000)
+        x2[0] = x1[0]
+        states = (x1, v1, x2, v2) if trial % 2 else (x1[::2], v1[::2], x2[::2], v2[::2])
+        with np.errstate(divide="ignore"):
+            expected = _kernels.energy_column.py_func(*states, k, alpha, n, A, beta)
+        got = _kernels.energy_column(*states, k, alpha, n, A, beta)
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes(), (trial, n)
+    assert _kernels.energy_column(*[np.empty(0)] * 4, 1.0, 1.0, 2, 2.0, 1.0).shape == (0,)
 
 
 def test_a_failed_build_loads_nothing(tmp_path, capsys):

@@ -17,6 +17,7 @@ from kinktrap import (
     sweep,
     zoom,
 )
+from kinktrap.sweep import MAX_GRID_POINTS
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +64,18 @@ class TestGrid:
         {"v_max": math.inf},
         {"dv": math.inf},
         {"dv": math.nan},
+        {"dv": 1e-300},
+        {"v_max": 1e300},
+        {"dv": 2.5e-8},
+        {"v_min": 0.5, "v_max": 0.5 + MAX_GRID_POINTS * 2**-26, "dv": 2**-26},
     ])
     def test_bad_specs_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SweepSpec(params=ModelParams(), **kwargs)
+
+    def test_the_largest_grid_is_accepted(self):
+        spec = SweepSpec(params=ModelParams(), dv=(0.30 - 0.05) / (MAX_GRID_POINTS - 1))
+        assert grid_size(spec) == MAX_GRID_POINTS
 
     def test_scenario_carries_the_spec_settings(self):
         spec = SweepSpec(params=ModelParams(), launch_offset=-12.0, t_max=750.0,
