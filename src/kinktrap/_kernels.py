@@ -5,6 +5,9 @@ operation for operation; it is built once with the system gcc and loaded
 through ctypes, and then `_run_verlet`, `_run_rk4`, `energy_column` and
 `format_rows` are thin wrappers around it that keep the Python function as
 `py_func`.  BACKEND names the implementation in use: "c" or "python".
+The C functions are reentrant: their only statics are const tables, and
+every result goes to buffers the caller passes in.  ctypes releases the GIL
+for each call, so threads run them in parallel (sweep does).
 
   build   gcc -O2 -ffp-contract=off -fPIC -shared -lm.  -ffp-contract=off
           keeps gcc from fusing a multiply and an add into one FMA, which

@@ -470,7 +470,8 @@ def _add_grid(p):
     p.add_argument("--center", type=float,
                    help="with --halfwidth, sets v-min/v-max around this speed")
     p.add_argument("--halfwidth", type=float, help="half width for --center")
-    p.add_argument("--workers", type=int, help="worker processes (data unchanged)")
+    p.add_argument("--workers", type=int,
+                   help="parallel workers, at most one per point and CPU (data unchanged)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,20 +1,23 @@
 """Velocity sweeps, boundary zooming, and divergence (chaos) diagnostics.
 
 Grid points are always computed as v_min + i*dv from the integer index, never
-by accumulation, and every record is a pure function of (spec, index).  Worker
-processes only change wall time: results are collected by index, so sweep
+by accumulation, and every record is a pure function of (spec, index).
+Workers (threads over the C kernel, forked processes over the Python
+reference) only change wall time: results are collected by index, so sweep
 output is identical for 1, 4, or N workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from . import _kernels
 from .dynamics import CoincidentParticles, ModelParams, State
 from .integrator import IntegratorConfig, StepBudgetExhausted, TimeLimit, integrate
 from .scattering import Outcome, Scenario, initial_state, run_scattering
@@ -31,8 +34,8 @@ __all__ = [
     "sensitivity",
 ]
 
-# The most grid points a SweepSpec may hold; sweep lists every launch speed
-# before the first point runs.
+# The most grid points a SweepSpec, or one zoom level, may hold; both list
+# every launch speed before the first point runs.
 MAX_GRID_POINTS = 10**7
 
 
@@ -137,24 +140,48 @@ def _classify_point(spec: SweepSpec, v0: float) -> SweepRecord:
     )
 
 
-def _run_points(spec: SweepSpec, v0s: list[float], workers: int) -> list[SweepRecord]:
-    if workers <= 1 or len(v0s) <= 1:
-        return [_classify_point(spec, v0) for v0 in v0s]
-    # imported here: the pool costs every other import of the package ~30 ms
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    # fork keeps compiled kernels warm in the children; map() preserves order.
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        return list(pool.map(partial(_classify_point, spec), v0s, chunksize=1))
+
+def _run_points(spec: SweepSpec, v0s: list[float], workers: int) -> list[SweepRecord]:
+    if not (isinstance(workers, int) and workers >= 1):
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    # a process pool starts all of its workers at once, so never ask for more
+    # than there are points or CPUs
+    size = min(workers, len(v0s), _usable_cpus())
+    if size <= 1:
+        return [_classify_point(spec, v0) for v0 in v0s]
+    # imported here: the pools cost every other import of the package
+    if _kernels.BACKEND == "c":
+        # ctypes releases the GIL for each whole C run and the C kernel keeps
+        # no mutable state, so threads run points in parallel with no fork,
+        # no pickling and no worker start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
+        executor = ThreadPoolExecutor(max_workers=size)
+    else:
+        # the Python reference holds the GIL, so only processes run it in
+        # parallel; fork starts them without re-importing the package.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=size,
+                                       mp_context=multiprocessing.get_context("fork"))
+    # map() preserves order
+    with executor as pool:
+        return list(pool.map(partial(_classify_point, spec), v0s))
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Classify every grid point v_min + i*dv.
 
     Per-point integration failures become Outcome.ERROR rows; they never abort
-    the sweep.  The result is byte-identical for any worker count.
+    the sweep.  The result is byte-identical for any worker count; workers < 1
+    raises ValueError.
     """
     n = grid_size(spec)
     v0s = [grid_v0(spec, i) for i in range(n)]
@@ -172,7 +199,8 @@ def zoom(
 
     Returns all levels' rows, depth 0 first; endpoint records are reused from
     the parent level verbatim, so a grid point shared between depths carries
-    the identical record at both.
+    the identical record at both.  A level of more than MAX_GRID_POINTS points
+    raises ValueError before its grid is listed.
     """
     if not (isinstance(refinement_factor, int) and refinement_factor >= 2):
         raise ValueError(f"refinement_factor must be an integer >= 2, got {refinement_factor!r}")
@@ -193,6 +221,11 @@ def zoom(
                     intervals.append((lo, hi, sub_dv))
         if not intervals:
             break
+        count = len(intervals) * (refinement_factor - 1)
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"zoom depth {level}: {len(intervals)} class-changing intervals "
+                             f"at factor {refinement_factor} give {count} points, "
+                             f"more than {MAX_GRID_POINTS}")
         v0s = [
             lo.v0 + j * sub_dv
             for lo, _, sub_dv in intervals

@@ -135,6 +135,15 @@ class TestExitCodes:
         assert err.startswith("error: v_min..v_max = 0.05..0.3 in steps of dv = 1e-300 "
                               "gives 2.5e+299 grid points")
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--workers", "0"],
+        ["zoom", "--workers", "-3"],
+    ], ids=["sweep-zero", "zoom-negative"])
+    def test_bad_worker_count_exits_one(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: workers must be a positive integer")
+
     def test_no_well_linear_compare_exits_two(self, capsys):
         code, _, err = run_cli(["linear-compare", "--A", "0"], capsys)
         assert code == 2

@@ -287,11 +287,13 @@ def test_the_build_is_cached_under_a_key_of_the_source(c_backend, tmp_path):
     assert len(list(cache.iterdir())) == 2
 
 
-# A small sweep (transmit, reflect and time-limit rows) and an RK4 run
-# recorded at an odd stride.
+# A small sweep on two workers (transmit, reflect and time-limit rows; forked
+# processes without gcc, threads with it) and an RK4 run recorded at an odd
+# stride.
 FALLBACK_RUNS = {
     "sweep": ["sweep", "--v-min", "0.2", "--v-max", "0.3", "--dv", "0.05",
-              "--launch-offset=-4", "--exit-radius", "4", "--t-max", "60"],
+              "--launch-offset=-4", "--exit-radius", "4", "--t-max", "60",
+              "--workers", "2"],
     "simulate": ["simulate", "--scheme", "RK4", "--v0", "0.3", "--t-max", "25",
                  "--record-every", "7"],
 }

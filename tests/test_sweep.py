@@ -1,6 +1,11 @@
 """Sweep grid semantics, worker invariance, zoom bookkeeping, divergence reports."""
 
+import concurrent.futures
+import importlib
 import math
+import multiprocessing
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +22,11 @@ from kinktrap import (
     sweep,
     zoom,
 )
+from kinktrap import _kernels
 from kinktrap.sweep import MAX_GRID_POINTS
+
+# the module, which the package's `sweep` function shadows as an attribute
+sweep_module = importlib.import_module("kinktrap.sweep")
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +139,87 @@ class TestSweep:
         assert math.isnan(rec.v_final) and math.isnan(rec.t_end) and math.isnan(rec.energy_drift)
 
 
+# three free-pair points: cheap, and every one transmits
+TINY = SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.2, dv=0.05, t_max=300.0)
+
+
+class _SpyExecutor:
+    """Stands in for an executor: records its kind and max_workers and maps
+    serially, so no thread or process is ever started."""
+
+    def __init__(self, kind, made, max_workers, **_):
+        made.append((kind, max_workers))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+        for kind in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+            monkeypatch.setattr(concurrent.futures, kind,
+                                lambda kind=kind, **kw: _SpyExecutor(kind, made, **kw))
+        return made
+
+    @pytest.mark.parametrize("backend, kind", [
+        ("c", "ThreadPoolExecutor"),
+        ("python", "ProcessPoolExecutor"),
+    ])
+    @pytest.mark.parametrize("workers, cpus, size", [
+        (100_000, 64, 3),
+        (100_000, 2, 2),
+        (2, 64, 2),
+        (3, 1, None),
+    ])
+    def test_the_pool_never_outgrows_the_points_or_the_cpus(
+            self, pools, monkeypatch, backend, kind, workers, cpus, size):
+        monkeypatch.setattr(_kernels, "BACKEND", backend)
+        monkeypatch.setattr(sweep_module, "_usable_cpus", lambda: cpus)
+        assert sweep(TINY, workers=workers) == sweep(TINY)
+        assert pools == ([] if size is None else [(kind, size)])
+
+    def test_a_single_point_never_starts_a_pool(self, pools):
+        spec = SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.1, t_max=300.0)
+        assert len(sweep(spec, workers=100_000)) == 1
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, None])
+    def test_bad_worker_counts_are_rejected(self, pools, workers):
+        for run in (sweep, zoom):
+            with pytest.raises(ValueError, match="workers must be a positive integer"):
+                run(TINY, workers=workers)
+        assert pools == []
+
+    def test_c_kernel_points_run_on_threads_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "BACKEND", "c")
+        monkeypatch.setattr(sweep_module, "_usable_cpus", lambda: 2)
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("the C backend must not start processes")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        classify = sweep_module._classify_point
+        pids = []
+
+        def spy(spec, v0):
+            pids.append(os.getpid())
+            return classify(spec, v0)
+
+        monkeypatch.setattr(sweep_module, "_classify_point", spy)
+        records = sweep(TINY, workers=2)
+        assert pids == [os.getpid()] * len(records) == [os.getpid()] * grid_size(TINY)
+        monkeypatch.setattr(sweep_module, "_classify_point", classify)
+        assert records == sweep(TINY)
+
+
 class TestZoom:
     def test_uniform_window_is_never_refined(self):
         spec = SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.2,
@@ -175,6 +265,32 @@ class TestZoom:
         spec = SweepSpec(params=ModelParams(), v_min=0.1, v_max=0.1, t_max=10.0)
         with pytest.raises(ValueError):
             zoom(spec, **kwargs)
+
+
+    def test_an_oversized_level_is_rejected_before_its_grid_is_built(self):
+        # 0.22 reflects and 0.24 transmits at this horizon: one class change
+        spec = SweepSpec(params=ModelParams(), v_min=0.22, v_max=0.24, dv=0.02, t_max=300.0)
+        assert [r.outcome for r in sweep(spec)] == [Outcome.REFLECTED, Outcome.TRANSMITTED]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                zoom(spec, refinement_factor=10**7 + 2, depth=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"zoom depth 1: 1 class-changing intervals at factor "
+                                   f"10000002 give 10000001 points, more than "
+                                   f"{MAX_GRID_POINTS}")
+        # the refined grid would hold 10**7 floats, about 300 MB as a list
+        assert peak < 20e6
+
+    def test_the_largest_level_is_accepted(self, monkeypatch):
+        spec = SweepSpec(params=ModelParams(), v_min=0.22, v_max=0.24, dv=0.02, t_max=300.0)
+        monkeypatch.setattr(sweep_module, "MAX_GRID_POINTS", 4)
+        rows = zoom(spec, refinement_factor=5, depth=1)
+        assert [row.depth for row in rows] == [0, 0] + [1] * 6
+        with pytest.raises(ValueError, match="give 5 points, more than 4"):
+            zoom(spec, refinement_factor=6, depth=1)
 
 
 class TestSensitivity:
