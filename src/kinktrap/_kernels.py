@@ -44,6 +44,13 @@ Each formula has one home:
           tier-1 test compares it with repr on a million random doubles and
           the edge cases.
 
+Buffers: the runners record into five writable, aligned, C-contiguous 1-D
+float64 buffers of one length, given as any object with the buffer protocol
+and memoryview format 'd': a numpy array, or the memoryviews over an
+anonymous mmap that integrate allocates.  energy_column and format_rows take
+numpy arrays; they and the Ryu tables behind format_rows are the only code
+here that imports numpy, so a sweep runs without it.
+
 Status codes returned by the runners:
   0  completed the requested number of steps
   1  exit-radius predicate fired
@@ -63,8 +70,6 @@ import sys
 import zlib
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 # Always False: nothing uses numba.  Kept because perfbench/record_reference.py
 # reads it.
@@ -108,6 +113,8 @@ def energy_column(x1, v1, x2, v2, k, alpha, n, A, beta):
     """pair_energy at each state of a recorded trajectory, as a float64 array.
     The Gaussian factors come from math.exp per element, as in the runners:
     np.exp may differ in the last bit."""
+    import numpy as np
+
     def gaussian(x):
         return np.array([math.exp(a) for a in (-beta * x * x).tolist()])
 
@@ -124,7 +131,8 @@ def format_rows(columns, start, stop):
 
 def _tail(k, alpha, n, A, t0, dt, exit_radius, e0, rec_stride, rec):
     """The runners' shared bookkeeping, as two closures over one run's model,
-    recording buffers (rec, five arrays of one length) and running totals.
+    recording buffers (rec, five float64 buffers of one length) and running
+    totals.
 
     after_step(steps, x1, v1, x2, v2, dx, g1, g2), called after each completed
     step, tracks the drift peak, records every rec_stride-th step while the
@@ -133,7 +141,7 @@ def _tail(k, alpha, n, A, t0, dt, exit_radius, e0, rec_stride, rec):
     return tuple.
     """
     rec_t, rec_x1, rec_v1, rec_x2, rec_v2 = rec
-    cap = rec_t.shape[0]
+    cap = len(rec_t)
     maxd = 0.0
     nrec = 0
 
@@ -308,18 +316,29 @@ def _build(source: Path, lib: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _capacity(buffers) -> int:
-    """The common length of the recording buffers, which must be aligned,
-    writeable, C-contiguous 1-D float64 arrays, before C writes to them."""
+def _recording_views(buffers) -> tuple[int, list]:
+    """The common length of the recording buffers, which must be writable,
+    aligned, C-contiguous 1-D float64 buffers (memoryview format 'd'), and
+    ctypes byte arrays over them, which keep them exported until C is done;
+    all checked before C writes to them."""
+    lengths, views = [], []
     for b in buffers:
-        if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.ndim == 1
-                and b.flags.carray):
-            raise ValueError("recording buffers must be writeable, aligned, "
-                             "C-contiguous 1-D float64 arrays")
-    cap = buffers[0].shape[0]
-    if any(b.shape[0] != cap for b in buffers):
-        raise ValueError(f"recording buffers differ in length: {[b.shape[0] for b in buffers]}")
-    return cap
+        try:
+            m = memoryview(b)
+        except TypeError:
+            m = None
+        view = None
+        if (m is not None and m.format == "d" and m.ndim == 1 and m.c_contiguous
+                and not m.readonly):
+            view = (ctypes.c_char * m.nbytes).from_buffer(m)
+        if view is None or ctypes.addressof(view) % 8:
+            raise ValueError("recording buffers must be writable, aligned, "
+                             "C-contiguous 1-D float64 buffers")
+        lengths.append(len(m))
+        views.append(view)
+    if any(n != lengths[0] for n in lengths):
+        raise ValueError(f"recording buffers differ in length: {lengths}")
+    return lengths[0], views
 
 
 def _c_runner(fn, reference):
@@ -331,12 +350,12 @@ def _c_runner(fn, reference):
     def run(x1, v1, x2, v2, t0, dt, nsteps, k, alpha, n, A, beta,
             floor, exit_radius, e0, rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2):
         rec = (rec_t, rec_x1, rec_v1, rec_x2, rec_v2)
-        cap = _capacity(rec)
+        cap, views = _recording_views(rec)
         out = (_D * 5)()
         counts = (_I * 2)()
         status = fn(x1, v1, x2, v2, t0, dt, nsteps, k, alpha, n, A, beta,
                     floor, exit_radius, e0, rec_stride, cap,
-                    *(b.ctypes.data for b in rec), out, counts)
+                    *map(ctypes.addressof, views), out, counts)
         if status == _STATUS_DEFER:
             return reference(x1, v1, x2, v2, t0, dt, nsteps, k, alpha, n, A, beta,
                              floor, exit_radius, e0, rec_stride, *rec)
@@ -351,6 +370,8 @@ def _c_energy_column(fn):
     fn.restype = None
 
     def energy_column(x1, v1, x2, v2, k, alpha, n, A, beta):
+        import numpy as np
+
         states = [np.require(a, np.float64, ("C", "A")) for a in (x1, v1, x2, v2)]
         shape = states[0].shape
         if len(shape) != 1 or any(a.shape != shape for a in states):
@@ -373,6 +394,8 @@ def _ryu_tables():
     """Ryu's 128-bit multipliers as rows of (low, high) uint64 words, exact
     from Python ints: 2**(bitlen(5**i) - 1 + 125) // 5**i + 1 for i < 342,
     and 5**i scaled to 125 bits for i < 326.  Built on the first C format."""
+    import numpy as np
+
     inverse, power = [], []
     for i in range(342):
         p = 5**i
@@ -391,6 +414,8 @@ def _c_format_rows(fn):
     fn.restype = _I
 
     def format_rows(columns, start, stop):
+        import numpy as np
+
         if not 0 <= start <= stop:
             raise ValueError(f"bad row range {start}..{stop}")
         for c in columns:

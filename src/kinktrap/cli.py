@@ -20,8 +20,6 @@ from contextlib import nullcontext
 from enum import Enum
 from typing import Optional, get_type_hints
 
-import numpy as np
-
 from . import __version__, _kernels
 from .dynamics import (
     CMState,
@@ -190,11 +188,13 @@ def _fmt(value) -> str:
         return "none"
     if isinstance(value, Enum):
         return str(value.value)
-    if isinstance(value, (float, np.floating)):
+    # no numpy value exists before numpy is loaded
+    np = sys.modules.get("numpy")
+    if isinstance(value, float) or np is not None and isinstance(value, np.floating):
         return repr(float(value))
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int) or np is not None and isinstance(value, np.integer):
         return str(int(value))
     return str(value)
 
@@ -238,9 +238,12 @@ def _emit_csv(
         lines.append(f"# {key} = {_fmt(value)}")
     lines.append(",".join(header))
     rows = len(columns[0])
-    # columns of unequal length take the zip(strict=True) path, which raises
-    floats = all(isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1
-                 and len(col) == rows for col in columns)
+    # columns of unequal length take the zip(strict=True) path, which raises;
+    # no array exists before numpy is loaded
+    np = sys.modules.get("numpy")
+    floats = np is not None and all(
+        isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1
+        and len(col) == rows for col in columns)
     if floats:
         columns = [np.require(col, np.float64, ("C", "A")) for col in columns]
     sink = open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
@@ -276,7 +279,6 @@ def _cmd_simulate(res: dict, args: argparse.Namespace) -> int:
         "v_final": rec.v_final,
         "t_end": rec.t_end,
         "energy_drift": rec.energy_drift,
-        "mean_cm_speed_tail": rec.mean_cm_speed_tail,
         "steps": rec.steps,
     }
     columns = (traj.t, traj.x1, traj.x2, traj.v1, traj.v2, traj.R, traj.r, energy)
@@ -386,7 +388,7 @@ def _cmd_linear_compare(res: dict, args: argparse.Namespace) -> int:
         omega_cm, traj_cm = measured_frequency(
             params, CMState(t=0.0, R=amp, V=0.0, r=0.5 * s_in, w=0.0),
             cfg, t_max, use_cm_coordinate=True)
-        if float(np.max(np.abs(traj_cm.R))) > 5.0 * amp:
+        if float(abs(traj_cm.R).max()) > 5.0 * amp:
             print("error: the pair escaped the well during the probe run",
                   file=sys.stderr)
             return 2

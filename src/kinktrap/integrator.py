@@ -10,11 +10,10 @@ update code.  Both run at fixed dt so results are bitwise reproducible.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
 from . import _kernels
 from .dynamics import (
@@ -24,6 +23,9 @@ from .dynamics import (
     State,
     total_energy,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Scheme",
@@ -252,8 +254,7 @@ def integrate(
             raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
         stride = record_every
 
-    # recording buffers for t, x1, v1, x2, v2
-    rec = [np.empty(n_limit // stride + 1 if stride > 0 else 0) for _ in _COLUMNS]
+    rec = _recording_buffers(n_limit // stride + 1 if stride > 0 else 0)
 
     exit_arg = exit_radius if exit_radius is not None else -1.0
 
@@ -305,9 +306,24 @@ def integrate(
 _COLUMNS = ("t", "x1", "v1", "x2", "v2")
 
 
+def _recording_buffers(rows: int) -> list:
+    """Float64 buffers of rows entries for t, x1, v1, x2, v2, as memoryviews
+    over one anonymous private mapping: a page takes memory only once a row
+    on it is written, so sizing for the step limit costs nothing up front.
+    No rows gives zero-length buffers."""
+    if rows == 0:
+        return [memoryview(bytearray()).cast("d")] * len(_COLUMNS)
+    mapping = mmap.mmap(-1, len(_COLUMNS) * rows * 8, flags=mmap.MAP_PRIVATE)
+    whole = memoryview(mapping).cast("d")
+    return [whole[i * rows:(i + 1) * rows] for i in range(len(_COLUMNS))]
+
+
 def _assemble_trajectory(initial, final, steps, stride, nrec, rec):
     """The initial point, the nrec recorded steps, and the final point unless
-    the last step fell on the stride and was recorded already."""
+    the last step fell on the stride and was recorded already, as numpy
+    arrays."""
+    import numpy as np
+
     with_final = steps % stride != 0
     columns = []
     for name, recorded in zip(_COLUMNS, rec):

@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .dynamics import CMState, ModelParams, equilibrium_separation, from_cm
 from .integrator import IntegratorConfig, TimeLimit, Trajectory, integrate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LinearizedParams",
@@ -145,6 +146,8 @@ def dominant_frequency(ts: np.ndarray, xs: np.ndarray) -> float:
     pi over the mean half-period.  Raises InsufficientOscillations when fewer
     than 4 debounced crossings exist.
     """
+    import numpy as np
+
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
     if ts.ndim != 1 or ts.shape != xs.shape:

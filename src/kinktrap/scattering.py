@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .dynamics import CMState, ModelParams, State, equilibrium_separation, from_cm
 from .integrator import (
     Composite,
@@ -88,17 +86,15 @@ class OutcomeRecord:
     """Classified scattering result.
 
     v_final is the signed CM velocity at the exit crossing (0.0 by convention
-    for Trapped).  mean_cm_speed_tail is the time-averaged CM velocity over
-    the final 10% of the run, computed as displacement over elapsed time
-    between the first trajectory sample at or after 0.9*t_end and the end.
-    energy_drift is the peak relative energy deviation sampled every step.
+    for Trapped).  energy_drift is the peak relative energy deviation sampled
+    every step.  trajectory is the recorded run when run_scattering was
+    given record_every, else None.
     """
 
     outcome: Outcome
     v_final: float
     t_end: float
     energy_drift: float
-    mean_cm_speed_tail: float
     steps: int
     final_state: Optional[State] = None
     trajectory: Optional[Trajectory] = None
@@ -117,26 +113,6 @@ def initial_state(sc: Scenario) -> State:
     return from_cm(cm)
 
 
-# Tail-average sampling: cheap, bounded, fine enough that the first sample at
-# or after the 90% mark sits within ~0.03% of t_max of it.
-_TAIL_SAMPLES = 4096
-
-
-def _tail_mean_speed(traj: Trajectory, t_end: float, v_end: float) -> float:
-    if t_end <= 0.0 or len(traj) < 2:
-        return v_end
-    t = traj.t
-    window_start = 0.9 * t_end
-    idx = int(np.searchsorted(t, window_start - 1e-12))
-    if idx >= len(traj) - 1:
-        idx = len(traj) - 2
-    dt_window = t[-1] - t[idx]
-    if dt_window <= 0.0:
-        return v_end
-    R = traj.R
-    return float((R[-1] - R[idx]) / dt_window)
-
-
 def run_scattering(
     sc: Scenario,
     cfg: IntegratorConfig,
@@ -144,26 +120,20 @@ def run_scattering(
 ) -> OutcomeRecord:
     """Integrate one scenario to classification.
 
-    Passing record_every attaches the sampled trajectory to the record (and
-    the tail average uses that sampling); otherwise a fixed coarse sampling of
-    about 4096 points is used internally and dropped afterwards.  Integration
+    Passing record_every attaches the trajectory sampled every record_every
+    steps to the record; otherwise nothing is recorded.  Integration
     failures (coincident particles, exhausted step budget) propagate as
     exceptions; sweep-level callers turn them into Error rows.
     """
-    state0 = initial_state(sc)
-    n_to_tmax = max(1, int(math.ceil(sc.t_max / cfg.dt)))
-    stride = record_every if record_every is not None else max(1, n_to_tmax // _TAIL_SAMPLES)
     result = integrate(
-        state0,
+        initial_state(sc),
         sc.params,
         cfg,
         Composite([TimeLimit(sc.t_max), ExitRadius(sc.exit_radius)]),
-        record_every=stride,
+        record_every=record_every,
     )
     final = result.final
     v_end = 0.5 * (final.v1 + final.v2)
-    t_end = final.t
-    traj = result.diagnostics.trajectory
 
     if result.reason is StopReason.EXIT_RADIUS:
         outward_speed = v_end * sc.direction
@@ -176,10 +146,9 @@ def run_scattering(
     return OutcomeRecord(
         outcome=outcome,
         v_final=v_final,
-        t_end=t_end,
+        t_end=final.t,
         energy_drift=result.diagnostics.max_energy_drift,
-        mean_cm_speed_tail=_tail_mean_speed(traj, t_end, v_end),
         steps=result.diagnostics.steps,
         final_state=final,
-        trajectory=traj if record_every is not None else None,
+        trajectory=result.diagnostics.trajectory,
     )

@@ -13,14 +13,15 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import _kernels
 from .dynamics import CoincidentParticles, ModelParams, State
 from .integrator import IntegratorConfig, StepBudgetExhausted, TimeLimit, integrate
 from .scattering import Outcome, Scenario, initial_state, run_scattering
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SweepSpec",
@@ -280,6 +281,8 @@ def sensitivity(
 
     Both runs share dt and horizon so samples align exactly.
     """
+    import numpy as np
+
     if not (seed_delta >= 0.0 and math.isfinite(seed_delta)):
         raise ValueError(f"seed_delta must be >= 0, got {seed_delta!r}")
     if not (sample_interval > 0.0):

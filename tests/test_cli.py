@@ -465,3 +465,45 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"kinktrap {__version__} (kernel: {_kernels.BACKEND})"
+
+
+# Runs in a fresh interpreter: a sweep on one and two workers and a zoom,
+# whose CSVs go to argv[2]-*.csv, then --version; prints whether numpy was
+# loaded.  With argv[1] == "numpy-first" it imports numpy before anything.
+NUMPY_FREE_RUNS = """
+import contextlib, io, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from kinktrap.cli import main
+grid = ["--v-min", "0.2", "--v-max", "0.3", "--dv", "0.05", "--launch-offset=-4",
+        "--exit-radius", "4", "--t-max", "60"]
+prefix = sys.argv[2]
+for workers in ("1", "2"):
+    assert main(["sweep", *grid, "--workers", workers, "--out", f"{prefix}-w{workers}.csv"]) == 0
+assert main(["zoom", *grid, "--factor", "2", "--depth", "1", "--out", f"{prefix}-zoom.csv"]) == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(["--version"])
+    except SystemExit as exc:
+        assert exc.code == 0
+print("numpy" in sys.modules)
+"""
+
+
+class TestNumpyFree:
+    def test_sweep_zoom_and_version_never_load_numpy(self, tmp_path):
+        """The same runs write the same bytes whether or not numpy was
+        imported first."""
+        loaded = {}
+        for mode in ("numpy-free", "numpy-first"):
+            proc = subprocess.run(
+                [sys.executable, "-c", NUMPY_FREE_RUNS, mode, str(tmp_path / mode)],
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            loaded[mode] = proc.stdout.strip()
+        assert loaded == {"numpy-free": "False", "numpy-first": "True"}
+        for name in ("w1", "w2", "zoom"):
+            free = (tmp_path / f"numpy-free-{name}.csv").read_bytes()
+            assert free == (tmp_path / f"numpy-first-{name}.csv").read_bytes(), name
+        assert (tmp_path / "numpy-free-w1.csv").read_bytes() == \
+            (tmp_path / "numpy-free-w2.csv").read_bytes()

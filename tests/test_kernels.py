@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinktrap import _kernels, cli
+from kinktrap import _kernels, cli, integrator
 
 RUNNERS = {"verlet": "_run_verlet", "rk4": "_run_rk4"}
 STRIDES = (0, 1, 7, 100)
@@ -40,15 +40,28 @@ def _hex(result):
     return tuple(v.hex() if isinstance(v, float) else v for v in result)
 
 
+def _numpy_buffers(cap):
+    return [np.full(cap, SENTINEL) for _ in range(5)]
+
+
+def _mmap_buffers(cap):
+    """integrate's recording buffers, memoryviews over one anonymous mmap."""
+    rec = integrator._recording_buffers(cap)
+    for b in rec:
+        b[:] = memoryview(np.full(cap, SENTINEL))
+    return rec
+
+
+def _run(fn, args, rec):
+    """fn's result as hex and the bytes of its sentinel-filled buffers."""
+    result = fn(*args, *rec)
+    return _hex(result), b"".join(b.tobytes() for b in rec)
+
+
 def _both(runner, args, cap):
     """Run the C wrapper and its reference on identical sentinel-filled
     buffers; return each side's (result as hex, buffer bytes)."""
-    sides = []
-    for fn in (runner, runner.py_func):
-        rec = [np.full(cap, SENTINEL) for _ in range(5)]
-        result = fn(*args, *rec)
-        sides.append((_hex(result), b"".join(b.tobytes() for b in rec)))
-    return sides
+    return [_run(fn, args, _numpy_buffers(cap)) for fn in (runner, runner.py_func)]
 
 
 def _scenario(rng):
@@ -109,6 +122,20 @@ def test_random_runs_match_the_reference_bit_for_bit(c_backend, scheme):
     assert truncated > 0
 
 
+@pytest.mark.parametrize("scheme", RUNNERS)
+def test_mmap_buffers_record_the_bytes_of_numpy_buffers(scheme):
+    """The C wrapper, where gcc built it, and the reference each return the
+    same tuple and write the same bytes into integrate's memoryviews over an
+    mmap as into numpy arrays."""
+    runner = getattr(_kernels, RUNNERS[scheme])
+    fns = [runner, *([runner.py_func] if hasattr(runner, "py_func") else [])]
+    rng = random.Random(20261019)
+    for _ in range(40):
+        args, cap = _scenario(rng)
+        for fn in fns:
+            assert _run(fn, args, _mmap_buffers(cap)) == _run(fn, args, _numpy_buffers(cap))
+
+
 def test_rk4_stage_breach_matches_the_reference(c_backend):
     """Head-on at relative speed 2, the pair meets at RK4's first half-step
     stage; both sides return that stage's pair after one step."""
@@ -147,7 +174,11 @@ def _read_only():
     _read_only(),
     [0.0] * 4,
     np.empty(3),
-], ids=["float32", "strided", "big-endian", "2d", "read-only", "list", "short"])
+    np.frombuffer(bytearray(33), offset=1),
+    memoryview(bytearray(33))[1:].cast("d"),
+    memoryview(bytes(32)).cast("d"),
+], ids=["float32", "strided", "big-endian", "2d", "read-only", "list", "short",
+        "misaligned", "misaligned-memoryview", "read-only-memoryview"])
 @pytest.mark.parametrize("scheme", RUNNERS)
 def test_a_wrong_recording_buffer_raises(c_backend, scheme, bad):
     good = np.empty(4)

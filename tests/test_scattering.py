@@ -126,16 +126,6 @@ class TestClassification:
         assert rec.t_end == pytest.approx(5000.0, abs=1e-9)
         assert rec.steps == 5_000_000
 
-    def test_trapped_tail_speed_is_small_next_to_the_launch_speed(self, trapped_record):
-        # the trapped pair sloshes, so the tail mean is nonzero but well under
-        # the launch speed; the strict bound belongs to the acceptance suite
-        assert abs(trapped_record.mean_cm_speed_tail) < 0.2 * TRAPPED_V0
-
-    def test_transmitted_tail_speed_matches_exit_velocity(self):
-        rec = run_scattering(Scenario(params=ModelParams(), v0=2.0), CFG)
-        # after the well the CM coasts, so displacement over time is v_final
-        assert abs(rec.mean_cm_speed_tail - rec.v_final) < 1e-9
-
 
 class TestMirrorSymmetry:
     def test_opposite_launch_is_an_exact_reflection(self):
