@@ -19,7 +19,9 @@ for each call, so threads run them in parallel (sweep does).
           the C source, the flags and the platform.  The build writes a
           temporary file there and renames it into place, so concurrent
           first imports never load half a library.  It happens at import,
-          so that a sweep builds before it forks its workers.
+          so BACKEND is settled before anything reads it: sweep picks
+          threads (C) or forked processes (the Python reference) from it,
+          and --version prints it.
   fallback  without gcc, or when the build or the load fails, one line on
           stderr says why and the Python reference runs (about 50x slower).
 

@@ -1,10 +1,19 @@
 """Command line front end.
 
-Subcommands: simulate, sweep, zoom, sensitivity, linear-compare.  Settings are
-resolved in three layers (built-in defaults, then a config file, then flags)
-and the fully resolved values are echoed into the output as a re-runnable
-command line, so any CSV can be regenerated byte for byte from its own header.
-The echo deliberately omits --workers and --out: neither affects the data.
+Subcommands: simulate, sweep, zoom, sensitivity, linear-compare.  Two tables
+drive it.  _SETTINGS gives each setting its default, its flag and its
+config-file converter; a default lives on the dataclass field or function
+parameter that consumes it, and only v0, record_every and out are the command
+line's own.  _COMMANDS gives each subcommand its handler, its help and the
+settings its CSV echoes; the parser is one loop over it.
+
+Settings are resolved in three layers (defaults, then a config file, then
+flags) and the resolved values are echoed into the output as a re-runnable
+command line and as '# key = value' lines, so any CSV can be regenerated byte
+for byte from its own header, and its settings lines, uncommented, are a
+config file that does the same.  The echo deliberately omits --workers and
+--out: neither affects the data; --center and --halfwidth appear as v_min and
+v_max.
 
 Exit codes: 0 success, 1 bad usage or configuration, 2 a run that failed for
 physical or numerical reasons (particle coincidence, step budget, no
@@ -14,11 +23,12 @@ measurable oscillation).
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from contextlib import nullcontext
 from enum import Enum
-from typing import Optional, get_type_hints
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 from . import __version__, _kernels
 from .dynamics import (
@@ -72,42 +82,79 @@ def _conv_text(key: str, raw: str) -> str:
     return raw
 
 
-_CONVERTERS_BY_TYPE = {
-    float: _conv_float,
-    int: _conv_int,
-    Optional[float]: _conv_optional_float,
-    Scheme: _conv_text,
-}
-
-
-def _field_settings(cls, names) -> dict:
-    """{name: (default, converter)} read off the dataclass fields that
-    consume these settings."""
-    hints = get_type_hints(cls)
-    return {name: (getattr(cls, name), _CONVERTERS_BY_TYPE[hints[name]]) for name in names}
-
-
-# The settings each dataclass takes from the command line, in the order the
-# CSV header echoes them.
-_MODEL = ["k", "alpha", "n", "A", "beta"]
-_LAUNCH = ["launch_offset", "separation", "t_max", "exit_radius"]
-_INTEGRATOR = ["dt", "scheme"]
-_GRID = ["v_min", "v_max", "dv"]
-
-# The published settings: (default, config-file converter) per key.  Each
-# default lives on the dataclass that uses it; v0, workers and out are the
-# command line's own.
-_SETTINGS = {
-    **_field_settings(ModelParams, _MODEL),
-    **_field_settings(Scenario, _LAUNCH),
-    **_field_settings(IntegratorConfig, _INTEGRATOR),
-    **_field_settings(SweepSpec, _GRID),
-    "v0": (0.1, _conv_float),
-    "workers": (1, _conv_int),
-    "out": (None, _conv_text),
-}
-
 _SCHEMES = [scheme.value for scheme in Scheme]
+
+# Per setting type: the add_argument keywords of its flag and its config-file
+# converter.
+_KINDS = {
+    float: ({"type": float}, _conv_float),
+    int: ({"type": int}, _conv_int),
+    Optional[float]: ({"type": float}, _conv_optional_float),
+    Scheme: ({"choices": _SCHEMES}, _conv_text),
+    str: ({}, _conv_text),
+}
+
+
+class _Setting(NamedTuple):
+    default: object
+    flag: dict
+    convert: Callable[[str, str], object]
+    help: str
+
+
+def _setting(default, kind, help: str) -> _Setting:
+    return _Setting(default, *_KINDS[kind], help)
+
+
+# The library's name for a setting, where the two differ.
+_LIBRARY_NAMES = {"factor": "refinement_factor"}
+
+
+def _library(home, **helps) -> dict:
+    """{setting: _Setting} for settings whose default and type are those of a
+    parameter of home, a function or a dataclass's constructor."""
+    params = inspect.signature(home).parameters
+    hints = get_type_hints(home)
+    found = {}
+    for name, text in helps.items():
+        lib = _LIBRARY_NAMES.get(name, name)
+        found[name] = _setting(params[lib].default, hints[lib], text)
+    return found
+
+
+# Each group is in the order the CSV headers echo it.
+_MODEL = _library(ModelParams, k="spring constant", alpha="repulsion strength",
+                  n="repulsion exponent", A="well depth", beta="inverse square well width")
+_LAUNCH = _library(
+    Scenario,
+    launch_offset="initial centre of mass position (sign sets direction)",
+    separation="initial particle separation (default: free rest length)",
+    t_max="time horizon (linear-compare: probe run length)",
+    exit_radius="|R| at which an outgoing pair has left the region")
+_INTEGRATOR = _library(IntegratorConfig, dt="time step", scheme="integrator")
+_GRID = _library(SweepSpec, v_min="lowest launch speed", v_max="highest launch speed",
+                 dv="grid spacing")
+_DIVERGENCE = _library(sensitivity, seed_delta="launch speed perturbation",
+                       sample_interval="time between recorded distance samples")
+
+# Every setting that flags and config files may set.  A default lives on the
+# dataclass field or function parameter that consumes it; v0, record_every
+# and out are the command line's own.
+_SETTINGS = {
+    **_MODEL, **_LAUNCH, **_INTEGRATOR, **_GRID, **_DIVERGENCE,
+    **_library(IntegratorConfig, max_steps="hard step budget per trajectory"),
+    **_library(zoom, factor="grid refinement factor", depth="refinement levels",
+               workers="parallel workers, at most one per point and CPU (data unchanged)"),
+    "v0": _setting(0.1, float, "launch speed toward the well"),
+    "record_every": _setting(10, int, "record every Nth step"),
+    "out": _setting(None, str, "output CSV path (default: stdout)"),
+}
+
+# Flags that are not settings: they set v_min and v_max.
+_WINDOW = {
+    "center": _setting(None, float, "with --halfwidth, sets v-min/v-max around this speed"),
+    "halfwidth": _setting(None, float, "half width for --center"),
+}
 
 
 def load_config(path: str) -> dict:
@@ -131,14 +178,14 @@ def load_config(path: str) -> dict:
         raw = raw.strip()
         if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _SETTINGS[key][1](key, raw)
+        values[key] = _SETTINGS[key].convert(key, raw)
     return values
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults <- config file <- flags, later layers winning."""
-    res = {key: default for key, (default, _) in _SETTINGS.items()}
-    if getattr(args, "config", None):
+    res = {key: setting.default for key, setting in _SETTINGS.items()}
+    if args.config:
         res.update(load_config(args.config))
     for key in _SETTINGS:
         val = getattr(args, key, None)
@@ -162,7 +209,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     return res
 
 
-def _pick(res: dict, names: list) -> dict:
+def _pick(res: dict, names) -> dict:
     return {name: res[name] for name in names}
 
 
@@ -174,8 +221,8 @@ def _scenario(res: dict) -> Scenario:
     return Scenario(params=_params(res), v0=res["v0"], **_pick(res, _LAUNCH))
 
 
-def _integrator_config(res: dict, max_steps: int) -> IntegratorConfig:
-    return IntegratorConfig(max_steps=max_steps, **_pick(res, _INTEGRATOR))
+def _integrator_config(res: dict) -> IntegratorConfig:
+    return IntegratorConfig(**_pick(res, [*_INTEGRATOR, "max_steps"]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +246,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _echo_command(command: str, settings: dict, keys: list) -> str:
     parts = ["kinktrap", command]
     for key in keys:
         value = settings[key]
         if value is None:
             continue
-        flag = "--" + key.replace("_", "-")
+        flag = _flag(key)
         text = _fmt(value)
         # leading '-' values are glued with '=' so the echo always re-parses
         parts.append(f"{flag}={text}" if text.startswith("-") else f"{flag} {text}")
@@ -265,15 +316,13 @@ def _emit_csv(
 _SIM_KEYS = [*_MODEL, "v0", *_LAUNCH, *_INTEGRATOR, "record_every", "max_steps"]
 
 
-def _cmd_simulate(res: dict, args: argparse.Namespace) -> int:
+def _cmd_simulate(res: dict) -> int:
     sc = _scenario(res)
     params = sc.params
-    cfg = _integrator_config(res, args.max_steps)
-    rec = run_scattering(sc, cfg, record_every=args.record_every)
+    rec = run_scattering(sc, _integrator_config(res), record_every=res["record_every"])
     traj = rec.trajectory
     energy = _kernels.energy_column(traj.x1, traj.v1, traj.x2, traj.v2, params.k,
                                     params.alpha, params.n, params.A, params.beta)
-    settings = {**res, "record_every": args.record_every, "max_steps": args.max_steps}
     meta = {
         "outcome": rec.outcome.value,
         "v_final": rec.v_final,
@@ -282,7 +331,7 @@ def _cmd_simulate(res: dict, args: argparse.Namespace) -> int:
         "steps": rec.steps,
     }
     columns = (traj.t, traj.x1, traj.x2, traj.v1, traj.v2, traj.R, traj.r, energy)
-    _emit_csv(res["out"], "simulate", settings, _SIM_KEYS, meta,
+    _emit_csv(res["out"], "simulate", res, _SIM_KEYS, meta,
               ["t", "x1", "x2", "v1", "v2", "R", "r", "E"], columns)
     return 0
 
@@ -292,9 +341,9 @@ _SWEEP_KEYS = [*_MODEL, *_GRID, *_LAUNCH, *_INTEGRATOR, "max_steps"]
 _SWEEP_HEADER = ["v0", "outcome", "v_final", "t_end", "energy_drift", "steps"]
 
 
-def _sweep_spec(res: dict, max_steps: int) -> SweepSpec:
-    return SweepSpec(params=_params(res), cfg=_integrator_config(res, max_steps),
-                     **_pick(res, _GRID + _LAUNCH))
+def _sweep_spec(res: dict) -> SweepSpec:
+    return SweepSpec(params=_params(res), cfg=_integrator_config(res),
+                     **_pick(res, [*_GRID, *_LAUNCH]))
 
 
 def _sweep_columns(records) -> tuple:
@@ -309,12 +358,10 @@ def _class_counts(records) -> dict:
     return counts
 
 
-def _cmd_sweep(res: dict, args: argparse.Namespace) -> int:
-    spec = _sweep_spec(res, args.max_steps)
-    records = sweep(spec, workers=res["workers"])
-    settings = {**res, "max_steps": args.max_steps}
+def _cmd_sweep(res: dict) -> int:
+    records = sweep(_sweep_spec(res), workers=res["workers"])
     meta = {"points": len(records), **_class_counts(records)}
-    _emit_csv(res["out"], "sweep", settings, _SWEEP_KEYS, meta, _SWEEP_HEADER,
+    _emit_csv(res["out"], "sweep", res, _SWEEP_KEYS, meta, _SWEEP_HEADER,
               _sweep_columns(records))
     return 0
 
@@ -322,32 +369,26 @@ def _cmd_sweep(res: dict, args: argparse.Namespace) -> int:
 _ZOOM_KEYS = _SWEEP_KEYS + ["factor", "depth"]
 
 
-def _cmd_zoom(res: dict, args: argparse.Namespace) -> int:
-    spec = _sweep_spec(res, args.max_steps)
-    zoom_rows = zoom(spec, refinement_factor=args.factor, depth=args.depth,
+def _cmd_zoom(res: dict) -> int:
+    zoom_rows = zoom(_sweep_spec(res), refinement_factor=res["factor"], depth=res["depth"],
                      workers=res["workers"])
     zoom_rows = sorted(zoom_rows, key=lambda zr: (zr.depth, zr.record.v0))
-    settings = {**res, "max_steps": args.max_steps,
-                "factor": args.factor, "depth": args.depth}
     meta = {"rows": len(zoom_rows), **_class_counts([zr.record for zr in zoom_rows])}
     columns = ([zr.depth for zr in zoom_rows],
                *_sweep_columns([zr.record for zr in zoom_rows]))
-    _emit_csv(res["out"], "zoom", settings, _ZOOM_KEYS, meta,
+    _emit_csv(res["out"], "zoom", res, _ZOOM_KEYS, meta,
               ["depth"] + _SWEEP_HEADER, columns)
     return 0
 
 
 # sensitivity runs to t_max with no exit test
 _SENS_KEYS = [*_MODEL, "v0", *(key for key in _LAUNCH if key != "exit_radius"),
-              *_INTEGRATOR, "seed_delta", "sample_interval", "max_steps"]
+              *_INTEGRATOR, *_DIVERGENCE, "max_steps"]
 
 
-def _cmd_sensitivity(res: dict, args: argparse.Namespace) -> int:
-    cfg = _integrator_config(res, args.max_steps)
-    report = sensitivity(_scenario(res), cfg, seed_delta=args.seed_delta,
-                         sample_interval=args.sample_interval)
-    settings = {**res, "seed_delta": args.seed_delta,
-                "sample_interval": args.sample_interval, "max_steps": args.max_steps}
+def _cmd_sensitivity(res: dict) -> int:
+    report = sensitivity(_scenario(res), _integrator_config(res),
+                         **_pick(res, _DIVERGENCE))
     meta = {
         "metric": report.metric,
         "scale": report.scale,
@@ -357,7 +398,7 @@ def _cmd_sensitivity(res: dict, args: argparse.Namespace) -> int:
         "window_end": None if report.window is None else report.window[1],
         "t_first_unit": report.t_first_unit,
     }
-    _emit_csv(res["out"], "sensitivity", settings, _SENS_KEYS, meta, ["t", "d"],
+    _emit_csv(res["out"], "sensitivity", res, _SENS_KEYS, meta, ["t", "d"],
               (report.times, report.distances))
     return 0
 
@@ -365,13 +406,13 @@ def _cmd_sensitivity(res: dict, args: argparse.Namespace) -> int:
 _LINCMP_KEYS = [*_MODEL, "t_max", *_INTEGRATOR, "max_steps"]
 
 
-def _cmd_linear_compare(res: dict, args: argparse.Namespace) -> int:
+def _cmd_linear_compare(res: dict) -> int:
     params = _params(res)
     if params.A <= 0.0:
         print("error: no attractive well (A <= 0); nothing to compare",
               file=sys.stderr)
         return 2
-    cfg = _integrator_config(res, args.max_steps)
+    cfg = _integrator_config(res)
     t_max = res["t_max"]
 
     r0 = equilibrium_separation(params)
@@ -412,10 +453,9 @@ def _cmd_linear_compare(res: dict, args: argparse.Namespace) -> int:
         print(f"{name:<16} {measured:>12.6f} {full:>12.6f} {half:>12.6f}")
 
     if res["out"]:
-        settings = {**res, "max_steps": args.max_steps}
         meta = {"r0": r0, "s_in": s_in,
                 "delta_full": lp_full.delta, "delta_half": lp_half.delta}
-        _emit_csv(res["out"], "linear-compare", settings, _LINCMP_KEYS, meta,
+        _emit_csv(res["out"], "linear-compare", res, _LINCMP_KEYS, meta,
                   ["quantity", "measured", "r_eq_r0", "r_eq_half_r0"],
                   tuple(zip(*table)))
     return 0
@@ -432,48 +472,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat 'key = value' settings file")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-
-
-def _add_model(p):
-    p.add_argument("--k", type=float, help="spring constant")
-    p.add_argument("--alpha", type=float, help="repulsion strength")
-    p.add_argument("--n", type=int, help="repulsion exponent")
-    p.add_argument("--A", type=float, help="well depth")
-    p.add_argument("--beta", type=float, help="inverse square well width")
-
-
-def _add_integrator(p):
-    p.add_argument("--dt", type=float, help="time step")
-    p.add_argument("--scheme", choices=_SCHEMES, help="integrator")
-    p.add_argument("--max-steps", type=int, default=IntegratorConfig.max_steps,
-                   help="hard step budget per trajectory")
-
-
-def _add_launch(p, with_v0=True, with_exit=True):
-    if with_v0:
-        p.add_argument("--v0", type=float, help="launch speed toward the well")
-    p.add_argument("--launch-offset", type=float,
-                   help="initial centre of mass position (sign sets direction)")
-    p.add_argument("--separation", type=float,
-                   help="initial particle separation (default: free rest length)")
-    p.add_argument("--t-max", type=float, help="time horizon")
-    if with_exit:
-        p.add_argument("--exit-radius", type=float,
-                       help="|R| at which an outgoing pair has left the region")
-
-
-def _add_grid(p):
-    p.add_argument("--v-min", type=float, help="lowest launch speed")
-    p.add_argument("--v-max", type=float, help="highest launch speed")
-    p.add_argument("--dv", type=float, help="grid spacing")
-    p.add_argument("--center", type=float,
-                   help="with --halfwidth, sets v-min/v-max around this speed")
-    p.add_argument("--halfwidth", type=float, help="half width for --center")
-    p.add_argument("--workers", type=int,
-                   help="parallel workers, at most one per point and CPU (data unchanged)")
+# Per subcommand: its handler, its help, the settings its CSV echoes and the
+# flags it takes besides those, --config and --out.
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "integrate one launch and dump the trajectory",
+                 _SIM_KEYS, []),
+    "sweep": (_cmd_sweep, "classify outcomes over a launch speed grid",
+              _SWEEP_KEYS, [*_WINDOW, "workers"]),
+    "zoom": (_cmd_zoom, "sweep, then refine class boundaries",
+             _ZOOM_KEYS, [*_WINDOW, "workers"]),
+    "sensitivity": (_cmd_sensitivity, "divergence of two launches differing by seed-delta",
+                    _SENS_KEYS, []),
+    "linear-compare": (_cmd_linear_compare, "measured trapped-pair frequencies vs the "
+                       "small oscillation closed forms", _LINCMP_KEYS, []),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,41 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"kinktrap {__version__} (kernel: {_kernels.BACKEND})")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate one launch and dump the trajectory")
-    _add_common(p); _add_model(p); _add_launch(p); _add_integrator(p)
-    p.add_argument("--record-every", type=int, default=10,
-                   help="record every Nth step")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep", help="classify outcomes over a launch speed grid")
-    _add_common(p); _add_model(p); _add_launch(p, with_v0=False); _add_grid(p)
-    _add_integrator(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("zoom", help="sweep, then refine class boundaries")
-    _add_common(p); _add_model(p); _add_launch(p, with_v0=False); _add_grid(p)
-    _add_integrator(p)
-    p.add_argument("--factor", type=int, default=5, help="grid refinement factor")
-    p.add_argument("--depth", type=int, default=1, help="refinement levels")
-    p.set_defaults(func=_cmd_zoom)
-
-    p = sub.add_parser("sensitivity",
-                       help="divergence of two launches differing by seed-delta")
-    _add_common(p); _add_model(p); _add_launch(p, with_exit=False); _add_integrator(p)
-    p.add_argument("--seed-delta", type=float, default=1e-9,
-                   help="launch speed perturbation")
-    p.add_argument("--sample-interval", type=float, default=1.0,
-                   help="time between recorded distance samples")
-    p.set_defaults(func=_cmd_sensitivity)
-
-    p = sub.add_parser("linear-compare",
-                       help="measured trapped-pair frequencies vs the small "
-                            "oscillation closed forms")
-    _add_common(p); _add_model(p); _add_integrator(p)
-    p.add_argument("--t-max", type=float, help="probe run length")
-    p.set_defaults(func=_cmd_linear_compare)
-
+    flags = {**_SETTINGS, **_WINDOW}
+    for command, (handler, text, echo_keys, extra) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="flat 'key = value' settings file")
+        for key in ["out", *echo_keys, *extra]:
+            p.add_argument(_flag(key), help=flags[key].help, **flags[key].flag)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -525,11 +509,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         res = _resolve(args)
-        return args.func(res, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return args.func(res)
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CoincidentParticles, StepBudgetExhausted) as exc:

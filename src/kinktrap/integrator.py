@@ -183,12 +183,27 @@ def _normalize_stop(stop: StopCondition) -> tuple[Optional[float], Optional[floa
     return t_limit, radius
 
 
+def _steps_in(span: float, dt: float) -> float:
+    """span / dt; a ValueError that names dt when the quotient overflows."""
+    ratio = span / dt
+    if ratio == math.inf:
+        raise ValueError(f"dt = {dt!r} is too small: {span!r} time units overflow "
+                         f"the step count")
+    return ratio
+
+
 def _steps_to_reach(t0: float, t_limit: float, dt: float) -> int:
     """Smallest step count i with t0 + i*dt >= t_limit, robust to last-bit slop."""
-    ratio = (t_limit - t0) / dt
+    ratio = _steps_in(t_limit - t0, dt)
     if ratio <= 0.0:
         return 0
     return int(math.ceil(ratio - max(1e-9, 8e-16 * ratio)))
+
+
+def sample_stride(interval: float, dt: float) -> int:
+    """The record_every that samples about every interval time units: the
+    step count nearest interval / dt, at least 1."""
+    return max(1, int(round(_steps_in(interval, dt))))
 
 
 def step(
@@ -254,7 +269,12 @@ def integrate(
             raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
         stride = record_every
 
-    rec = _recording_buffers(n_limit // stride + 1 if stride > 0 else 0)
+    rows = n_limit // stride + 1 if stride > 0 else 0
+    try:
+        rec = _recording_buffers(rows)
+    except (OSError, OverflowError) as exc:
+        raise ValueError(f"cannot map a recording of {rows} rows at record_every = "
+                         f"{stride}: {exc}") from None
 
     exit_arg = exit_radius if exit_radius is not None else -1.0
 

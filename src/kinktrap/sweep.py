@@ -17,7 +17,13 @@ from typing import TYPE_CHECKING, Optional
 
 from . import _kernels
 from .dynamics import CoincidentParticles, ModelParams, State
-from .integrator import IntegratorConfig, StepBudgetExhausted, TimeLimit, integrate
+from .integrator import (
+    IntegratorConfig,
+    StepBudgetExhausted,
+    TimeLimit,
+    integrate,
+    sample_stride,
+)
 from .scattering import Outcome, Scenario, initial_state, run_scattering
 
 if TYPE_CHECKING:
@@ -285,9 +291,9 @@ def sensitivity(
 
     if not (seed_delta >= 0.0 and math.isfinite(seed_delta)):
         raise ValueError(f"seed_delta must be >= 0, got {seed_delta!r}")
-    if not (sample_interval > 0.0):
-        raise ValueError(f"sample_interval must be positive, got {sample_interval!r}")
-    stride = max(1, int(round(sample_interval / cfg.dt)))
+    if not (sample_interval > 0.0 and math.isfinite(sample_interval)):
+        raise ValueError(f"sample_interval must be positive and finite, got {sample_interval!r}")
+    stride = sample_stride(sample_interval, cfg.dt)
 
     state_a = initial_state(sc)
     state_b = initial_state(replace(sc, v0=sc.v0 + seed_delta))

@@ -1,6 +1,9 @@
 """Command line contract: config resolution, exit codes, CSV schema, regeneration."""
 
+import argparse
+import errno
 import math
+import mmap
 import shlex
 import subprocess
 import sys
@@ -9,7 +12,16 @@ import numpy as np
 import pytest
 
 from kinktrap import Outcome, __version__, _kernels
-from kinktrap.cli import _CHUNK_ROWS, ConfigError, _emit_csv, _fmt, load_config, main
+from kinktrap.cli import (
+    _CHUNK_ROWS,
+    _COMMANDS,
+    ConfigError,
+    _emit_csv,
+    _fmt,
+    build_parser,
+    load_config,
+    main,
+)
 
 
 def run_cli(args, capsys):
@@ -143,6 +155,32 @@ class TestExitCodes:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: workers must be a positive integer")
+
+    @pytest.mark.parametrize("argv, phrase", [
+        (["sensitivity", "--sample-interval", "inf"], "sample_interval must be positive"),
+        (["sensitivity", "--dt", "1e-320"], "dt = 1e-320 is too small"),
+        (["linear-compare", "--dt", "1e-320"], "dt = 1e-320 is too small"),
+        (["simulate", "--dt", "1e-320"], "dt = 1e-320 is too small"),
+        (["sweep", "--dt", "1e-320"], "dt = 1e-320 is too small"),
+    ], ids=["sensitivity-sample-interval", "sensitivity-dt", "linear-compare-dt",
+            "simulate-dt", "sweep-dt"])
+    def test_overflowing_step_ratio_exits_one(self, argv, phrase, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {phrase}") and err.count("\n") == 1
+
+    def test_unmappable_recording_exits_one(self, monkeypatch, capsys):
+        """A recording too large to map is a usage error; mmap is faked, so
+        nothing is mapped or run."""
+        def no_memory(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        code, out, err = run_cli(["simulate", "--t-max", "1e12", "--max-steps",
+                                  "100000000000000", "--record-every", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot map a recording of 100000000000001 rows "
+                              "at record_every = 1") and err.count("\n") == 1
 
     def test_no_well_linear_compare_exits_two(self, capsys):
         code, _, err = run_cli(["linear-compare", "--A", "0"], capsys)
@@ -342,20 +380,49 @@ class TestCsvWriter:
         assert not out.exists()
 
 
+# One quick run per subcommand, for the regeneration tests.
+REGENERATION_RUNS = {
+    "simulate": ["simulate", "--v0", "0.27", "--t-max", "200", "--record-every", "100"],
+    "sweep": ["sweep", "--v-min", "0.1", "--v-max", "0.14", "--dv", "0.02",
+              "--launch-offset=-8", "--exit-radius", "8", "--t-max", "200"],
+    "zoom": ["zoom", "--center", "0.12", "--halfwidth", "0.005", "--dv", "0.005",
+             "--t-max", "300", "--factor", "2"],
+    "sensitivity": ["sensitivity", "--v0", "0.056", "--t-max", "100",
+                    "--seed-delta", "1e-8", "--sample-interval", "0.5"],
+    "linear-compare": ["linear-compare", "--t-max", "120", "--scheme", "RK4"],
+}
+
+
 class TestRegeneration:
-    def test_echoed_command_reproduces_the_file_byte_for_byte(self, tmp_path, capsys):
+    @staticmethod
+    def first_run(tmp_path, argv):
         first = tmp_path / "a.csv"
-        code, _, _ = run_cli(
-            ["simulate", "--v0", "0.27", "--t-max", "200",
-             "--record-every", "100", "--out", str(first)],
-            capsys)
-        assert code == 0
+        assert main(argv + ["--out", str(first)]) == 0
+        return first
+
+    @pytest.mark.parametrize("argv", REGENERATION_RUNS.values(), ids=REGENERATION_RUNS)
+    def test_echoed_command_reproduces_the_file_byte_for_byte(self, argv, tmp_path, capsys):
+        first = self.first_run(tmp_path, argv)
         command = first.read_text().splitlines()[1]
         argv = shlex.split(command.removeprefix("# command = "))
         assert argv[0] == "kinktrap"
         second = tmp_path / "b.csv"
         code = main(argv[1:] + ["--out", str(second)])
         assert code == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("argv", REGENERATION_RUNS.values(), ids=REGENERATION_RUNS)
+    def test_settings_block_is_a_config_file(self, argv, tmp_path, capsys):
+        """The '# key = value' lines of the echoed settings, uncommented, make
+        a config file that reproduces the file byte for byte."""
+        first = self.first_run(tmp_path, argv)
+        echo_keys = _COMMANDS[argv[0]][2]
+        block = first.read_text().splitlines()[2:2 + len(echo_keys)]
+        assert [line.split(" = ")[0] for line in block] == [f"# {key}" for key in echo_keys]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(line.removeprefix("# ") + "\n" for line in block))
+        second = tmp_path / "b.csv"
+        assert main([argv[0], "--config", str(cfg), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
     def test_worker_count_leaves_the_bytes_alone(self, tmp_path, capsys):
@@ -369,6 +436,30 @@ class TestRegeneration:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: kinktrap {command} ")
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_every_flag_but_the_output_only_ones_is_echoed(self, command):
+        """A subcommand takes a flag for each setting its CSV echoes, plus
+        --config and --out; sweep and zoom also take --center, --halfwidth
+        (echoed as v_min and v_max) and --workers (which changes no byte)."""
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        parser = sub.choices[command]
+        flags = {opt for action in parser._actions for opt in action.option_strings}
+        expected = {"--" + key.replace("_", "-") for key in _COMMANDS[command][2]}
+        expected |= {"-h", "--help", "--config", "--out"}
+        if command in ("sweep", "zoom"):
+            expected |= {"--center", "--halfwidth", "--workers"}
+        assert flags == expected
 
 
 class TestSweepAndZoomOutput:

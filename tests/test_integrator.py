@@ -159,6 +159,12 @@ class TestStopConditions:
             integrate(_free_pair(0.1), ModelParams(), cfg, TimeLimit(10.0))
         assert exc.value.steps == 100
 
+    def test_step_count_that_overflows_a_float_names_dt(self):
+        # 10 / 1e-320 is inf: no step count, and no NaN from the slop term
+        cfg = IntegratorConfig(dt=1e-320)
+        with pytest.raises(ValueError, match=r"^dt = 1e-320 is too small"):
+            integrate(_free_pair(0.1), ModelParams(), cfg, TimeLimit(10.0))
+
 
 class TestFreeFlight:
     def test_cm_advances_linearly_and_energy_is_flat(self):

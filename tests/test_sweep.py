@@ -343,3 +343,7 @@ class TestSensitivity:
             sensitivity(sc, IntegratorConfig(), seed_delta=-1e-9)
         with pytest.raises(ValueError):
             sensitivity(sc, IntegratorConfig(), sample_interval=0.0)
+        with pytest.raises(ValueError, match="sample_interval must be positive and finite"):
+            sensitivity(sc, IntegratorConfig(), sample_interval=math.inf)
+        with pytest.raises(ValueError, match=r"^dt = 1e-320 is too small"):
+            sensitivity(sc, IntegratorConfig(dt=1e-320))
