@@ -14,109 +14,14 @@ independent of worker count.
 
 __version__ = "0.1.0"
 
-from .dynamics import (
-    CMState,
-    CoincidentParticles,
-    ModelParams,
-    State,
-    accelerations,
-    equilibrium_separation,
-    external_force,
-    external_potential,
-    from_cm,
-    to_cm,
-    total_energy,
-)
-from .integrator import (
-    Composite,
-    ExitRadius,
-    IntegrationDiagnostics,
-    IntegrationResult,
-    IntegratorConfig,
-    Scheme,
-    StepBudgetExhausted,
-    StopReason,
-    TimeLimit,
-    Trajectory,
-    integrate,
-    step,
-)
-from .linearized import (
-    InsufficientOscillations,
-    LinearizedParams,
-    WellAbsent,
-    closed_form_trajectory,
-    delta_offset,
-    dominant_frequency,
-    in_well_equilibrium_separation,
-    linearized_frequencies,
-    measured_frequency,
-)
-from .scattering import (
-    Outcome,
-    OutcomeRecord,
-    Scenario,
-    initial_state,
-    run_scattering,
-)
-from .sweep import (
-    DivergenceReport,
-    SweepRecord,
-    SweepSpec,
-    ZoomRow,
-    grid_size,
-    grid_v0,
-    sensitivity,
-    sweep,
-    zoom,
-)
+from . import dynamics, integrator, linearized, scattering
+from . import sweep as _sweep
 
-__all__ = [
-    "__version__",
-    "CMState",
-    "CoincidentParticles",
-    "ModelParams",
-    "State",
-    "accelerations",
-    "equilibrium_separation",
-    "external_force",
-    "external_potential",
-    "from_cm",
-    "to_cm",
-    "total_energy",
-    "Composite",
-    "ExitRadius",
-    "IntegrationDiagnostics",
-    "IntegrationResult",
-    "IntegratorConfig",
-    "Scheme",
-    "StepBudgetExhausted",
-    "StopReason",
-    "TimeLimit",
-    "Trajectory",
-    "integrate",
-    "step",
-    "InsufficientOscillations",
-    "LinearizedParams",
-    "WellAbsent",
-    "closed_form_trajectory",
-    "delta_offset",
-    "dominant_frequency",
-    "in_well_equilibrium_separation",
-    "linearized_frequencies",
-    "measured_frequency",
-    "Outcome",
-    "OutcomeRecord",
-    "Scenario",
-    "initial_state",
-    "run_scattering",
-    "DivergenceReport",
-    "SweepRecord",
-    "SweepSpec",
-    "ZoomRow",
-    "grid_size",
-    "grid_v0",
-    "sensitivity",
-    "sweep",
-    "zoom",
-]
+# Re-export each submodule's public names, sorted within each submodule.  The
+# function sweep replaces the submodule of the same name as an attribute.
+__all__ = ["__version__"]
+for _module in (dynamics, integrator, linearized, scattering, _sweep):
+    _names = sorted(_module.__all__)
+    globals().update((name, getattr(_module, name)) for name in _names)
+    __all__ += _names
+del _module, _names, _sweep

@@ -7,6 +7,13 @@
  * reassociation), so each result equals the Python reference bit for bit.
  * exp is libm's, the function that Python's math.exp calls.
  *
+ * accel, pair_energy and after_step are static inline so that gcc -O2
+ * inlines them into each runner's loop: a step then keeps the accelerations,
+ * the Gaussian factors, maxd and nrec in registers, and the runners call
+ * nothing but exp (objdump -d shows it).  Called out of line, they sent those
+ * through memory every step, about a fifth of a Verlet step's time.
+ * Inlining moves no operation, so the bits are unchanged.
+ *
  * Where the Python reference raises ZeroDivisionError (an exact contact
  * under a zero coincidence floor), a runner returns DEFER and the ctypes
  * wrapper re-runs the reference, which raises it.  math.exp would also raise
@@ -36,8 +43,8 @@ typedef struct {
 } Tail;
 
 /* _accel; nonzero where the Python reference divides by zero. */
-static int accel(const Model *m, double x1, double x2,
-                 double *a1, double *a2, double *g1, double *g2)
+static inline int accel(const Model *m, double x1, double x2,
+                        double *a1, double *a2, double *g1, double *g2)
 {
     double dx = x1 - x2;
     double sep = fabs(dx);
@@ -73,10 +80,10 @@ static inline int pair_energy(const Model *m, double dx, double v1, double v2,
 /* _tail's after_step, the runners' shared bookkeeping after a completed
  * step: the drift peak, the recording test and the exit test.  Model and
  * Tail hold what _tail closes over, maxd and nrec its running totals. */
-static int after_step(const Model *m, const Tail *r, int64_t steps,
-                      double x1, double v1, double x2, double v2,
-                      double dx, double g1, double g2,
-                      double *maxd, int64_t *nrec)
+static inline int after_step(const Model *m, const Tail *r, int64_t steps,
+                             double x1, double v1, double x2, double v2,
+                             double dx, double g1, double g2,
+                             double *maxd, int64_t *nrec)
 {
     double e;
     if (pair_energy(m, dx, v1, v2, g1, g2, &e))

@@ -17,7 +17,8 @@ v_max.
 
 Exit codes: 0 success, 1 bad usage or configuration, 2 a run that failed for
 physical or numerical reasons (particle coincidence, step budget, no
-measurable oscillation).
+measurable oscillation), 141 the reader of the output closed its pipe
+(128 + SIGPIPE, as a shell reports a process killed by it).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
+import os
 import sys
 from contextlib import nullcontext
 from enum import Enum
@@ -157,10 +159,12 @@ _WINDOW = {
 }
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, command: Optional[str] = None) -> dict:
     """Parse a flat 'key = value' file.  Blank lines and #-comments are
     skipped; keys outside the published set are a hard error, not a warning,
-    so a typo cannot silently fall back to a default."""
+    so a typo cannot silently fall back to a default.  Given a subcommand,
+    a published key for which it has no flag is an error too, so a setting
+    cannot be silently dropped."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -178,6 +182,9 @@ def load_config(path: str) -> dict:
         raw = raw.strip()
         if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if command is not None and key not in _flags_of(command):
+            raise ConfigError(
+                f"{path}:{lineno}: config key {key!r} does not apply to {command}")
         values[key] = _SETTINGS[key].convert(key, raw)
     return values
 
@@ -186,7 +193,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     """defaults <- config file <- flags, later layers winning."""
     res = {key: setting.default for key, setting in _SETTINGS.items()}
     if args.config:
-        res.update(load_config(args.config))
+        res.update(load_config(args.config, args.command))
     for key in _SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
@@ -488,6 +495,12 @@ _COMMANDS = {
 }
 
 
+def _flags_of(command: str) -> list:
+    """The settings and window flags of a subcommand, besides --config."""
+    _, _, echo_keys, extra = _COMMANDS[command]
+    return ["out", *echo_keys, *extra]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kinktrap",
                      description="bound pair scattering off a Gaussian well")
@@ -495,10 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"kinktrap {__version__} (kernel: {_kernels.BACKEND})")
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {**_SETTINGS, **_WINDOW}
-    for command, (handler, text, echo_keys, extra) in _COMMANDS.items():
+    for command, (handler, text, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="flat 'key = value' settings file")
-        for key in ["out", *echo_keys, *extra]:
+        for key in _flags_of(command):
             p.add_argument(_flag(key), help=flags[key].help, **flags[key].flag)
         p.set_defaults(func=handler)
     return parser
@@ -516,6 +529,13 @@ def main(argv=None) -> int:
     except (CoincidentParticles, StepBudgetExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered to devnull,
+        # so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

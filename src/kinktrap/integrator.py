@@ -151,7 +151,6 @@ class Trajectory:
 @dataclass(frozen=True)
 class IntegrationDiagnostics:
     steps: int
-    energy_initial: float
     # Peak of |E(t) - E(0)| / |E(0)| sampled after every step.  NaN when a
     # custom acceleration hook is active (model energy is not meaningful then).
     max_energy_drift: float
@@ -310,7 +309,6 @@ def integrate(
 
     diag = IntegrationDiagnostics(
         steps=steps,
-        energy_initial=e0,
         max_energy_drift=rel_drift,
         trajectory=trajectory,
     )

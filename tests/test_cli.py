@@ -77,6 +77,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.cfg"))
 
+    def test_a_key_of_another_subcommand_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 1.0\nseed_delta = 1e-3\n")
+        code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        assert err == (f"error: {cfg}:2: config key 'seed_delta' "
+                       "does not apply to simulate\n")
+
+    @pytest.mark.parametrize("command", ["sweep", "zoom"])
+    def test_the_subcommands_own_keys_are_accepted(self, command, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\nv_min = 0.2\nv_max = 0.3\ndv = 0.05\n")
+        assert load_config(str(cfg), command) == {
+            "workers": 2, "v_min": 0.2, "v_max": 0.3, "dv": 0.05}
+
 
 class TestResolution:
     def test_flags_beat_config_beats_defaults(self, tmp_path, capsys):
@@ -556,6 +571,23 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"kinktrap {__version__} (kernel: {_kernels.BACKEND})"
+
+    def test_a_closed_pipe_exits_quietly(self):
+        """A reader that stops after one line: the CSV (about 3 MB, well over
+        a pipe's buffer) meets a closed pipe, and the run exits 141 with
+        nothing on stderr but the kernel line a fallback prints."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kinktrap", "simulate", "--A", "0", "--t-max", "20",
+             "--record-every", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"# kinktrap-version")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141
+        lines = err.splitlines()
+        if _kernels.BACKEND == "python":
+            lines = [line for line in lines if "Python reference" not in line]
+        assert lines == []
 
 
 # Runs in a fresh interpreter: a sweep on one and two workers and a zoom,

@@ -318,6 +318,19 @@ def test_the_build_is_cached_under_a_key_of_the_source(c_backend, tmp_path):
     assert len(list(cache.iterdir())) == 2
 
 
+def test_the_source_compiles_without_a_warning(tmp_path):
+    """The build flags plus -Wall -Wextra -Werror: the hot loop stays free of
+    what those catch."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("no gcc")
+    proc = subprocess.run(
+        [gcc, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "k.so"), str(_kernels._SOURCE), "-lm"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # A small sweep on two workers (transmit, reflect and time-limit rows; forked
 # processes without gcc, threads with it) and an RK4 run recorded at an odd
 # stride.
