@@ -32,6 +32,10 @@ __all__ = [
 # must abort rather than emit garbage.
 DEFAULT_COINCIDENCE_FLOOR = 1e-12
 
+# The largest integer the kernels take (a C int64): step counts, recording
+# strides and the repulsion exponent plus two must not exceed it.
+INT64_MAX = 2**63 - 1
+
 
 class CoincidentParticles(RuntimeError):
     """Raised when |x1 - x2| falls below the configured floor."""
@@ -55,6 +59,9 @@ class ModelParams:
     n      repulsion exponent, a small positive integer
     A      well depth; A > 0 is attractive, A = 0 removes the well
     beta   inverse-square well width (> 0)
+
+    All of them are finite, and the free rest length they give is positive
+    and finite.
     """
 
     k: float = 1.0
@@ -64,16 +71,21 @@ class ModelParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (self.k > 0.0):
-            raise ValueError(f"k must be positive, got {self.k!r}")
-        if not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
+        if not (self.k > 0.0 and math.isfinite(self.k)):
+            raise ValueError(f"k must be positive and finite, got {self.k!r}")
+        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        if not (isinstance(self.n, int) and 1 <= self.n <= INT64_MAX - 2):
+            raise ValueError(f"n must be an integer >= 1 and at most 2**63 - 3, got {self.n!r}")
+        if not (self.beta > 0.0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
         if not math.isfinite(self.A):
             raise ValueError(f"A must be finite, got {self.A!r}")
+        r0 = equilibrium_separation(self)
+        if not (r0 > 0.0 and math.isfinite(r0)):
+            raise ValueError(f"the free rest length (n alpha / k)^(1/(n+2)) must be positive "
+                             f"and finite, got {r0!r} for k = {self.k!r}, "
+                             f"alpha = {self.alpha!r}, n = {self.n!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Fixed-step time integration with declarative, always-bounded stop conditions.
+"""Fixed-step time integration to a time horizon or an exit radius, always
+bounded by a step budget.
 
 VelocityVerlet is the production scheme (symplectic, second order, one force
 evaluation per step).  RK4 is carried as an independent cross-check: same
@@ -13,11 +14,12 @@ import math
 import mmap
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import _kernels
 from .dynamics import (
     DEFAULT_COINCIDENCE_FLOOR,
+    INT64_MAX,
     CoincidentParticles,
     ModelParams,
     State,
@@ -30,13 +32,9 @@ if TYPE_CHECKING:
 __all__ = [
     "Scheme",
     "IntegratorConfig",
-    "TimeLimit",
-    "ExitRadius",
-    "Composite",
     "StopReason",
     "StepBudgetExhausted",
     "Trajectory",
-    "IntegrationDiagnostics",
     "IntegrationResult",
     "step",
     "integrate",
@@ -56,10 +54,10 @@ class StopReason(Enum):
 
 
 class StepBudgetExhausted(RuntimeError):
-    """max_steps hit before any stop predicate fired.
+    """max_steps hit before the horizon or the exit radius was reached.
 
-    Distinct from a legitimate TimeLimit stop: hitting the budget means the
-    caller's stop condition never triggered within the allotted work.
+    Distinct from a legitimate time-limit stop: hitting the budget means the
+    run never reached the stop it was given within the allotted work.
     """
 
     def __init__(self, steps: int):
@@ -77,45 +75,11 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (isinstance(self.max_steps, int) and self.max_steps > 0):
-            raise ValueError(f"max_steps must be a positive integer, got {self.max_steps!r}")
+        if not (isinstance(self.max_steps, int) and 0 < self.max_steps <= INT64_MAX):
+            raise ValueError(f"max_steps must be a positive integer at most 2**63 - 1, "
+                             f"got {self.max_steps!r}")
         if not (self.coincidence_floor >= 0.0):
             raise ValueError(f"coincidence_floor must be >= 0, got {self.coincidence_floor!r}")
-
-
-@dataclass(frozen=True)
-class TimeLimit:
-    """Stop once state.t reaches this absolute time."""
-
-    t_max: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.t_max):
-            raise ValueError(f"t_max must be finite, got {self.t_max!r}")
-
-
-@dataclass(frozen=True)
-class ExitRadius:
-    """Stop once |R| >= radius with the center of mass moving outward (R*V > 0)."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
-
-
-@dataclass(frozen=True)
-class Composite:
-    """Any-of combination of stop conditions."""
-
-    conditions: tuple
-
-    def __init__(self, conditions: Iterable):
-        object.__setattr__(self, "conditions", tuple(conditions))
-
-
-StopCondition = Union[TimeLimit, ExitRadius, Composite]
 
 
 @dataclass(frozen=True)
@@ -149,37 +113,17 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class IntegrationDiagnostics:
-    steps: int
-    # Peak of |E(t) - E(0)| / |E(0)| sampled after every step.  NaN when a
-    # custom acceleration hook is active (model energy is not meaningful then).
-    max_energy_drift: float
-    trajectory: Optional[Trajectory] = None
-
-
-@dataclass(frozen=True)
 class IntegrationResult:
+    """How a run ended.  max_energy_drift is the peak of |E(t) - E(0)| / |E(0)|
+    sampled after every step, NaN when a custom acceleration hook is active
+    (model energy is not meaningful then).  trajectory is None unless the
+    run was given record_every."""
+
     final: State
     reason: StopReason
-    diagnostics: IntegrationDiagnostics
-
-
-def _normalize_stop(stop: StopCondition) -> tuple[Optional[float], Optional[float]]:
-    """Flatten a stop condition into (t_limit, exit_radius), each minimal or None."""
-    t_limit: Optional[float] = None
-    radius: Optional[float] = None
-    queue = [stop]
-    while queue:
-        cond = queue.pop()
-        if isinstance(cond, TimeLimit):
-            t_limit = cond.t_max if t_limit is None else min(t_limit, cond.t_max)
-        elif isinstance(cond, ExitRadius):
-            radius = cond.radius if radius is None else min(radius, cond.radius)
-        elif isinstance(cond, Composite):
-            queue.extend(cond.conditions)
-        else:
-            raise TypeError(f"not a stop condition: {cond!r}")
-    return t_limit, radius
+    steps: int
+    max_energy_drift: float
+    trajectory: Optional[Trajectory]
 
 
 def _steps_in(span: float, dt: float) -> float:
@@ -214,10 +158,10 @@ def step(
     """Advance one fixed step of cfg.dt under cfg.scheme: a one-step integrate.
 
     The step runs from t = 0 and the result carries state.t + cfg.dt, because
-    at a large state.t the rounding of t + dt can make TimeLimit ask for two
-    steps.  accel_fn is as in integrate.
+    at a large state.t the rounding of t + dt can make a horizon of t + dt
+    ask for two steps.  accel_fn is as in integrate.
     """
-    result = integrate(replace(state, t=0.0), params, cfg, TimeLimit(cfg.dt), accel_fn=accel_fn)
+    result = integrate(replace(state, t=0.0), params, cfg, cfg.dt, accel_fn=accel_fn)
     return replace(result.final, t=state.t + cfg.dt)
 
 
@@ -236,37 +180,40 @@ def integrate(
     state: State,
     params: ModelParams,
     cfg: IntegratorConfig,
-    stop: StopCondition,
+    t_max: Optional[float] = None,
     *,
+    exit_radius: Optional[float] = None,
     record_every: Optional[int] = None,
     accel_fn: Optional[AccelFn] = None,
 ) -> IntegrationResult:
-    """Run fixed steps until a stop predicate fires.
+    """Run fixed steps until state.t reaches the absolute time t_max, or the
+    center of mass is at |R| >= exit_radius moving outward (R*V > 0).
 
-    Stop predicates are evaluated after each step; cfg.max_steps always bounds
-    the run, and hitting it without a predicate firing raises
-    StepBudgetExhausted.  A separation below cfg.coincidence_floor raises
-    CoincidentParticles.  record_every=m keeps every m-th step in the returned
-    trajectory (plus the initial and final points); note m=1 on a long run
-    stores five float64 arrays of one entry per step.  accel_fn, when given,
-    replaces the model forces entirely (testing seam); it maps (x1, x2) ->
-    (a1, a2), and the energy drift of such a run is NaN.
+    Both tests run after each step, and either may be None.  cfg.max_steps
+    always bounds the run, and hitting it first raises StepBudgetExhausted.
+    A separation below cfg.coincidence_floor raises CoincidentParticles.
+    record_every=m keeps every m-th step in the returned trajectory (plus the
+    initial and final points); note m=1 on a long run stores five float64
+    arrays of one entry per step.  accel_fn, when given, replaces the model
+    forces entirely (testing seam); it maps (x1, x2) -> (a1, a2), and the
+    energy drift of such a run is NaN.
 
     Results are bitwise deterministic for identical inputs and configuration.
     """
-    t_limit, exit_radius = _normalize_stop(stop)
-    n_time = None if t_limit is None else _steps_to_reach(state.t, t_limit, cfg.dt)
-    if n_time is None:
-        n_limit = cfg.max_steps
-    else:
-        n_limit = min(n_time, cfg.max_steps)
-    time_binds = n_time is not None and n_time <= cfg.max_steps
-
+    if t_max is not None and not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max!r}")
+    if exit_radius is not None and not (exit_radius > 0.0 and math.isfinite(exit_radius)):
+        raise ValueError(f"exit_radius must be positive and finite, got {exit_radius!r}")
     stride = 0
     if record_every is not None:
-        if not (isinstance(record_every, int) and record_every >= 1):
-            raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
+        if not (isinstance(record_every, int) and 1 <= record_every <= INT64_MAX):
+            raise ValueError(f"record_every must be a positive integer at most 2**63 - 1, "
+                             f"got {record_every!r}")
         stride = record_every
+
+    n_time = None if t_max is None else _steps_to_reach(state.t, t_max, cfg.dt)
+    n_limit = cfg.max_steps if n_time is None else min(n_time, cfg.max_steps)
+    time_binds = n_time is not None and n_time <= cfg.max_steps
 
     rows = n_limit // stride + 1 if stride > 0 else 0
     try:
@@ -307,18 +254,14 @@ def integrate(
     if stride > 0:
         trajectory = _assemble_trajectory(state, final, steps, stride, nrec, rec)
 
-    diag = IntegrationDiagnostics(
-        steps=steps,
-        max_energy_drift=rel_drift,
-        trajectory=trajectory,
-    )
-
     if status == _kernels.STATUS_EXIT:
-        return IntegrationResult(final=final, reason=StopReason.EXIT_RADIUS, diagnostics=diag)
-    # Ran every allotted step without a predicate firing.
-    if time_binds and steps == n_limit:
-        return IntegrationResult(final=final, reason=StopReason.TIME_LIMIT, diagnostics=diag)
-    raise StepBudgetExhausted(steps)
+        reason = StopReason.EXIT_RADIUS
+    # Ran every allotted step without an exit.
+    elif time_binds and steps == n_limit:
+        reason = StopReason.TIME_LIMIT
+    else:
+        raise StepBudgetExhausted(steps)
+    return IntegrationResult(final, reason, steps, rel_drift, trajectory)
 
 
 _COLUMNS = ("t", "x1", "v1", "x2", "v2")

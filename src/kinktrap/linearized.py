@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .dynamics import CMState, ModelParams, equilibrium_separation, from_cm
-from .integrator import IntegratorConfig, TimeLimit, Trajectory, integrate, sample_stride
+from .integrator import IntegratorConfig, Trajectory, integrate, sample_stride
 
 if TYPE_CHECKING:
     import numpy as np
@@ -197,8 +197,7 @@ def measured_frequency(
     Returns the dominant_frequency estimate and the sampled trajectory.
     """
     stride = sample_stride(0.01, cfg.dt)
-    result = integrate(from_cm(cm0), params, cfg, TimeLimit(t_max), record_every=stride)
-    traj = result.diagnostics.trajectory
+    traj = integrate(from_cm(cm0), params, cfg, t_max, record_every=stride).trajectory
     series = traj.R if use_cm_coordinate else traj.r
     return dominant_frequency(traj.t, series), traj
 

@@ -3,7 +3,9 @@
 A run starts with the pair at its free equilibrium separation, internally at
 rest, far from the well, moving toward it at CM speed v0.  It ends Transmitted
 or Reflected when the center of mass recrosses the exit radius moving outward,
-or Trapped when t_max elapses first.
+or Trapped when t_max elapses first.  Its OutcomeRecord is also the row a sweep
+returns for that launch speed; a sweep marks a run that failed with an Error
+record instead.
 """
 
 from __future__ import annotations
@@ -14,15 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from .dynamics import CMState, ModelParams, State, equilibrium_separation, from_cm
-from .integrator import (
-    Composite,
-    ExitRadius,
-    IntegratorConfig,
-    StopReason,
-    TimeLimit,
-    Trajectory,
-    integrate,
-)
+from .integrator import IntegratorConfig, StopReason, Trajectory, integrate
 
 __all__ = ["Scenario", "Outcome", "OutcomeRecord", "initial_state", "run_scattering"]
 
@@ -83,19 +77,23 @@ class Scenario:
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """Classified scattering result.
+    """Classified scattering result of the launch at speed v0.
 
     v_final is the signed CM velocity at the exit crossing (0.0 by convention
     for Trapped).  energy_drift is the peak relative energy deviation sampled
-    every step.  trajectory is the recorded run when run_scattering was
-    given record_every, else None.
+    every step.  error holds the failure type name on Outcome.ERROR records,
+    whose v_final, t_end and energy_drift are NaN and whose final_state is
+    None; it is "" otherwise.  trajectory is the recorded run when
+    run_scattering was given record_every, else None.
     """
 
+    v0: float
     outcome: Outcome
     v_final: float
     t_end: float
     energy_drift: float
     steps: int
+    error: str = ""
     final_state: Optional[State] = None
     trajectory: Optional[Trajectory] = None
 
@@ -129,7 +127,8 @@ def run_scattering(
         initial_state(sc),
         sc.params,
         cfg,
-        Composite([TimeLimit(sc.t_max), ExitRadius(sc.exit_radius)]),
+        sc.t_max,
+        exit_radius=sc.exit_radius,
         record_every=record_every,
     )
     final = result.final
@@ -144,11 +143,12 @@ def run_scattering(
         v_final = 0.0
 
     return OutcomeRecord(
+        v0=sc.v0,
         outcome=outcome,
         v_final=v_final,
         t_end=final.t,
-        energy_drift=result.diagnostics.max_energy_drift,
-        steps=result.diagnostics.steps,
+        energy_drift=result.max_energy_drift,
+        steps=result.steps,
         final_state=final,
-        trajectory=result.diagnostics.trajectory,
+        trajectory=result.trajectory,
     )

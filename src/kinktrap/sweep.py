@@ -1,7 +1,9 @@
 """Velocity sweeps, boundary zooming, and divergence (chaos) diagnostics.
 
 Grid points are always computed as v_min + i*dv from the integer index, never
-by accumulation, and every record is a pure function of (spec, index).
+by accumulation.  A point's record is run_scattering's OutcomeRecord for that
+launch speed, or an Error record when the run fails, so every record is a pure
+function of (spec, index).
 Workers (threads over the C kernel, forked processes over the Python
 reference) only change wall time: results are collected by index, so sweep
 output is identical for 1, 4, or N workers.
@@ -16,22 +18,15 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from . import _kernels
-from .dynamics import CoincidentParticles, ModelParams, State
-from .integrator import (
-    IntegratorConfig,
-    StepBudgetExhausted,
-    TimeLimit,
-    integrate,
-    sample_stride,
-)
-from .scattering import Outcome, Scenario, initial_state, run_scattering
+from .dynamics import CoincidentParticles, ModelParams
+from .integrator import IntegratorConfig, StepBudgetExhausted, integrate, sample_stride
+from .scattering import Outcome, OutcomeRecord, Scenario, initial_state, run_scattering
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
     "SweepSpec",
-    "SweepRecord",
     "ZoomRow",
     "DivergenceReport",
     "grid_size",
@@ -86,30 +81,13 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    """One grid point.  error holds the failure type name for Outcome.ERROR rows.
-
-    final_state is the run's end state (None on Error rows); no CSV carries it.
-    """
-
-    v0: float
-    outcome: Outcome
-    v_final: float
-    t_end: float
-    energy_drift: float
-    steps: int
-    error: str = ""
-    final_state: Optional[State] = None
-
-
-@dataclass(frozen=True)
 class ZoomRow:
     """A sweep record tagged with its refinement depth; interval is the parent
     grid pair it refines (None at depth 0)."""
 
     depth: int
     interval: Optional[tuple[float, float]]
-    record: SweepRecord
+    record: OutcomeRecord
 
 
 def grid_size(spec: SweepSpec) -> int:
@@ -123,11 +101,11 @@ def grid_v0(spec: SweepSpec, i: int) -> float:
     return spec.v_min + i * spec.dv
 
 
-def _classify_point(spec: SweepSpec, v0: float) -> SweepRecord:
+def _classify_point(spec: SweepSpec, v0: float) -> OutcomeRecord:
     try:
-        rec = run_scattering(spec.scenario(v0), spec.cfg)
+        return run_scattering(spec.scenario(v0), spec.cfg)
     except (CoincidentParticles, StepBudgetExhausted) as exc:
-        return SweepRecord(
+        return OutcomeRecord(
             v0=v0,
             outcome=Outcome.ERROR,
             v_final=math.nan,
@@ -136,15 +114,6 @@ def _classify_point(spec: SweepSpec, v0: float) -> SweepRecord:
             steps=getattr(exc, "steps", 0),
             error=type(exc).__name__,
         )
-    return SweepRecord(
-        v0=v0,
-        outcome=rec.outcome,
-        v_final=rec.v_final,
-        t_end=rec.t_end,
-        energy_drift=rec.energy_drift,
-        steps=rec.steps,
-        final_state=rec.final_state,
-    )
 
 
 def _usable_cpus() -> int:
@@ -154,7 +123,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_points(spec: SweepSpec, v0s: list[float], workers: int) -> list[SweepRecord]:
+def _run_points(spec: SweepSpec, v0s: list[float], workers: int) -> list[OutcomeRecord]:
     if not (isinstance(workers, int) and workers >= 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     # a process pool starts all of its workers at once, so never ask for more
@@ -183,7 +152,7 @@ def _run_points(spec: SweepSpec, v0s: list[float], workers: int) -> list[SweepRe
         return list(pool.map(partial(_classify_point, spec), v0s))
 
 
-def sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
+def sweep(spec: SweepSpec, workers: int = 1) -> list[OutcomeRecord]:
     """Classify every grid point v_min + i*dv.
 
     Per-point integration failures become Outcome.ERROR rows; they never abort
@@ -216,11 +185,11 @@ def zoom(
 
     base = sweep(spec, workers=workers)
     rows = [ZoomRow(depth=0, interval=None, record=rec) for rec in base]
-    frontier: list[tuple[list[SweepRecord], float]] = [(base, spec.dv)]
+    frontier: list[tuple[list[OutcomeRecord], float]] = [(base, spec.dv)]
 
     for level in range(1, depth + 1):
         # (lo record, hi record, sub grid spacing) per class-changing interval
-        intervals: list[tuple[SweepRecord, SweepRecord, float]] = []
+        intervals: list[tuple[OutcomeRecord, OutcomeRecord, float]] = []
         for records, dv in frontier:
             sub_dv = dv / refinement_factor
             for lo, hi in zip(records, records[1:]):
@@ -239,7 +208,7 @@ def zoom(
             for j in range(1, refinement_factor)
         ]
         interior = _run_points(spec, v0s, workers)
-        next_frontier: list[tuple[list[SweepRecord], float]] = []
+        next_frontier: list[tuple[list[OutcomeRecord], float]] = []
         per_interval = refinement_factor - 1
         for ordinal, (lo, hi, sub_dv) in enumerate(intervals):
             inner = interior[ordinal * per_interval : (ordinal + 1) * per_interval]
@@ -297,11 +266,8 @@ def sensitivity(
 
     state_a = initial_state(sc)
     state_b = initial_state(replace(sc, v0=sc.v0 + seed_delta))
-    stop = TimeLimit(sc.t_max)
-    res_a = integrate(state_a, sc.params, cfg, stop, record_every=stride)
-    res_b = integrate(state_b, sc.params, cfg, stop, record_every=stride)
-    ta = res_a.diagnostics.trajectory
-    tb = res_b.diagnostics.trajectory
+    ta = integrate(state_a, sc.params, cfg, sc.t_max, record_every=stride).trajectory
+    tb = integrate(state_b, sc.params, cfg, sc.t_max, record_every=stride).trajectory
 
     times = ta.t
     d = np.sqrt(

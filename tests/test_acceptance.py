@@ -30,8 +30,6 @@ import pytest
 
 from kinktrap import (
     CMState,
-    Composite,
-    ExitRadius,
     IntegratorConfig,
     ModelParams,
     Outcome,
@@ -39,7 +37,6 @@ from kinktrap import (
     Scheme,
     State,
     SweepSpec,
-    TimeLimit,
     accelerations,
     equilibrium_separation,
     in_well_equilibrium_separation,
@@ -249,10 +246,11 @@ class TestCriterion5:
                 end,
                 spec.params,
                 spec.cfg,
-                Composite([TimeLimit(end.t + window), ExitRadius(spec.exit_radius)]),
+                end.t + window,
+                exit_radius=spec.exit_radius,
                 record_every=stride,
             )
-            traj = run.diagnostics.trajectory
+            traj = run.trajectory
             turns = np.nonzero(traj.V * cm.V < 0.0)[0]
             captured = turns.size > 0
             ok = ok and captured
@@ -354,8 +352,8 @@ class TestCriterion7:
 
         # time reversal across the full transit
         start = initial_state(Scenario(params=params, v0=0.3))
-        fwd = integrate(start, params, CFG, ExitRadius(10.0))
-        steps = fwd.diagnostics.steps
+        fwd = integrate(start, params, CFG, exit_radius=10.0)
+        steps = fwd.steps
         back = integrate(
             State(
                 t=0.0,
@@ -366,7 +364,7 @@ class TestCriterion7:
             ),
             params,
             CFG,
-            TimeLimit(steps * CFG.dt),
+            steps * CFG.dt,
         )
         reversal_err = max(
             abs(back.final.x1 - start.x1),
@@ -374,7 +372,7 @@ class TestCriterion7:
             abs(back.final.v1 + start.v1),
             abs(back.final.v2 + start.v2),
         )
-        reversal_ok = back.diagnostics.steps == steps and reversal_err < 1e-6
+        reversal_ok = back.steps == steps and reversal_err < 1e-6
 
         # worker count must not leave a trace in the output
         outs = []

@@ -132,10 +132,29 @@ class TestResolution:
 
 
 class TestExitCodes:
-    def test_invalid_physics_value_exits_one(self, capsys):
-        code, _, err = run_cli(["simulate", "--v0", "-1"], capsys)
-        assert code == 1
-        assert "v0 must be positive" in err
+    @pytest.mark.parametrize("argv, phrase", [
+        (["simulate", "--v0", "-1"], "v0 must be positive"),
+        (["sweep", "--alpha", "inf"], "alpha must be positive and finite"),
+        (["sweep", "--beta", "inf"], "beta must be positive and finite"),
+        (["sweep", "--k", "inf"], "k must be positive and finite"),
+    ], ids=["simulate-v0", "sweep-alpha-inf", "sweep-beta-inf", "sweep-k-inf"])
+    def test_invalid_physics_value_exits_one(self, argv, phrase, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {phrase}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, phrase", [
+        (["sweep", "--v-min", "0.3", "--v-max", "0.3", "--t-max", "1e30",
+          "--max-steps", str(2**64)], "max_steps must be a positive integer at most"),
+        (["simulate", "--t-max", "1", "--record-every", str(2**64 + 1)],
+         "record_every must be a positive integer at most"),
+        (["simulate", "--n", str(2**63 - 2)], "n must be an integer >= 1 and at most"),
+    ], ids=["sweep-max-steps", "simulate-record-every", "simulate-n"])
+    def test_integer_past_int64_exits_one(self, argv, phrase, capsys):
+        """The kernels take these as C int64s; a larger value must not wrap."""
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {phrase}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--launch-offset=-inf"],

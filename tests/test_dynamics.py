@@ -17,7 +17,7 @@ from kinktrap.dynamics import (
     to_cm,
     total_energy,
 )
-from kinktrap.integrator import IntegratorConfig, Scheme, TimeLimit, integrate
+from kinktrap.integrator import IntegratorConfig, Scheme, integrate
 from kinktrap.scattering import Scenario, initial_state
 
 
@@ -55,11 +55,21 @@ class TestModelParams:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(k=0.0), dict(k=-1.0), dict(alpha=0.0), dict(beta=-2.0),
-         dict(n=0), dict(n=-1), dict(A=math.inf), dict(A=math.nan)],
+         dict(n=0), dict(n=-1), dict(A=math.inf), dict(A=math.nan),
+         dict(k=math.inf), dict(k=math.nan), dict(alpha=math.inf), dict(alpha=math.nan),
+         dict(beta=math.inf), dict(beta=math.nan),
+         # the free rest length (n alpha / k)^(1/(n+2)) overflows or underflows
+         dict(k=1e308, alpha=1e308), dict(k=1e-300, alpha=1e300),
+         dict(k=1e300, alpha=1e-320),
+         # the kernels take n + 2 as a C int64
+         dict(n=2**63 - 2), dict(n=2**64)],
     )
     def test_rejects_invalid_parameters(self, kwargs):
         with pytest.raises((ValueError, TypeError)):
             ModelParams(**kwargs)
+
+    def test_largest_exponent_is_accepted(self):
+        assert ModelParams(n=2**63 - 3).n == 2**63 - 3
 
 
 class TestEquilibriumSeparation:
@@ -194,7 +204,7 @@ class TestMomentumBranches:
         p = ModelParams(A=0.0)
         cfg = IntegratorConfig(scheme=Scheme.VELOCITY_VERLET, dt=1e-3)
         s0 = State(0.0, -0.9, 0.4, 0.5, -0.2)
-        res = integrate(s0, p, cfg, TimeLimit(2.0))
+        res = integrate(s0, p, cfg, 2.0)
         before = s0.v1 + s0.v2
         after = res.final.v1 + res.final.v2
         assert abs(after - before) < 1e-12
@@ -204,7 +214,7 @@ class TestMomentumBranches:
         cfg = IntegratorConfig(scheme=Scheme.VELOCITY_VERLET, dt=1e-3)
         s0 = initial_state(Scenario(params=p, v0=0.3, launch_offset=-2.0,
                                     exit_radius=2.0))
-        res = integrate(s0, p, cfg, TimeLimit(10.0))
+        res = integrate(s0, p, cfg, 10.0)
         before = s0.v1 + s0.v2
         after = res.final.v1 + res.final.v2
         assert abs(after - before) > 1e-3

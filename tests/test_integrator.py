@@ -13,15 +13,12 @@ import pytest
 
 from kinktrap import (
     CoincidentParticles,
-    Composite,
-    ExitRadius,
     IntegratorConfig,
     ModelParams,
     Scheme,
     State,
     StepBudgetExhausted,
     StopReason,
-    TimeLimit,
     equilibrium_separation,
     integrate,
     step,
@@ -49,6 +46,8 @@ class TestConfigValidation:
         {"dt": math.inf},
         {"max_steps": 0},
         {"max_steps": 10.0},
+        {"max_steps": 2**63},
+        {"max_steps": 2**64},
         {"coincidence_floor": -1e-12},
     ])
     def test_bad_config_is_rejected(self, kwargs):
@@ -56,16 +55,11 @@ class TestConfigValidation:
             IntegratorConfig(**kwargs)
 
     def test_bad_stop_conditions_are_rejected(self):
-        with pytest.raises(ValueError):
-            TimeLimit(math.nan)
-        with pytest.raises(ValueError):
-            ExitRadius(0.0)
-        with pytest.raises(ValueError):
-            ExitRadius(-5.0)
-
-    def test_unknown_stop_condition_type_raises(self):
-        with pytest.raises(TypeError):
-            integrate(_free_pair(), ModelParams(), IntegratorConfig(), stop=42)
+        for bounds in ({"t_max": math.nan}, {"t_max": math.inf},
+                       {"exit_radius": 0.0}, {"exit_radius": -5.0},
+                       {"exit_radius": math.nan}, {"exit_radius": math.inf}):
+            with pytest.raises(ValueError):
+                integrate(_free_pair(), ModelParams(), IntegratorConfig(), **bounds)
 
 
 class TestSingleStep:
@@ -80,8 +74,8 @@ class TestSingleStep:
                 s = State(0.0, x1, rng.uniform(-1.0, 1.0),
                           x1 + rng.uniform(0.4, 2.5), rng.uniform(-1.0, 1.0))
                 a = step(s, p, cfg)
-                r = integrate(s, p, cfg, TimeLimit(cfg.dt))
-                assert r.diagnostics.steps == 1
+                r = integrate(s, p, cfg, cfg.dt)
+                assert r.steps == 1
                 b = r.final
                 assert (a.x1, a.v1, a.x2, a.v2) == (b.x1, b.v1, b.x2, b.v2)
                 assert a.t == b.t
@@ -90,7 +84,7 @@ class TestSingleStep:
     @pytest.mark.parametrize("hooked", [False, True], ids=["model", "hook"])
     def test_large_start_time_changes_only_the_clock(self, scheme, hooked):
         """From t = 1e5 a step moves the pair exactly as from t = 0 and
-        advances t by dt; TimeLimit(t + dt) there would ask for two steps."""
+        advances t by dt; a horizon of t + dt there would ask for two steps."""
         p = ModelParams()
         cfg = IntegratorConfig(scheme=scheme)
         accel_fn = (lambda x1, x2: (-(x1 - x2), -(x2 - x1))) if hooked else None
@@ -119,9 +113,9 @@ class TestSingleStep:
 class TestStopConditions:
     def test_time_limit_at_start_time_runs_zero_steps(self):
         s = _free_pair(0.1)
-        r = integrate(s, ModelParams(), IntegratorConfig(), TimeLimit(0.0))
+        r = integrate(s, ModelParams(), IntegratorConfig(), 0.0)
         assert r.reason is StopReason.TIME_LIMIT
-        assert r.diagnostics.steps == 0
+        assert r.steps == 0
         assert (r.final.x1, r.final.v1, r.final.x2, r.final.v2) == (s.x1, s.v1, s.x2, s.v2)
 
     @pytest.mark.parametrize("t_max,expected", [
@@ -132,49 +126,53 @@ class TestStopConditions:
     def test_step_count_is_exact_for_dt_multiples(self, t_max, expected):
         # t_max/dt lands on an integer; last-bit slop must not add a step
         p = ModelParams(A=0.0)
-        r = integrate(_free_pair(), p, IntegratorConfig(dt=1e-3), TimeLimit(t_max))
-        assert r.diagnostics.steps == expected
+        r = integrate(_free_pair(), p, IntegratorConfig(dt=1e-3), t_max)
+        assert r.steps == expected
 
     def test_incoming_pair_beyond_radius_is_not_an_exit(self):
         """|R| >= radius only stops the run when the pair is moving outward."""
         p = ModelParams(A=0.0)
         s = State(0.0, -12.0 - R0 / 2, 0.3, -12.0 + R0 / 2, 0.3)
-        r = integrate(s, p, IntegratorConfig(),
-                      Composite([TimeLimit(500.0), ExitRadius(9.0)]))
+        r = integrate(s, p, IntegratorConfig(), 500.0, exit_radius=9.0)
         assert r.reason is StopReason.EXIT_RADIUS
         R = 0.5 * (r.final.x1 + r.final.x2)
         V = 0.5 * (r.final.v1 + r.final.v2)
         assert R >= 9.0 and V > 0.0  # crossed the well, left on the far side
         assert R < 9.0 + 0.3 * 2e-3  # fired on the first outward step past 9
 
-    def test_composite_takes_the_tightest_bound(self):
-        stop = Composite([TimeLimit(5.0), Composite([TimeLimit(3.0), ExitRadius(50.0)])])
-        r = integrate(_free_pair(), ModelParams(), IntegratorConfig(), stop)
+    def test_time_limit_binds_before_a_far_exit_radius(self):
+        r = integrate(_free_pair(), ModelParams(), IntegratorConfig(), 3.0, exit_radius=50.0)
         assert r.reason is StopReason.TIME_LIMIT
-        assert r.diagnostics.steps == 3000
+        assert r.steps == 3000
 
     def test_budget_exhaustion_raises_with_count(self):
         cfg = IntegratorConfig(max_steps=100)
         with pytest.raises(StepBudgetExhausted) as exc:
-            integrate(_free_pair(0.1), ModelParams(), cfg, TimeLimit(10.0))
+            integrate(_free_pair(0.1), ModelParams(), cfg, 10.0)
+        assert exc.value.steps == 100
+
+    def test_budget_bounds_a_run_with_no_stop(self):
+        cfg = IntegratorConfig(max_steps=100)
+        with pytest.raises(StepBudgetExhausted) as exc:
+            integrate(_free_pair(0.1), ModelParams(), cfg)
         assert exc.value.steps == 100
 
     def test_step_count_that_overflows_a_float_names_dt(self):
         # 10 / 1e-320 is inf: no step count, and no NaN from the slop term
         cfg = IntegratorConfig(dt=1e-320)
         with pytest.raises(ValueError, match=r"^dt = 1e-320 is too small"):
-            integrate(_free_pair(0.1), ModelParams(), cfg, TimeLimit(10.0))
+            integrate(_free_pair(0.1), ModelParams(), cfg, 10.0)
 
 
 class TestFreeFlight:
     def test_cm_advances_linearly_and_energy_is_flat(self):
         p = ModelParams(A=0.0)
         s = _free_pair(0.25)
-        r = integrate(s, p, IntegratorConfig(), TimeLimit(5.0))
+        r = integrate(s, p, IntegratorConfig(), 5.0)
         assert r.reason is StopReason.TIME_LIMIT
         dR = 0.5 * (r.final.x1 + r.final.x2) - 0.5 * (s.x1 + s.x2)
         assert abs(dR - 0.25 * 5.0) < 1e-10
-        assert r.diagnostics.max_energy_drift < 1e-12
+        assert r.max_energy_drift < 1e-12
 
 
 class TestCustomForceHook:
@@ -188,14 +186,14 @@ class TestCustomForceHook:
             return -k * (x1 - x2), -k * (x2 - x1)
 
         s = State(0.0, -0.5, 0.0, 0.5, 0.0)
-        r = integrate(s, p, cfg, TimeLimit(period), accel_fn=spring_only)
-        assert r.diagnostics.steps == 4096
+        r = integrate(s, p, cfg, period, accel_fn=spring_only)
+        assert r.steps == 4096
         assert abs(r.final.x1 - s.x1) < 1e-5
         assert abs(r.final.x2 - s.x2) < 1e-5
         assert abs(r.final.v1) < 1e-5
         assert abs(r.final.v2) < 1e-5
         # model energy is meaningless under a replaced force law
-        assert math.isnan(r.diagnostics.max_energy_drift)
+        assert math.isnan(r.max_energy_drift)
 
 
 class TestCoincidence:
@@ -209,7 +207,7 @@ class TestCoincidence:
         cfg = IntegratorConfig(scheme=Scheme.RK4)
         s = State(0.0, -5e-4, 1.0, 5e-4, -1.0)
         with pytest.raises(CoincidentParticles) as exc:
-            integrate(s, p, cfg, TimeLimit(cfg.dt), accel_fn=accel_fn)
+            integrate(s, p, cfg, cfg.dt, accel_fn=accel_fn)
         assert abs(exc.value.x1 - exc.value.x2) < cfg.coincidence_floor
 
 
@@ -243,10 +241,11 @@ class TestSchemeCrossCheck:
     def test_production_scheme_matches_fine_rk4_through_the_well(self):
         """Transit at v0 = 0.300: final pair velocity agrees to 1e-4."""
         p = ModelParams()
-        stop = Composite([TimeLimit(5000.0), ExitRadius(10.0)])
         s = _launch(0.300)
-        a = integrate(s, p, IntegratorConfig(scheme=Scheme.VELOCITY_VERLET, dt=1e-3), stop)
-        b = integrate(s, p, IntegratorConfig(scheme=Scheme.RK4, dt=1e-4), stop)
+        a = integrate(s, p, IntegratorConfig(scheme=Scheme.VELOCITY_VERLET, dt=1e-3),
+                      5000.0, exit_radius=10.0)
+        b = integrate(s, p, IntegratorConfig(scheme=Scheme.RK4, dt=1e-4),
+                      5000.0, exit_radius=10.0)
         assert a.reason is StopReason.EXIT_RADIUS
         assert b.reason is StopReason.EXIT_RADIUS
         Va = 0.5 * (a.final.v1 + a.final.v2)
@@ -259,12 +258,11 @@ class TestTimeReversal:
     def test_transit_retraces_to_launch_under_velocity_flip(self):
         p = ModelParams()
         s = _launch(0.300)
-        fwd = integrate(s, p, IntegratorConfig(),
-                        Composite([TimeLimit(5000.0), ExitRadius(10.0)]))
+        fwd = integrate(s, p, IntegratorConfig(), 5000.0, exit_radius=10.0)
         f = fwd.final
         back = State(f.t, f.x1, -f.v1, f.x2, -f.v2)
-        rev = integrate(back, p, IntegratorConfig(), TimeLimit(f.t + f.t))
-        assert rev.diagnostics.steps == fwd.diagnostics.steps
+        rev = integrate(back, p, IntegratorConfig(), f.t + f.t)
+        assert rev.steps == fwd.steps
         g = rev.final
         err = max(abs(g.x1 - s.x1), abs(g.x2 - s.x2),
                   abs(g.v1 + s.v1), abs(g.v2 + s.v2))
@@ -276,14 +274,14 @@ class TestDeterminism:
         p = ModelParams()
         s = _launch(0.12)
         cfg = IntegratorConfig()
-        runs = [integrate(s, p, cfg, TimeLimit(50.0), record_every=7) for _ in range(2)]
+        runs = [integrate(s, p, cfg, 50.0, record_every=7) for _ in range(2)]
         a, b = runs
         assert (a.final.x1, a.final.v1, a.final.x2, a.final.v2) == \
                (b.final.x1, b.final.v1, b.final.x2, b.final.v2)
-        assert a.diagnostics.max_energy_drift == b.diagnostics.max_energy_drift
+        assert a.max_energy_drift == b.max_energy_drift
         for name in ("t", "x1", "v1", "x2", "v2"):
-            assert np.array_equal(getattr(a.diagnostics.trajectory, name),
-                                  getattr(b.diagnostics.trajectory, name))
+            assert np.array_equal(getattr(a.trajectory, name),
+                                  getattr(b.trajectory, name))
 
 
 class TestRecording:
@@ -291,9 +289,9 @@ class TestRecording:
         p = ModelParams(A=0.0)
         s = _free_pair(0.1)
         cfg = IntegratorConfig(dt=1e-3)
-        r = integrate(s, p, cfg, TimeLimit(0.105), record_every=10)
-        traj = r.diagnostics.trajectory
-        assert r.diagnostics.steps == 105
+        r = integrate(s, p, cfg, 0.105, record_every=10)
+        traj = r.trajectory
+        assert r.steps == 105
         # initial point, samples at steps 10..100, off-stride final point
         assert len(traj) == 12
         assert traj.t[0] == s.t
@@ -305,26 +303,32 @@ class TestRecording:
     def test_aligned_final_step_is_not_duplicated(self):
         p = ModelParams(A=0.0)
         r = integrate(_free_pair(0.1), p, IntegratorConfig(dt=1e-3),
-                      TimeLimit(0.1), record_every=10)
-        traj = r.diagnostics.trajectory
-        assert r.diagnostics.steps == 100
+                      0.1, record_every=10)
+        traj = r.trajectory
+        assert r.steps == 100
         assert len(traj) == 11
         assert traj.t[-1] == r.final.t
 
     def test_cm_views_match_raw_columns(self):
         p = ModelParams()
-        r = integrate(_launch(0.2), p, IntegratorConfig(), TimeLimit(2.0), record_every=100)
-        traj = r.diagnostics.trajectory
+        r = integrate(_launch(0.2), p, IntegratorConfig(), 2.0, record_every=100)
+        traj = r.trajectory
         assert np.array_equal(traj.R, 0.5 * (traj.x1 + traj.x2))
         assert np.array_equal(traj.r, 0.5 * (traj.x2 - traj.x1))
         assert np.array_equal(traj.V, 0.5 * (traj.v1 + traj.v2))
         assert np.array_equal(traj.w, 0.5 * (traj.v2 - traj.v1))
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.0])
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, 2**63, 2**64 + 1])
     def test_record_every_must_be_a_positive_integer(self, bad):
         with pytest.raises(ValueError):
             integrate(_free_pair(), ModelParams(), IntegratorConfig(),
-                      TimeLimit(0.01), record_every=bad)
+                      0.01, record_every=bad)
+
+    def test_largest_stride_and_budget_record_only_the_ends(self):
+        cfg = IntegratorConfig(max_steps=2**63 - 1)
+        r = integrate(_free_pair(0.1), ModelParams(A=0.0), cfg, 1.0, record_every=2**63 - 1)
+        assert r.steps == 1000
+        assert list(r.trajectory.t) == [0.0, r.final.t]
 
 
 class TestEnergyDriftInvariant:
@@ -343,12 +347,11 @@ class TestEnergyDriftInvariant:
         p = ModelParams()
         cfg = IntegratorConfig()
         s = _launch(0.12)
-        r = integrate(s, p, cfg, Composite([TimeLimit(5000.0), ExitRadius(10.0)]),
-                      record_every=1)
+        r = integrate(s, p, cfg, 5000.0, exit_radius=10.0, record_every=1)
         assert r.reason is StopReason.EXIT_RADIUS
         e0 = total_energy(s, p)
         net = abs(total_energy(r.final, p) - e0) / abs(e0)
-        traj = r.diagnostics.trajectory
+        traj = r.trajectory
         h = modified_energy(traj.x1, traj.v1, traj.x2, traj.v2, p, cfg.dt)
         peak_h = float(np.max(np.abs(h - h[0]))) / abs(e0)
         assert net < 1e-6, f"net relative change in E {net:.3e}"

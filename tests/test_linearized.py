@@ -16,7 +16,6 @@ from kinktrap import (
     IntegratorConfig,
     ModelParams,
     State,
-    TimeLimit,
     WellAbsent,
     closed_form_trajectory,
     delta_offset,
@@ -239,9 +238,9 @@ class TestStretchFrequencyInvariant:
             lp = linearized_frequencies(p, r_eq=r_eq)
             r = lp.r_eq + lp.delta + 0.01
             state = State(0.0, -r, 0.0, r, 0.0)
-            run = integrate(state, p, IntegratorConfig(), TimeLimit(60.0), record_every=10,
+            run = integrate(state, p, IntegratorConfig(), 60.0, record_every=10,
                             accel_fn=bond_and_well)
-            traj = run.diagnostics.trajectory
+            traj = run.trajectory
             measured = dominant_frequency(traj.t, traj.r)
             gap = abs(measured - lp.omega_eps) / lp.omega_eps
             assert gap < 0.10, f"r_eq={r_eq}: measured {measured:.6f} vs omega_eps {lp.omega_eps:.6f}"

@@ -13,7 +13,7 @@ def test_all_is_the_version_and_each_submodules_names_in_order():
     for name in SUBMODULES:
         expected += sorted(importlib.import_module(f"kinktrap.{name}").__all__)
     assert kinktrap.__all__ == expected
-    assert len(expected) == 47 and len(set(expected)) == 47
+    assert len(expected) == 42 and len(set(expected)) == 42
     assert expected[:3] == ["__version__", "CMState", "CoincidentParticles"]
     assert expected[-3:] == ["sensitivity", "sweep", "zoom"]
 

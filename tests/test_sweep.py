@@ -18,6 +18,7 @@ from kinktrap import (
     SweepSpec,
     grid_size,
     grid_v0,
+    run_scattering,
     sensitivity,
     sweep,
     zoom,
@@ -121,6 +122,12 @@ class TestSweep:
         for rec in records:
             assert rec.outcome is Outcome.TRANSMITTED
             assert abs(rec.v_final - rec.v0) < 1e-10
+
+    def test_each_record_is_run_scatterings_record(self, small_sweep):
+        spec, records = small_sweep
+        for i in (0, 5, len(records) - 1):
+            v0 = grid_v0(spec, i)
+            assert records[i] == run_scattering(spec.scenario(v0), spec.cfg)
 
     def test_worker_count_never_changes_the_records(self, small_sweep):
         spec, serial = small_sweep
