@@ -14,10 +14,7 @@
  * through memory every step, about a fifth of a Verlet step's time.
  * Inlining moves no operation, so the bits are unchanged.
  *
- * Where the Python reference raises ZeroDivisionError (an exact contact
- * under a zero coincidence floor), a runner returns DEFER and the ctypes
- * wrapper re-runs the reference, which raises it.  math.exp would also raise
- * on overflow, but beta > 0 (ModelParams) keeps the argument <= 0.
+ * No division is by zero: every separation is >= floor, and floor^(n+2) > 0.
  *
  * format_rows writes each float as the bytes of Python's repr: the shortest
  * digits that read back to the same double, found with Ryu (U. Adams, "Ryu:
@@ -28,7 +25,7 @@
 #include <stdint.h>
 #include <string.h>
 
-enum { DEFER = -1, RAN_ALL = 0, EXIT = 1, COINCIDENT = 2 };
+enum { RAN_ALL = 0, EXIT = 1, COINCIDENT = 2 };
 
 typedef struct {
     double k, alpha, A, beta;
@@ -42,9 +39,9 @@ typedef struct {
     double *t, *x1, *v1, *x2, *v2;
 } Tail;
 
-/* _accel; nonzero where the Python reference divides by zero. */
-static inline int accel(const Model *m, double x1, double x2,
-                        double *a1, double *a2, double *g1, double *g2)
+/* _accel. */
+static inline void accel(const Model *m, double x1, double x2,
+                         double *a1, double *a2, double *g1, double *g2)
 {
     double dx = x1 - x2;
     double sep = fabs(dx);
@@ -53,28 +50,22 @@ static inline int accel(const Model *m, double x1, double x2,
         p *= sep;
     *g1 = exp(-m->beta * x1 * x1);
     *g2 = exp(-m->beta * x2 * x2);
-    if (p == 0.0)
-        return 1;
     double internal = -m->k * dx + m->n * m->alpha * dx / p;
     double coef = -2.0 * m->A * m->beta;
     *a1 = internal + coef * x1 * *g1;
     *a2 = -internal + coef * x2 * *g2;
-    return 0;
 }
 
-/* pair_energy, with dx = x1 - x2 and the Gaussian factors g = exp(-beta x^2);
- * nonzero where the Python reference divides by zero (e keeps the IEEE
- * quotient, which is what numpy gives on arrays). */
-static inline int pair_energy(const Model *m, double dx, double v1, double v2,
-                              double g1, double g2, double *e)
+/* pair_energy, with dx = x1 - x2 and the Gaussian factors g = exp(-beta x^2). */
+static inline double pair_energy(const Model *m, double dx, double v1, double v2,
+                                 double g1, double g2)
 {
     double sep = fabs(dx);
     double p = 1.0;
     for (int64_t j = 0; j < m->n; j++)
         p *= sep;
-    *e = 0.5 * (v1 * v1 + v2 * v2) + 0.5 * m->k * dx * dx + m->alpha / p
-         + ((-m->A * g1) + (-m->A * g2));
-    return p == 0.0;
+    return 0.5 * (v1 * v1 + v2 * v2) + 0.5 * m->k * dx * dx + m->alpha / p
+           + ((-m->A * g1) + (-m->A * g2));
 }
 
 /* _tail's after_step, the runners' shared bookkeeping after a completed
@@ -85,10 +76,7 @@ static inline int after_step(const Model *m, const Tail *r, int64_t steps,
                              double dx, double g1, double g2,
                              double *maxd, int64_t *nrec)
 {
-    double e;
-    if (pair_energy(m, dx, v1, v2, g1, g2, &e))
-        return DEFER;
-    double d = fabs(e - r->e0);
+    double d = fabs(pair_energy(m, dx, v1, v2, g1, g2) - r->e0);
     if (d > *maxd)
         *maxd = d;
     if (r->stride > 0 && steps % r->stride == 0 && *nrec < r->cap) {
@@ -112,8 +100,6 @@ static inline int after_step(const Model *m, const Tail *r, int64_t steps,
 static int done(int status, int64_t steps, double x1, double v1, double x2, double v2,
                 double maxd, int64_t nrec, double *out, int64_t *counts)
 {
-    if (status == DEFER)
-        return DEFER;
     out[0] = x1;
     out[1] = v1;
     out[2] = x2;
@@ -126,8 +112,7 @@ static int done(int status, int64_t steps, double x1, double v1, double x2, doub
 
 /* The runners' arguments: the Python runner's 21, with cap (the common length
  * of the five buffers) after rec_stride, then out, which receives (x1, v1, x2,
- * v2, maxd), and counts, which receives (steps, nrec), unless the status is
- * DEFER. */
+ * v2, maxd), and counts, which receives (steps, nrec). */
 #define SIGNATURE(name)                                                          \
     int name(double x1, double v1, double x2, double v2, double t0, double dt,   \
              int64_t nsteps, double k, double alpha, int64_t n, double A,        \
@@ -157,8 +142,7 @@ SIGNATURE(run_verlet)
     double dx = x1 - x2;
     if (fabs(dx) < floor_)
         RETURN(COINCIDENT, steps, x1, v1, x2, v2);
-    if (accel(&m, x1, x2, &a1, &a2, &g1, &g2))
-        return DEFER;
+    accel(&m, x1, x2, &a1, &a2, &g1, &g2);
     double h2 = 0.5 * dt;
     for (int64_t i = 0; i < nsteps; i++) {
         v1 += h2 * a1;
@@ -168,8 +152,7 @@ SIGNATURE(run_verlet)
         dx = x1 - x2;
         if (fabs(dx) < floor_)
             RETURN(COINCIDENT, i + 1, x1, v1, x2, v2);
-        if (accel(&m, x1, x2, &a1, &a2, &g1, &g2))
-            return DEFER;
+        accel(&m, x1, x2, &a1, &a2, &g1, &g2);
         v1 += h2 * a1;
         v2 += h2 * a2;
         steps = i + 1;
@@ -180,13 +163,11 @@ SIGNATURE(run_verlet)
     RETURN(status, steps, x1, v1, x2, v2);
 }
 
-/* A stage of _run_rk4: its positions breach the floor, or its force divides
- * by zero. */
+/* A stage of _run_rk4: the floor check on its positions, then its force. */
 #define STAGE(xs1, vs1, xs2, vs2, f1, f2)                                        \
     if (fabs(xs1 - xs2) < floor_)                                                \
         RETURN(COINCIDENT, i + 1, xs1, vs1, xs2, vs2);                           \
-    if (accel(&m, xs1, xs2, &f1, &f2, &g1, &g2))                                 \
-        return DEFER
+    accel(&m, xs1, xs2, &f1, &f2, &g1, &g2)
 
 /* _run_rk4: classical RK4 on (x1, v1, x2, v2). */
 SIGNATURE(run_rk4)
@@ -197,8 +178,7 @@ SIGNATURE(run_rk4)
         RETURN(COINCIDENT, steps, x1, v1, x2, v2);
     double h2 = 0.5 * dt;
     for (int64_t i = 0; i < nsteps; i++) {
-        if (accel(&m, x1, x2, &a1, &b1, &g1, &g2))
-            return DEFER;
+        accel(&m, x1, x2, &a1, &b1, &g1, &g2);
         double xa1 = x1 + h2 * v1;
         double xa2 = x2 + h2 * v2;
         double va1 = v1 + h2 * a1;
@@ -241,7 +221,7 @@ void energy_column(const double *x1, const double *v1, const double *x2, const d
     for (int64_t i = 0; i < len; i++) {
         double g1 = exp(-beta * x1[i] * x1[i]);
         double g2 = exp(-beta * x2[i] * x2[i]);
-        pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2, &out[i]);
+        out[i] = pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2);
     }
 }
 

@@ -53,6 +53,10 @@ anonymous mmap that integrate allocates.  energy_column and format_rows take
 numpy arrays; they and the Ryu tables behind format_rows are the only code
 here that imports numpy, so a sweep runs without it.
 
+Division: the runners take every force and energy at a separation >= floor,
+so floor ** (n + 2) > 0 keeps the repulsion's divisor nonzero; integrate's
+floor and dynamics.MAX_EXPONENT ensure it.  beta > 0 keeps math.exp finite.
+
 Status codes returned by the runners:
   0  completed the requested number of steps
   1  exit-radius predicate fired
@@ -267,11 +271,6 @@ def _run_rk4(
     return done(status, steps, x1, v1, x2, v2)
 
 
-# Returned by the C runners where the Python reference raises
-# ZeroDivisionError (an exact contact under a zero coincidence floor); the
-# wrapper then re-runs the reference, which raises it.
-_STATUS_DEFER = -1
-
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _D, _I = ctypes.c_double, ctypes.c_int64
@@ -343,24 +342,21 @@ def _recording_views(buffers) -> tuple[int, list]:
     return lengths[0], views
 
 
-def _c_runner(fn, reference):
-    """A ctypes wrapper of fn with reference's 21 positional arguments and
-    return tuple; reference runs where C defers to it."""
+def _c_runner(fn):
+    """A ctypes wrapper of fn with the Python runners' 21 positional arguments
+    and return tuple.  Precondition: floor ** (n + 2) > 0, so that neither
+    side divides by zero (see Division above)."""
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int
 
     def run(x1, v1, x2, v2, t0, dt, nsteps, k, alpha, n, A, beta,
             floor, exit_radius, e0, rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2):
-        rec = (rec_t, rec_x1, rec_v1, rec_x2, rec_v2)
-        cap, views = _recording_views(rec)
+        cap, views = _recording_views((rec_t, rec_x1, rec_v1, rec_x2, rec_v2))
         out = (_D * 5)()
         counts = (_I * 2)()
         status = fn(x1, v1, x2, v2, t0, dt, nsteps, k, alpha, n, A, beta,
                     floor, exit_radius, e0, rec_stride, cap,
                     *map(ctypes.addressof, views), out, counts)
-        if status == _STATUS_DEFER:
-            return reference(x1, v1, x2, v2, t0, dt, nsteps, k, alpha, n, A, beta,
-                             floor, exit_radius, e0, rec_stride, *rec)
         return status, counts[0], out[0], out[1], out[2], out[3], out[4], counts[1]
 
     return run
@@ -451,7 +447,7 @@ if _LIB is None:
     BACKEND = "python"
 else:
     BACKEND = "c"
-    _run_verlet = _bind(_c_runner(_LIB.run_verlet, _run_verlet), _run_verlet)
-    _run_rk4 = _bind(_c_runner(_LIB.run_rk4, _run_rk4), _run_rk4)
+    _run_verlet = _bind(_c_runner(_LIB.run_verlet), _run_verlet)
+    _run_rk4 = _bind(_c_runner(_LIB.run_rk4), _run_rk4)
     energy_column = _bind(_c_energy_column(_LIB.energy_column), energy_column)
     format_rows = _bind(_c_format_rows(_LIB.format_rows), format_rows)

@@ -39,7 +39,7 @@ from .dynamics import (
     ModelParams,
     equilibrium_separation,
 )
-from .integrator import IntegratorConfig, Scheme, StepBudgetExhausted
+from .integrator import IntegratorConfig, NonFiniteState, Scheme, StepBudgetExhausted
 from .linearized import (
     InsufficientOscillations,
     in_well_equilibrium_separation,
@@ -526,7 +526,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CoincidentParticles, StepBudgetExhausted) as exc:
+    except (CoincidentParticles, StepBudgetExhausted, NonFiniteState) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

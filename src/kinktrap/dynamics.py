@@ -32,8 +32,13 @@ __all__ = [
 # must abort rather than emit garbage.
 DEFAULT_COINCIDENCE_FLOOR = 1e-12
 
-# The largest integer the kernels take (a C int64): step counts, recording
-# strides and the repulsion exponent plus two must not exceed it.
+# The largest n for which DEFAULT_COINCIDENCE_FLOOR, multiplied into itself
+# n + 2 times as the kernels form the power, stays above zero (1e-312; 0.0 at
+# n = 25): no force or energy taken at or above the floor divides by zero.
+MAX_EXPONENT = 24
+
+# The largest integer the kernels take (a C int64): step counts and recording
+# strides must not exceed it.
 INT64_MAX = 2**63 - 1
 
 
@@ -56,7 +61,7 @@ class ModelParams:
 
     k      spring constant of the bond (> 0)
     alpha  strength of the short-range repulsion (> 0)
-    n      repulsion exponent, a small positive integer
+    n      repulsion exponent, an integer from 1 to MAX_EXPONENT (24)
     A      well depth; A > 0 is attractive, A = 0 removes the well
     beta   inverse-square well width (> 0)
 
@@ -75,8 +80,9 @@ class ModelParams:
             raise ValueError(f"k must be positive and finite, got {self.k!r}")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if not (isinstance(self.n, int) and 1 <= self.n <= INT64_MAX - 2):
-            raise ValueError(f"n must be an integer >= 1 and at most 2**63 - 3, got {self.n!r}")
+        if not (isinstance(self.n, int) and 1 <= self.n <= MAX_EXPONENT):
+            raise ValueError(f"n must be an integer >= 1 and at most {MAX_EXPONENT}, "
+                             f"got {self.n!r}")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
         if not math.isfinite(self.A):

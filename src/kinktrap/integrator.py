@@ -34,6 +34,7 @@ __all__ = [
     "IntegratorConfig",
     "StopReason",
     "StepBudgetExhausted",
+    "NonFiniteState",
     "Trajectory",
     "IntegrationResult",
     "step",
@@ -65,12 +66,21 @@ class StepBudgetExhausted(RuntimeError):
         super().__init__(f"step budget exhausted after {steps} steps with no stop predicate satisfied")
 
 
+class NonFiniteState(RuntimeError):
+    """The run ended on a state with an infinite or NaN coordinate: the
+    arithmetic overflowed, and nothing after that step means anything."""
+
+    def __init__(self, steps: int, state: State):
+        self.steps = steps
+        super().__init__(f"the state is not finite after {steps} steps: (x1, v1, x2, v2) = "
+                         f"{(state.x1, state.v1, state.x2, state.v2)!r}; the arithmetic overflowed")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     scheme: Scheme = Scheme.VELOCITY_VERLET
     dt: float = 1e-3
     max_steps: int = 10_000_000
-    coincidence_floor: float = DEFAULT_COINCIDENCE_FLOOR
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -78,8 +88,6 @@ class IntegratorConfig:
         if not (isinstance(self.max_steps, int) and 0 < self.max_steps <= INT64_MAX):
             raise ValueError(f"max_steps must be a positive integer at most 2**63 - 1, "
                              f"got {self.max_steps!r}")
-        if not (self.coincidence_floor >= 0.0):
-            raise ValueError(f"coincidence_floor must be >= 0, got {self.coincidence_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +199,9 @@ def integrate(
 
     Both tests run after each step, and either may be None.  cfg.max_steps
     always bounds the run, and hitting it first raises StepBudgetExhausted.
-    A separation below cfg.coincidence_floor raises CoincidentParticles.
+    A separation below DEFAULT_COINCIDENCE_FLOOR raises CoincidentParticles,
+    and a run that ends on a state that is not finite (an overflow) raises
+    NonFiniteState.
     record_every=m keeps every m-th step in the returned trajectory (plus the
     initial and final points); note m=1 on a long run stores five float64
     arrays of one entry per step.  accel_fn, when given, replaces the model
@@ -226,7 +236,7 @@ def integrate(
 
     runner = _kernels._run_verlet if cfg.scheme is Scheme.VELOCITY_VERLET else _kernels._run_rk4
     if accel_fn is None:
-        e0 = total_energy(state, params, cfg.coincidence_floor)
+        e0 = total_energy(state, params, DEFAULT_COINCIDENCE_FLOOR)
         hook = ()
     else:
         e0 = math.nan
@@ -236,7 +246,7 @@ def integrate(
     status, steps, x1, v1, x2, v2, maxd, nrec = runner(
         state.x1, state.v1, state.x2, state.v2, state.t, cfg.dt, n_limit,
         params.k, params.alpha, params.n, params.A, params.beta,
-        cfg.coincidence_floor, exit_arg, e0,
+        DEFAULT_COINCIDENCE_FLOOR, exit_arg, e0,
         stride, *rec, *hook,
     )
     if accel_fn is None:
@@ -248,7 +258,9 @@ def integrate(
     final = State(t=state.t + steps * cfg.dt, x1=x1, v1=v1, x2=x2, v2=v2)
 
     if status == _kernels.STATUS_COINCIDENT:
-        raise CoincidentParticles(x1, x2, cfg.coincidence_floor)
+        raise CoincidentParticles(x1, x2, DEFAULT_COINCIDENCE_FLOOR)
+    if not all(map(math.isfinite, (x1, v1, x2, v2))):
+        raise NonFiniteState(steps, final)
 
     trajectory = None
     if stride > 0:

@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING, Optional
 
 from . import _kernels
 from .dynamics import CoincidentParticles, ModelParams
-from .integrator import IntegratorConfig, StepBudgetExhausted, integrate, sample_stride
+from .integrator import (IntegratorConfig, NonFiniteState, StepBudgetExhausted, integrate,
+                         sample_stride)
 from .scattering import Outcome, OutcomeRecord, Scenario, initial_state, run_scattering
 
 if TYPE_CHECKING:
@@ -104,7 +105,7 @@ def grid_v0(spec: SweepSpec, i: int) -> float:
 def _classify_point(spec: SweepSpec, v0: float) -> OutcomeRecord:
     try:
         return run_scattering(spec.scenario(v0), spec.cfg)
-    except (CoincidentParticles, StepBudgetExhausted) as exc:
+    except (CoincidentParticles, StepBudgetExhausted, NonFiniteState) as exc:
         return OutcomeRecord(
             v0=v0,
             outcome=Outcome.ERROR,

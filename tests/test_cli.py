@@ -221,6 +221,21 @@ class TestExitCodes:
         assert code == 2
         assert "no attractive well" in err
 
+    def test_overflowing_run_exits_two(self, capsys):
+        code, out, err = run_cli(["simulate", "--A", "1e300", "--t-max", "10"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the state is not finite after 10000 steps")
+        assert err.count("\n") == 1
+
+    def test_huge_exponent_exits_one_at_once(self):
+        """An n the kernels would loop over for hours is refused before a
+        step runs."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "kinktrap", "simulate", "--n", "9223372036854775805",
+             "--t-max", "1"], capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "error: n must be an integer >= 1 and at most 24" in proc.stderr
+
     def test_exhausted_step_budget_exits_two(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--max-steps", "100", "--record-every", "10"], capsys)

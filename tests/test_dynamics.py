@@ -6,6 +6,8 @@ import random
 import pytest
 
 from kinktrap.dynamics import (
+    DEFAULT_COINCIDENCE_FLOOR,
+    MAX_EXPONENT,
     CoincidentParticles,
     ModelParams,
     State,
@@ -61,15 +63,27 @@ class TestModelParams:
          # the free rest length (n alpha / k)^(1/(n+2)) overflows or underflows
          dict(k=1e308, alpha=1e308), dict(k=1e-300, alpha=1e300),
          dict(k=1e300, alpha=1e-320),
-         # the kernels take n + 2 as a C int64
-         dict(n=2**63 - 2), dict(n=2**64)],
+         # the floor's power (n + 2 factors) underflows to zero past n = 24
+         dict(n=25), dict(n=2**63 - 2), dict(n=2**64)],
     )
     def test_rejects_invalid_parameters(self, kwargs):
         with pytest.raises((ValueError, TypeError)):
             ModelParams(**kwargs)
 
     def test_largest_exponent_is_accepted(self):
-        assert ModelParams(n=2**63 - 3).n == 2**63 - 3
+        assert ModelParams(n=24).n == 24
+
+    def test_the_floors_power_is_positive_up_to_the_largest_exponent(self):
+        """The kernels' power loop on the coincidence floor: n + 2 factors
+        stay above zero at MAX_EXPONENT and underflow to zero one past it."""
+        def power(n):
+            p = 1.0
+            for _ in range(n + 2):
+                p *= DEFAULT_COINCIDENCE_FLOOR
+            return p
+
+        assert power(MAX_EXPONENT) > 0.0
+        assert power(MAX_EXPONENT + 1) == 0.0
 
 
 class TestEquilibriumSeparation:

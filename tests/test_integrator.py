@@ -15,6 +15,7 @@ from kinktrap import (
     CoincidentParticles,
     IntegratorConfig,
     ModelParams,
+    NonFiniteState,
     Scheme,
     State,
     StepBudgetExhausted,
@@ -25,6 +26,7 @@ from kinktrap import (
     total_energy,
 )
 from kinktrap import _kernels
+from kinktrap.dynamics import DEFAULT_COINCIDENCE_FLOOR
 from modified_energy import modified_energy
 
 R0 = equilibrium_separation(ModelParams())
@@ -48,7 +50,6 @@ class TestConfigValidation:
         {"max_steps": 10.0},
         {"max_steps": 2**63},
         {"max_steps": 2**64},
-        {"coincidence_floor": -1e-12},
     ])
     def test_bad_config_is_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -180,7 +181,7 @@ class TestCustomForceHook:
         p = ModelParams()
         k = p.k
         period = 2.0 * math.pi / math.sqrt(2.0 * k)
-        cfg = IntegratorConfig(dt=period / 4096, coincidence_floor=0.0)
+        cfg = IntegratorConfig(dt=period / 4096)
 
         def spring_only(x1, x2):
             return -k * (x1 - x2), -k * (x2 - x1)
@@ -208,7 +209,19 @@ class TestCoincidence:
         s = State(0.0, -5e-4, 1.0, 5e-4, -1.0)
         with pytest.raises(CoincidentParticles) as exc:
             integrate(s, p, cfg, cfg.dt, accel_fn=accel_fn)
-        assert abs(exc.value.x1 - exc.value.x2) < cfg.coincidence_floor
+        assert abs(exc.value.x1 - exc.value.x2) < DEFAULT_COINCIDENCE_FLOOR
+
+
+class TestNonFiniteState:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_an_overflowing_run_raises_instead_of_ending_on_nan(self, scheme):
+        """A well of depth 1e300 flings the pair to an infinite speed within
+        a few steps; the run must not end as a clean time-limit stop."""
+        p = ModelParams(A=1e300)
+        with pytest.raises(NonFiniteState) as exc:
+            integrate(_launch(0.3), p, IntegratorConfig(scheme=scheme), 10.0)
+        assert exc.value.steps == 10_000
+        assert "not finite after 10000 steps" in str(exc.value)
 
 
 class TestKernelEnergyParity:

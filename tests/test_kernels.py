@@ -9,6 +9,8 @@ shows too.  The E column is compared as bytes, and the CSV text with repr.
 """
 
 import ctypes
+import hashlib
+import json
 import math
 import os
 import random
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinktrap import _kernels, cli, integrator
+from kinktrap import ModelParams, _kernels, cli, integrator
 
 RUNNERS = {"verlet": "_run_verlet", "rk4": "_run_rk4"}
 STRIDES = (0, 1, 7, 100)
@@ -148,16 +150,37 @@ def test_rk4_stage_breach_matches_the_reference(c_backend):
     assert abs(x1 - x2) < 1e-12
 
 
-@pytest.mark.parametrize("scheme", RUNNERS)
-def test_an_exact_contact_under_a_zero_floor_raises_as_the_reference_does(c_backend, scheme):
-    """A zero floor lets the contact reach the repulsion's division."""
-    runner = getattr(_kernels, RUNNERS[scheme])
-    empty = np.empty(0)
-    args = (0.5, 0.0, 0.5, 0.0, 0.0, 1e-3, 3, 1.0, 1.0, 2, 2.0, 1.0, 0.0, -1.0, 0.0, 0,
-            empty, empty, empty, empty, empty)
-    for fn in (runner.py_func, runner):
-        with pytest.raises(ZeroDivisionError):
-            fn(*args)
+# perfbench's kernel micro-runs: (name in reference.json, runner, recording
+# stride, steps), each from the reference input under the default model.
+BENCHMARK_RUNS = {
+    "verlet": ("_run_verlet", 0, 200_000),
+    "verlet_rec": ("_run_verlet", 1, 200_000),
+    "rk4": ("_run_rk4", 0, 50_000),
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_RUNS)
+def test_the_benchmark_kernel_runs_give_the_reference_bits(name):
+    """The active backend's runner reproduces the final state (and, when it
+    records, the digest of the recording) that perfbench/reference.json pins."""
+    reference = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["kernels"]
+    x1, v1, x2, v2, e0, floor = (float.fromhex(reference["input"][key])
+                                 for key in ("x1", "v1", "x2", "v2", "e0", "floor"))
+    runner, stride, nsteps = BENCHMARK_RUNS[name]
+    p = ModelParams()
+    rec = [np.empty(nsteps + 1 if stride else 0) for _ in range(5)]
+    status, steps, fx1, fv1, fx2, fv2, maxd, nrec = getattr(_kernels, runner)(
+        x1, v1, x2, v2, 0.0, 1e-3, nsteps, p.k, p.alpha, p.n, p.A, p.beta,
+        floor, -1.0, e0, stride, *rec)
+    final = {"status": status, "steps": steps, "nrec": nrec, "x1": fx1.hex(), "v1": fv1.hex(),
+             "x2": fx2.hex(), "v2": fv2.hex(), "max_drift": maxd.hex()}
+    if stride:
+        digest = hashlib.sha256()
+        for buffer in rec:
+            digest.update(buffer[:nrec].tobytes())
+        final["recorded_sha256"] = digest.hexdigest()[:16]
+    assert final == reference["final"][name]
 
 
 def _read_only():
@@ -319,13 +342,13 @@ def test_the_build_is_cached_under_a_key_of_the_source(c_backend, tmp_path):
 
 
 def test_the_source_compiles_without_a_warning(tmp_path):
-    """The build flags plus -Wall -Wextra -Werror: the hot loop stays free of
-    what those catch."""
+    """The build flags plus -Wall -Wextra -Wfloat-equal -Werror: the hot loop
+    stays free of what those catch, float-equality special cases included."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("no gcc")
     proc = subprocess.run(
-        [gcc, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror",
+        [gcc, *_kernels._FLAGS, "-Wall", "-Wextra", "-Wfloat-equal", "-Werror",
          "-o", str(tmp_path / "k.so"), str(_kernels._SOURCE), "-lm"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -145,6 +145,12 @@ class TestSweep:
         assert rec.steps == 100
         assert math.isnan(rec.v_final) and math.isnan(rec.t_end) and math.isnan(rec.energy_drift)
 
+    def test_an_overflowing_point_becomes_an_error_row(self):
+        spec = SweepSpec(params=ModelParams(A=1e300), v_min=0.3, v_max=0.3, t_max=10.0)
+        [rec] = sweep(spec)
+        assert (rec.outcome, rec.error, rec.steps) == (Outcome.ERROR, "NonFiniteState", 10_000)
+        assert math.isnan(rec.v_final) and math.isnan(rec.t_end) and math.isnan(rec.energy_drift)
+
 
 # three free-pair points: cheap, and every one transmits
 TINY = SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.2, dv=0.05, t_max=300.0)
