@@ -28,9 +28,9 @@ for each call, so threads run them in parallel (sweep does).
 Each formula has one home:
 
   force   _accel.  dynamics.accelerations is the floor check plus _accel.
-  step    _run_verlet and _run_rk4.  integrator.step is a one-step
-          integrate, and a custom force (integrator's accel_fn) enters the
-          Python runners as their trailing accel argument.
+  step    _run_verlet and _run_rk4, which take the same 21 arguments and
+          return the same 8-tuple as their C wrappers.  integrator.step is a
+          one-step integrate.
   energy  pair_energy, used by dynamics.total_energy, by energy_column (the
           E column of `kinktrap simulate`) and by the tail.  In C it is the
           static pair_energy, which after_step and energy_column call; parity
@@ -180,20 +180,19 @@ def _run_verlet(
     x1, v1, x2, v2, t0, dt, nsteps,
     k, alpha, n, A, beta,
     floor, exit_radius, e0,
-    rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2, accel=_accel,
+    rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2,
 ):
     """Velocity Verlet (kick-drift-kick), fixed step, force reused across steps.
 
     exit_radius <= 0 disables the escape predicate; rec_stride <= 0 disables
-    recording; accel has _accel's signature and return.  Returns (status,
-    steps, x1, v1, x2, v2, max_abs_drift, nrec).
+    recording.  Returns (status, steps, x1, v1, x2, v2, max_abs_drift, nrec).
     """
     after_step, done = _tail(k, alpha, n, A, t0, dt, exit_radius, e0, rec_stride,
                              (rec_t, rec_x1, rec_v1, rec_x2, rec_v2))
     steps = 0
     if abs(x1 - x2) < floor:
         return done(STATUS_COINCIDENT, steps, x1, v1, x2, v2)
-    a1, a2, g1, g2 = accel(x1, x2, k, alpha, n, A, beta)
+    a1, a2, g1, g2 = _accel(x1, x2, k, alpha, n, A, beta)
     h2 = 0.5 * dt
     status = STATUS_RAN_ALL
     for i in range(nsteps):
@@ -204,7 +203,7 @@ def _run_verlet(
         dx = x1 - x2
         if abs(dx) < floor:
             return done(STATUS_COINCIDENT, i + 1, x1, v1, x2, v2)
-        a1, a2, g1, g2 = accel(x1, x2, k, alpha, n, A, beta)
+        a1, a2, g1, g2 = _accel(x1, x2, k, alpha, n, A, beta)
         v1 += h2 * a1
         v2 += h2 * a2
         steps = i + 1
@@ -218,7 +217,7 @@ def _run_rk4(
     x1, v1, x2, v2, t0, dt, nsteps,
     k, alpha, n, A, beta,
     floor, exit_radius, e0,
-    rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2, accel=_accel,
+    rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2,
 ):
     """Classical RK4 on (x1, v1, x2, v2); cross-check scheme, not symplectic.
 
@@ -232,28 +231,28 @@ def _run_rk4(
     h2 = 0.5 * dt
     status = STATUS_RAN_ALL
     for i in range(nsteps):
-        a1, b1, _, _ = accel(x1, x2, k, alpha, n, A, beta)
+        a1, b1, _, _ = _accel(x1, x2, k, alpha, n, A, beta)
         xa1 = x1 + h2 * v1
         xa2 = x2 + h2 * v2
         va1 = v1 + h2 * a1
         va2 = v2 + h2 * b1
         if abs(xa1 - xa2) < floor:
             return done(STATUS_COINCIDENT, i + 1, xa1, va1, xa2, va2)
-        a2_, b2, _, _ = accel(xa1, xa2, k, alpha, n, A, beta)
+        a2_, b2, _, _ = _accel(xa1, xa2, k, alpha, n, A, beta)
         xb1 = x1 + h2 * va1
         xb2 = x2 + h2 * va2
         vb1 = v1 + h2 * a2_
         vb2 = v2 + h2 * b2
         if abs(xb1 - xb2) < floor:
             return done(STATUS_COINCIDENT, i + 1, xb1, vb1, xb2, vb2)
-        a3, b3, _, _ = accel(xb1, xb2, k, alpha, n, A, beta)
+        a3, b3, _, _ = _accel(xb1, xb2, k, alpha, n, A, beta)
         xc1 = x1 + dt * vb1
         xc2 = x2 + dt * vb2
         vc1 = v1 + dt * a3
         vc2 = v2 + dt * b3
         if abs(xc1 - xc2) < floor:
             return done(STATUS_COINCIDENT, i + 1, xc1, vc1, xc2, vc2)
-        a4, b4, _, _ = accel(xc1, xc2, k, alpha, n, A, beta)
+        a4, b4, _, _ = _accel(xc1, xc2, k, alpha, n, A, beta)
         sixth = dt / 6.0
         x1 = x1 + sixth * (v1 + 2.0 * va1 + 2.0 * vb1 + vc1)
         x2 = x2 + sixth * (v2 + 2.0 * va2 + 2.0 * vb2 + vc2)

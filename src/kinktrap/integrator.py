@@ -1,5 +1,5 @@
-"""Fixed-step time integration to a time horizon or an exit radius, always
-bounded by a step budget.
+"""Fixed-step time integration to a time horizon, or to an exit radius before
+it, always bounded by a step budget.
 
 VelocityVerlet is the production scheme (symplectic, second order, one force
 evaluation per step).  RK4 is carried as an independent cross-check: same
@@ -14,7 +14,7 @@ import math
 import mmap
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import _kernels
 from .dynamics import (
@@ -40,8 +40,6 @@ __all__ = [
     "step",
     "integrate",
 ]
-
-AccelFn = Callable[[float, float], tuple[float, float]]
 
 
 class Scheme(Enum):
@@ -123,9 +121,8 @@ class Trajectory:
 @dataclass(frozen=True)
 class IntegrationResult:
     """How a run ended.  max_energy_drift is the peak of |E(t) - E(0)| / |E(0)|
-    sampled after every step, NaN when a custom acceleration hook is active
-    (model energy is not meaningful then).  trajectory is None unless the
-    run was given record_every."""
+    sampled after every step.  trajectory is None unless the run was given
+    record_every."""
 
     final: State
     reason: StopReason
@@ -157,60 +154,43 @@ def sample_stride(interval: float, dt: float) -> int:
     return max(1, int(round(_steps_in(interval, dt))))
 
 
-def step(
-    state: State,
-    params: ModelParams,
-    cfg: IntegratorConfig,
-    accel_fn: Optional[AccelFn] = None,
-) -> State:
+def step(state: State, params: ModelParams, cfg: IntegratorConfig) -> State:
     """Advance one fixed step of cfg.dt under cfg.scheme: a one-step integrate.
 
     The step runs from t = 0 and the result carries state.t + cfg.dt, because
     at a large state.t the rounding of t + dt can make a horizon of t + dt
-    ask for two steps.  accel_fn is as in integrate.
+    ask for two steps.
     """
-    result = integrate(replace(state, t=0.0), params, cfg, cfg.dt, accel_fn=accel_fn)
+    result = integrate(replace(state, t=0.0), params, cfg, cfg.dt)
     return replace(result.final, t=state.t + cfg.dt)
-
-
-def _with_nan_factors(accel_fn: AccelFn):
-    """Give an (x1, x2) -> (a1, a2) hook the kernels' force signature; its
-    Gaussian factors are NaN, as the model energy means nothing under it."""
-
-    def accel(x1, x2, k, alpha, n, A, beta):
-        a1, a2 = accel_fn(x1, x2)
-        return a1, a2, math.nan, math.nan
-
-    return accel
 
 
 def integrate(
     state: State,
     params: ModelParams,
     cfg: IntegratorConfig,
-    t_max: Optional[float] = None,
+    t_max: float,
     *,
     exit_radius: Optional[float] = None,
     record_every: Optional[int] = None,
-    accel_fn: Optional[AccelFn] = None,
 ) -> IntegrationResult:
-    """Run fixed steps until state.t reaches the absolute time t_max, or the
-    center of mass is at |R| >= exit_radius moving outward (R*V > 0).
+    """Run fixed steps until state.t reaches the absolute time t_max, or
+    earlier once the center of mass is at |R| >= exit_radius moving outward
+    (R*V > 0).
 
-    Both tests run after each step, and either may be None.  cfg.max_steps
-    always bounds the run, and hitting it first raises StepBudgetExhausted.
+    The horizon is required; the exit test runs after each step unless
+    exit_radius is None.  cfg.max_steps bounds the run, and spending it
+    before either stop raises StepBudgetExhausted.
     A separation below DEFAULT_COINCIDENCE_FLOOR raises CoincidentParticles,
     and a run that ends on a state that is not finite (an overflow) raises
     NonFiniteState.
     record_every=m keeps every m-th step in the returned trajectory (plus the
     initial and final points); note m=1 on a long run stores five float64
-    arrays of one entry per step.  accel_fn, when given, replaces the model
-    forces entirely (testing seam); it maps (x1, x2) -> (a1, a2), and the
-    energy drift of such a run is NaN.
+    arrays of one entry per step.
 
     Results are bitwise deterministic for identical inputs and configuration.
     """
-    if t_max is not None and not math.isfinite(t_max):
+    if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max!r}")
     if exit_radius is not None and not (exit_radius > 0.0 and math.isfinite(exit_radius)):
         raise ValueError(f"exit_radius must be positive and finite, got {exit_radius!r}")
@@ -221,9 +201,8 @@ def integrate(
                              f"got {record_every!r}")
         stride = record_every
 
-    n_time = None if t_max is None else _steps_to_reach(state.t, t_max, cfg.dt)
-    n_limit = cfg.max_steps if n_time is None else min(n_time, cfg.max_steps)
-    time_binds = n_time is not None and n_time <= cfg.max_steps
+    n_time = _steps_to_reach(state.t, t_max, cfg.dt)
+    n_limit = min(n_time, cfg.max_steps)
 
     rows = n_limit // stride + 1 if stride > 0 else 0
     try:
@@ -235,25 +214,15 @@ def integrate(
     exit_arg = exit_radius if exit_radius is not None else -1.0
 
     runner = _kernels._run_verlet if cfg.scheme is Scheme.VELOCITY_VERLET else _kernels._run_rk4
-    if accel_fn is None:
-        e0 = total_energy(state, params, DEFAULT_COINCIDENCE_FLOOR)
-        hook = ()
-    else:
-        e0 = math.nan
-        # the C runners cannot call back into Python
-        runner = getattr(runner, "py_func", runner)
-        hook = (_with_nan_factors(accel_fn),)
+    e0 = total_energy(state, params, DEFAULT_COINCIDENCE_FLOOR)
     status, steps, x1, v1, x2, v2, maxd, nrec = runner(
         state.x1, state.v1, state.x2, state.v2, state.t, cfg.dt, n_limit,
         params.k, params.alpha, params.n, params.A, params.beta,
         DEFAULT_COINCIDENCE_FLOOR, exit_arg, e0,
-        stride, *rec, *hook,
+        stride, *rec,
     )
-    if accel_fn is None:
-        denom = abs(e0) if abs(e0) > 1e-300 else 1.0
-        rel_drift = maxd / denom
-    else:
-        rel_drift = math.nan
+    denom = abs(e0) if abs(e0) > 1e-300 else 1.0
+    rel_drift = maxd / denom
 
     final = State(t=state.t + steps * cfg.dt, x1=x1, v1=v1, x2=x2, v2=v2)
 
@@ -268,8 +237,7 @@ def integrate(
 
     if status == _kernels.STATUS_EXIT:
         reason = StopReason.EXIT_RADIUS
-    # Ran every allotted step without an exit.
-    elif time_binds and steps == n_limit:
+    elif steps == n_time:
         reason = StopReason.TIME_LIMIT
     else:
         raise StepBudgetExhausted(steps)

@@ -194,8 +194,11 @@ def measured_frequency(
     """Integrate from cm0 to t_max, sampling every 0.01 time units, and time
     the mean crossings of R(t) (use_cm_coordinate) or r(t).
 
-    Returns the dominant_frequency estimate and the sampled trajectory.
+    Returns the dominant_frequency estimate and the sampled trajectory.  A
+    t_max at or before cm0.t raises ValueError.
     """
+    if not t_max > cm0.t:
+        raise ValueError(f"t_max must be after the start time {cm0.t!r}, got {t_max!r}")
     stride = sample_stride(0.01, cfg.dt)
     traj = integrate(from_cm(cm0), params, cfg, t_max, record_every=stride).trajectory
     series = traj.R if use_cm_coordinate else traj.r

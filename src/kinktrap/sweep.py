@@ -41,6 +41,10 @@ __all__ = [
 # every launch speed before the first point runs.
 MAX_GRID_POINTS = 10**7
 
+# The phase-space distance at which sensitivity's twins count as apart: the
+# exponent fit ends at 1% of it.
+DIVERGENCE_SCALE = 1.0
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -186,16 +190,14 @@ def zoom(
 
     base = sweep(spec, workers=workers)
     rows = [ZoomRow(depth=0, interval=None, record=rec) for rec in base]
-    frontier: list[tuple[list[OutcomeRecord], float]] = [(base, spec.dv)]
+    # the record lists of the last level's grids, all at spacing dv
+    frontier: list[list[OutcomeRecord]] = [base]
+    dv = spec.dv
 
     for level in range(1, depth + 1):
-        # (lo record, hi record, sub grid spacing) per class-changing interval
-        intervals: list[tuple[OutcomeRecord, OutcomeRecord, float]] = []
-        for records, dv in frontier:
-            sub_dv = dv / refinement_factor
-            for lo, hi in zip(records, records[1:]):
-                if lo.outcome != hi.outcome:
-                    intervals.append((lo, hi, sub_dv))
+        dv = dv / refinement_factor
+        intervals = [(lo, hi) for records in frontier
+                     for lo, hi in zip(records, records[1:]) if lo.outcome != hi.outcome]
         if not intervals:
             break
         count = len(intervals) * (refinement_factor - 1)
@@ -203,22 +205,17 @@ def zoom(
             raise ValueError(f"zoom depth {level}: {len(intervals)} class-changing intervals "
                              f"at factor {refinement_factor} give {count} points, "
                              f"more than {MAX_GRID_POINTS}")
-        v0s = [
-            lo.v0 + j * sub_dv
-            for lo, _, sub_dv in intervals
-            for j in range(1, refinement_factor)
-        ]
+        v0s = [lo.v0 + j * dv for lo, _ in intervals for j in range(1, refinement_factor)]
         interior = _run_points(spec, v0s, workers)
-        next_frontier: list[tuple[list[OutcomeRecord], float]] = []
+        frontier = []
         per_interval = refinement_factor - 1
-        for ordinal, (lo, hi, sub_dv) in enumerate(intervals):
+        for ordinal, (lo, hi) in enumerate(intervals):
             inner = interior[ordinal * per_interval : (ordinal + 1) * per_interval]
             sub_records = [lo, *inner, hi]
             rows.extend(
                 ZoomRow(depth=level, interval=(lo.v0, hi.v0), record=rec) for rec in sub_records
             )
-            next_frontier.append((sub_records, sub_dv))
-        frontier = next_frontier
+            frontier.append(sub_records)
     return rows
 
 
@@ -229,20 +226,24 @@ class DivergenceReport:
     The metric is the Euclidean distance over (x1, x2, v1, v2).  The exponent
     is the least-squares slope of ln d(t) between the first sample with
     d > 10*seed_delta and the first with d > 0.01*scale; when either bound is
-    never reached, or d never grows a hundredfold, the motion is flagged
-    degenerate (non-chaotic) and lambda_ is None.
+    never reached, or d never grows a hundredfold, lambda_ is None and the
+    motion is flagged degenerate (non-chaotic).
     """
 
     times: np.ndarray
     distances: np.ndarray
     seed_delta: float
     lambda_: Optional[float]
-    degenerate: bool
     window: Optional[tuple[float, float]]
     t_first_unit: Optional[float]
     scale: float
     sample_interval: float
     metric: str = "euclidean(x1, x2, v1, v2)"
+
+    @property
+    def degenerate(self) -> bool:
+        """No exponent was fitted: the motion reads as non-chaotic."""
+        return self.lambda_ is None
 
 
 def sensitivity(
@@ -250,17 +251,17 @@ def sensitivity(
     cfg: IntegratorConfig,
     seed_delta: float = 1e-9,
     sample_interval: float = 1.0,
-    scale: float = 1.0,
 ) -> DivergenceReport:
     """Integrate the scenario and a twin with launch speed v0 + seed_delta to
     t_max (no exit stop; escaped pairs keep flying) and report d(t).
 
-    Both runs share dt and horizon so samples align exactly.
+    Both runs share dt and horizon so samples align exactly.  The scale that
+    ends the exponent fit is fixed at DIVERGENCE_SCALE (1.0).
     """
     import numpy as np
 
     if not (seed_delta >= 0.0 and math.isfinite(seed_delta)):
-        raise ValueError(f"seed_delta must be >= 0, got {seed_delta!r}")
+        raise ValueError(f"seed_delta must be >= 0 and finite, got {seed_delta!r}")
     if not (sample_interval > 0.0 and math.isfinite(sample_interval)):
         raise ValueError(f"sample_interval must be positive and finite, got {sample_interval!r}")
     stride = sample_stride(sample_interval, cfg.dt)
@@ -289,10 +290,9 @@ def sensitivity(
 
     lam: Optional[float] = None
     window: Optional[tuple[float, float]] = None
-    degenerate = True
     if seed_delta > 0.0 and float(d.max(initial=0.0)) > 100.0 * seed_delta:
         lo = first_above(10.0 * seed_delta)
-        hi = first_above(0.01 * scale)
+        hi = first_above(0.01 * DIVERGENCE_SCALE)
         if lo is not None and hi is not None and hi > lo:
             seg_t = times[lo : hi + 1]
             seg_d = d[lo : hi + 1]
@@ -301,16 +301,14 @@ def sensitivity(
                 coeffs = np.polyfit(seg_t[mask], np.log(seg_d[mask]), 1)
                 lam = float(coeffs[0])
                 window = (float(seg_t[0]), float(seg_t[-1]))
-                degenerate = False
 
     return DivergenceReport(
         times=times,
         distances=d,
         seed_delta=seed_delta,
         lambda_=lam,
-        degenerate=degenerate,
         window=window,
         t_first_unit=t_first_unit,
-        scale=scale,
+        scale=DIVERGENCE_SCALE,
         sample_interval=sample_interval,
     )

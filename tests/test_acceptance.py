@@ -352,7 +352,7 @@ class TestCriterion7:
 
         # time reversal across the full transit
         start = initial_state(Scenario(params=params, v0=0.3))
-        fwd = integrate(start, params, CFG, exit_radius=10.0)
+        fwd = integrate(start, params, CFG, 5000.0, exit_radius=10.0)
         steps = fwd.steps
         back = integrate(
             State(

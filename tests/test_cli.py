@@ -242,6 +242,12 @@ class TestExitCodes:
         assert code == 2
         assert "budget" in err
 
+    @pytest.mark.parametrize("t_max", ["-5", "0"])
+    def test_probe_run_that_cannot_start_exits_one(self, t_max, capsys):
+        code, out, err = run_cli(["linear-compare", "--t-max", t_max], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: t_max must be after the start time") and err.count("\n") == 1
+
     def test_too_short_probe_run_exits_two(self, capsys):
         code, _, err = run_cli(["linear-compare", "--t-max", "0.5"], capsys)
         assert code == 2

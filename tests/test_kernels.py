@@ -10,6 +10,7 @@ shows too.  The E column is compared as bytes, and the CSV text with repr.
 
 import ctypes
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -98,6 +99,15 @@ def _scenario(rng):
 def test_backend_is_c_where_gcc_exists(c_backend):
     assert _kernels._run_verlet.py_func is not _kernels._run_verlet
     assert _kernels._run_rk4.py_func is not _kernels._run_rk4
+
+
+@pytest.mark.parametrize("scheme", RUNNERS)
+def test_the_reference_takes_the_wrappers_arguments(c_backend, scheme):
+    """The Python runner mirrors its C wrapper's arguments, name for name."""
+    runner = getattr(_kernels, RUNNERS[scheme])
+    wrapper = inspect.signature(runner).parameters
+    reference = inspect.signature(runner.py_func).parameters
+    assert list(reference.values()) == list(wrapper.values())
 
 
 @pytest.mark.parametrize("scheme", RUNNERS)

@@ -15,7 +15,6 @@ from kinktrap import (
     InsufficientOscillations,
     IntegratorConfig,
     ModelParams,
-    State,
     WellAbsent,
     closed_form_trajectory,
     delta_offset,
@@ -23,8 +22,8 @@ from kinktrap import (
     equilibrium_separation,
     external_force,
     in_well_equilibrium_separation,
-    integrate,
     linearized_frequencies,
+    measured_frequency,
 )
 
 
@@ -181,6 +180,17 @@ class TestDominantFrequency:
             dominant_frequency(np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(2, 3))
 
 
+class TestMeasuredFrequency:
+    @pytest.mark.parametrize("t_max", [-5.0, 0.0, 2.5])
+    def test_a_horizon_not_after_the_start_is_rejected(self, t_max):
+        """A probe that cannot run a step is bad input, not a run that found
+        no oscillation."""
+        c0 = CMState(t=2.5, R=0.1, V=0.0, r=0.5, w=0.0)
+        with pytest.raises(ValueError, match=r"^t_max must be after the start time 2\.5"):
+            measured_frequency(ModelParams(), c0, IntegratorConfig(), t_max,
+                               use_cm_coordinate=True)
+
+
 class TestInWellEquilibrium:
     def test_root_zeroes_the_net_force(self):
         rng = random.Random(17)
@@ -219,15 +229,18 @@ class TestStretchFrequencyInvariant:
         omega_eps = sqrt(2k + 2 A beta e^(-beta r_eq^2)) linearizes a harmonic
         bond of stiffness k and rest half-length r_eq in the well; it omits
         the repulsion curvature, so it is not the stretch frequency of the
-        model's bond (stiffness (n+2)k at rest).  Integrate, through the
-        accel_fn seam, exactly that bond plus the model's well force, started
-        0.01 off the stretch center with R = 0, and measure the frequency of
-        r.  In this wide, deep well (beta = 0.01, A = 50) the well term moves
-        omega_eps by 22% off the bare sqrt(2k), so a 10% tolerance still
-        catches a wrong well term; the readings match within 0.1%.
+        model's bond (stiffness (n+2)k at rest).  That bond plus the model's
+        well force is not the package's model, so this test integrates it
+        with its own velocity Verlet loop (dt = 1e-3 to t = 60, a sample
+        every 10 steps), started 0.01 off the stretch center with R = 0, and
+        measures the frequency of r.  In this wide, deep well (beta = 0.01,
+        A = 50) the well term moves omega_eps by 22% off the bare sqrt(2k),
+        so a 10% tolerance still catches a wrong well term; the readings
+        match within 0.1%.
         """
         p = ModelParams(A=50.0, beta=0.01)
         r0 = equilibrium_separation(p)
+        dt = 1e-3
         for r_eq in (r0, r0 / 2.0):
             rest = 2.0 * r_eq
 
@@ -237,10 +250,20 @@ class TestStretchFrequencyInvariant:
 
             lp = linearized_frequencies(p, r_eq=r_eq)
             r = lp.r_eq + lp.delta + 0.01
-            state = State(0.0, -r, 0.0, r, 0.0)
-            run = integrate(state, p, IntegratorConfig(), 60.0, record_every=10,
-                            accel_fn=bond_and_well)
-            traj = run.trajectory
-            measured = dominant_frequency(traj.t, traj.r)
+            x1, v1, x2, v2 = -r, 0.0, r, 0.0
+            a1, a2 = bond_and_well(x1, x2)
+            ts, rs = [0.0], [r]
+            for i in range(1, 60_001):
+                v1 += 0.5 * dt * a1
+                v2 += 0.5 * dt * a2
+                x1 += dt * v1
+                x2 += dt * v2
+                a1, a2 = bond_and_well(x1, x2)
+                v1 += 0.5 * dt * a1
+                v2 += 0.5 * dt * a2
+                if i % 10 == 0:
+                    ts.append(i * dt)
+                    rs.append(0.5 * (x2 - x1))
+            measured = dominant_frequency(np.array(ts), np.array(rs))
             gap = abs(measured - lp.omega_eps) / lp.omega_eps
             assert gap < 0.10, f"r_eq={r_eq}: measured {measured:.6f} vs omega_eps {lp.omega_eps:.6f}"

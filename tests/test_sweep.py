@@ -338,11 +338,10 @@ class TestSensitivity:
 
     def test_report_metadata_and_sampling(self):
         sc = Scenario(params=ModelParams(), v0=0.12, t_max=50.0)
-        rep = sensitivity(sc, IntegratorConfig(), seed_delta=1e-9,
-                          sample_interval=1.0, scale=2.0)
+        rep = sensitivity(sc, IntegratorConfig(), seed_delta=1e-9, sample_interval=1.0)
         assert rep.metric == "euclidean(x1, x2, v1, v2)"
         assert rep.seed_delta == 1e-9
-        assert rep.scale == 2.0
+        assert rep.scale == 1.0
         assert rep.sample_interval == 1.0
         assert rep.times[0] == 0.0
         assert len(rep.times) == 51
@@ -354,6 +353,8 @@ class TestSensitivity:
         sc = Scenario(params=ModelParams(), v0=0.12, t_max=10.0)
         with pytest.raises(ValueError):
             sensitivity(sc, IntegratorConfig(), seed_delta=-1e-9)
+        with pytest.raises(ValueError, match=r"^seed_delta must be >= 0 and finite, got inf"):
+            sensitivity(sc, IntegratorConfig(), seed_delta=math.inf)
         with pytest.raises(ValueError):
             sensitivity(sc, IntegratorConfig(), sample_interval=0.0)
         with pytest.raises(ValueError, match="sample_interval must be positive and finite"):
