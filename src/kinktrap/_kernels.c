@@ -1,6 +1,7 @@
 /* The Python reference of _kernels.py, operation for operation: the Verlet
- * and RK4 runners, energy_column (the E column of `kinktrap simulate`) and
- * format_rows (the CSV rows of float64 columns).
+ * and RK4 runners, energy_column (the E column of `kinktrap simulate`),
+ * cm_columns (the center-of-mass columns of a trajectory) and format_rows
+ * (the CSV rows of float64 columns).
  *
  * Every expression keeps the order of its Python counterpart, and the
  * library is built with -O2 -ffp-contract=off (no fused multiply-add, no
@@ -222,6 +223,19 @@ void energy_column(const double *x1, const double *v1, const double *x2, const d
         double g1 = exp(-beta * x1[i] * x1[i]);
         double g2 = exp(-beta * x2[i] * x2[i]);
         out[i] = pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2);
+    }
+}
+
+/* cm_columns: cm_coordinates (R, V, r, w) at each of len recorded states,
+ * into the four output columns. */
+void cm_columns(const double *x1, const double *v1, const double *x2, const double *v2,
+                int64_t len, double *R, double *V, double *r, double *w)
+{
+    for (int64_t i = 0; i < len; i++) {
+        R[i] = 0.5 * (x1[i] + x2[i]);
+        V[i] = 0.5 * (v1[i] + v2[i]);
+        r[i] = 0.5 * (x2[i] - x1[i]);
+        w[i] = 0.5 * (v2[i] - v1[i]);
     }
 }
 

@@ -2,12 +2,13 @@
 
 The Python functions below are the reference.  `_kernels.c` mirrors them
 operation for operation; it is built once with the system gcc and loaded
-through ctypes, and then `_run_verlet`, `_run_rk4`, `energy_column` and
-`format_rows` are thin wrappers around it that keep the Python function as
-`py_func`.  BACKEND names the implementation in use: "c" or "python".
-The C functions are reentrant: their only statics are const tables, and
-every result goes to buffers the caller passes in.  ctypes releases the GIL
-for each call, so threads run them in parallel (sweep does).
+through ctypes, and then `_run_verlet`, `_run_rk4`, `energy_column`,
+`cm_columns` and `format_rows` are thin wrappers around it that keep the
+Python function as `py_func`.  BACKEND names the implementation in use:
+"c" or "python".  The C functions are reentrant: their only statics are
+const tables, and every result goes to buffers the caller passes in.
+ctypes releases the GIL for each call, so threads run them in parallel
+(sweep does).
 
   build   gcc -O2 -ffp-contract=off -fPIC -shared -lm.  -ffp-contract=off
           keeps gcc from fusing a multiply and an add into one FMA, which
@@ -35,6 +36,10 @@ Each formula has one home:
           E column of `kinktrap simulate`) and by the tail.  In C it is the
           static pair_energy, which after_step and energy_column call; parity
           tests pin both to the Python energy bit for bit.
+  CM      cm_coordinates, the center-of-mass coordinates (R, V, r, w) of one
+          state, used by dynamics.to_cm and by cm_columns along a
+          trajectory.  In C it is the body of cm_columns's loop; a parity
+          test pins the two bit for bit.
   tail    _tail, the bookkeeping both runners do after a completed step:
           the drift peak, the recording test and the exit test.  after_step
           and done in _kernels.c mirror its two closures.
@@ -46,12 +51,15 @@ Each formula has one home:
           tier-1 test compares it with repr on a million random doubles and
           the edge cases.
 
-Buffers: the runners record into five writable, aligned, C-contiguous 1-D
-float64 buffers of one length, given as any object with the buffer protocol
-and memoryview format 'd': a numpy array, or the memoryviews over an
-anonymous mmap that integrate allocates.  energy_column and format_rows take
-numpy arrays; they and the Ryu tables behind format_rows are the only code
-here that imports numpy, so a sweep runs without it.
+Buffers: every column C reads or writes is a 1-D float64 buffer, any object
+with the buffer protocol and memoryview format 'd': a numpy array, or a
+memoryview over an anonymous mmap (float_buffers; integrate records into
+five of them).  float64_views checks each one before C sees its address:
+the runners' five must be writable, aligned, C-contiguous and of one length;
+format_rows's columns aligned, C-contiguous and long enough.  The C
+energy_column and cm_columns copy a strided or misaligned state column
+first.  Both sides of those two return new buffers.  Nothing here imports
+numpy.
 
 Division: the runners take every force and energy at a separation >= floor,
 so floor ** (n + 2) > 0 keeps the repulsion's divisor nonzero; integrate's
@@ -69,8 +77,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import mmap
 import os
-import platform
 import shutil
 import sys
 import zlib
@@ -104,32 +112,58 @@ def _accel(x1, x2, k, alpha, n, A, beta):
 
 def pair_energy(dx, v1, v2, g1, g2, k, alpha, n, A):
     """Kinetic + spring + repulsion + well energy, given dx = x1 - x2 and the
-    Gaussian factors g = exp(-beta x^2).  Works on floats and numpy arrays."""
+    Gaussian factors g = exp(-beta x^2)."""
     sep = abs(dx)
     p = 1.0
     for _ in range(n):
         p *= sep
-    # kinetic + spring + repulsion + well in one expression, so numpy reuses
-    # its temporaries on arrays; the well terms are paired before the grand
-    # total so particle exchange is exact
-    return 0.5 * (v1 * v1 + v2 * v2) + 0.5 * k * dx * dx + alpha / p + ((-A * g1) + (-A * g2))
+    # p is zero only at an exact contact, which energy_column's input may
+    # hold: Python raises there, and alpha * inf is C's alpha / +0.0
+    repulsion = alpha / p if p else alpha * math.inf
+    # the well terms are paired before the grand total so particle exchange
+    # is exact
+    return 0.5 * (v1 * v1 + v2 * v2) + 0.5 * k * dx * dx + repulsion + ((-A * g1) + (-A * g2))
+
+
+def float_buffers(count, rows):
+    """count writable float64 buffers of rows entries each, as memoryviews
+    over one anonymous private mapping: a page takes memory only once a row
+    on it is written, so sizing for a bound costs nothing up front.  No rows
+    gives zero-length buffers."""
+    if rows == 0:
+        return [memoryview(bytearray()).cast("d")] * count
+    whole = memoryview(mmap.mmap(-1, count * rows * 8, flags=mmap.MAP_PRIVATE)).cast("d")
+    return [whole[i * rows:(i + 1) * rows] for i in range(count)]
 
 
 def energy_column(x1, v1, x2, v2, k, alpha, n, A, beta):
-    """pair_energy at each state of a recorded trajectory, as a float64 array.
-    The Gaussian factors come from math.exp per element, as in the runners:
-    np.exp may differ in the last bit."""
-    import numpy as np
+    """pair_energy at each state of a recorded trajectory, as a float64
+    buffer.  The Gaussian factors come from math.exp, as in the runners."""
+    [out] = float_buffers(1, len(x1))
+    for i, (a, va, b, vb) in enumerate(zip(x1, v1, x2, v2, strict=True)):
+        out[i] = pair_energy(a - b, va, vb, math.exp(-beta * a * a), math.exp(-beta * b * b),
+                             k, alpha, n, A)
+    return out
 
-    def gaussian(x):
-        return np.array([math.exp(a) for a in (-beta * x * x).tolist()])
 
-    return pair_energy(x1 - x2, v1, v2, gaussian(x1), gaussian(x2), k, alpha, n, A)
+def cm_coordinates(x1, v1, x2, v2):
+    """(R, V, r, w) of one state: the center of mass, its velocity, half the
+    separation x2 - x1 and its rate."""
+    return 0.5 * (x1 + x2), 0.5 * (v1 + v2), 0.5 * (x2 - x1), 0.5 * (v2 - v1)
+
+
+def cm_columns(x1, v1, x2, v2):
+    """cm_coordinates at each state of a recorded trajectory, as four
+    read-only float64 buffers (R, V, r, w)."""
+    R, V, r, w = float_buffers(4, len(x1))
+    for i, state in enumerate(zip(x1, v1, x2, v2, strict=True)):
+        R[i], V[i], r[i], w[i] = cm_coordinates(*state)
+    return R.toreadonly(), V.toreadonly(), r.toreadonly(), w.toreadonly()
 
 
 def format_rows(columns, start, stop):
-    """Rows start..stop of equal-length float64 array columns as CSV text:
-    repr of each cell, cells joined by ',' and every row ended by a newline."""
+    """Rows start..stop of equal-length float64 columns as CSV text: repr of
+    each cell, cells joined by ',' and every row ended by a newline."""
     cells = [map(repr, column[start:stop].tolist()) for column in columns]
     text = "\n".join(map(",".join, zip(*cells)))
     return text + "\n" if text else ""
@@ -285,7 +319,7 @@ def _load(source: Path, cache_dir: Path) -> Optional[ctypes.CDLL]:
     source, flags and platform is there, and load it.  On failure print one
     line to stderr and return None."""
     try:
-        key = zlib.crc32(" ".join((*_FLAGS, sys.platform, platform.machine())).encode()
+        key = zlib.crc32(" ".join((*_FLAGS, sys.platform, os.uname().machine)).encode()
                          + source.read_bytes())
         lib = cache_dir / f"{source.stem}-{key:08x}.so"
         if not lib.exists():
@@ -316,29 +350,74 @@ def _build(source: Path, lib: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _recording_views(buffers) -> tuple[int, list]:
-    """The common length of the recording buffers, which must be writable,
-    aligned, C-contiguous 1-D float64 buffers (memoryview format 'd'), and
-    ctypes byte arrays over them, which keep them exported until C is done;
-    all checked before C writes to them."""
-    lengths, views = [], []
+class _PyBuffer(ctypes.Structure):
+    """CPython's Py_buffer, which PyObject_GetBuffer fills in."""
+    _fields_ = [("buf", ctypes.c_void_p), ("obj", ctypes.c_void_p),
+                ("len", ctypes.c_ssize_t), ("itemsize", ctypes.c_ssize_t),
+                ("readonly", ctypes.c_int), ("ndim", ctypes.c_int),
+                ("format", ctypes.c_char_p), ("shape", ctypes.c_void_p),
+                ("strides", ctypes.c_void_p), ("suboffsets", ctypes.c_void_p),
+                ("internal", ctypes.c_void_p)]
+
+
+# Prototypes of their own, so that no other user of ctypes.pythonapi sees
+# their argument types; a Python API call keeps the GIL and raises the
+# exception it sets.
+_get_buffer = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.POINTER(_PyBuffer),
+                                ctypes.c_int)(("PyObject_GetBuffer", ctypes.pythonapi))
+_release_buffer = ctypes.PYFUNCTYPE(None, ctypes.POINTER(_PyBuffer))(
+    ("PyBuffer_Release", ctypes.pythonapi))
+
+
+def _address(contiguous) -> int:
+    """The address of the first byte of a C-contiguous buffer, read-only ones
+    included (ctypes' from_buffer takes writable ones only).  It stays valid
+    while the buffer lives unresized: a memoryview holds its memory exported,
+    and nothing here resizes an array or bytearray it passes to C."""
+    view = _PyBuffer()
+    _get_buffer(contiguous, view, 0)  # PyBUF_SIMPLE
+    _release_buffer(view)
+    return view.buf or 0
+
+
+def float64_views(buffers, what, *, writable=False, copy=False) -> list:
+    """Each buffer as a 1-D float64 memoryview (format 'd') that C can use at
+    its _address: C-contiguous and aligned, and writable if asked.  With
+    copy, a strided or misaligned buffer is copied into memory that is;
+    otherwise, and for anything else, ValueError says what was wanted.  All
+    checked before C reads or writes them."""
+    def addressable(m):
+        return m.c_contiguous and _address(m) % 8 == 0
+
+    views = []
     for b in buffers:
         try:
             m = memoryview(b)
         except TypeError:
             m = None
-        view = None
-        if (m is not None and m.format == "d" and m.ndim == 1 and m.c_contiguous
-                and not m.readonly):
-            view = (ctypes.c_char * m.nbytes).from_buffer(m)
-        if view is None or ctypes.addressof(view) % 8:
-            raise ValueError("recording buffers must be writable, aligned, "
-                             "C-contiguous 1-D float64 buffers")
-        lengths.append(len(m))
-        views.append(view)
+        ok = m is not None and m.format == "d" and m.ndim == 1 and not (writable and m.readonly)
+        if ok and copy and not addressable(m):
+            [copied] = float_buffers(1, len(m))
+            copied[:] = m
+            m = copied
+        if not (ok and addressable(m)):
+            raise ValueError(f"{what} must be {'writable, ' if writable else ''}aligned, "
+                             f"C-contiguous 1-D float64 buffers")
+        views.append(m)
+    return views
+
+
+def _one_length(views, what) -> int:
+    lengths = [len(v) for v in views]
     if any(n != lengths[0] for n in lengths):
-        raise ValueError(f"recording buffers differ in length: {lengths}")
-    return lengths[0], views
+        raise ValueError(f"{what} differ in length: {lengths}")
+    return lengths[0]
+
+
+def _state_views(x1, v1, x2, v2):
+    """The state columns as views C can read, and their common length."""
+    views = float64_views((x1, v1, x2, v2), "states", copy=True)
+    return views, _one_length(views, "states")
 
 
 def _c_runner(fn):
@@ -350,12 +429,14 @@ def _c_runner(fn):
 
     def run(x1, v1, x2, v2, t0, dt, nsteps, k, alpha, n, A, beta,
             floor, exit_radius, e0, rec_stride, rec_t, rec_x1, rec_v1, rec_x2, rec_v2):
-        cap, views = _recording_views((rec_t, rec_x1, rec_v1, rec_x2, rec_v2))
+        views = float64_views((rec_t, rec_x1, rec_v1, rec_x2, rec_v2), "recording buffers",
+                               writable=True)
+        cap = _one_length(views, "recording buffers")
         out = (_D * 5)()
         counts = (_I * 2)()
         status = fn(x1, v1, x2, v2, t0, dt, nsteps, k, alpha, n, A, beta,
                     floor, exit_radius, e0, rec_stride, cap,
-                    *map(ctypes.addressof, views), out, counts)
+                    *map(_address, views), out, counts)
         return status, counts[0], out[0], out[1], out[2], out[3], out[4], counts[1]
 
     return run
@@ -367,18 +448,26 @@ def _c_energy_column(fn):
     fn.restype = None
 
     def energy_column(x1, v1, x2, v2, k, alpha, n, A, beta):
-        import numpy as np
-
-        states = [np.require(a, np.float64, ("C", "A")) for a in (x1, v1, x2, v2)]
-        shape = states[0].shape
-        if len(shape) != 1 or any(a.shape != shape for a in states):
-            raise ValueError(f"states must be 1-D arrays of one length, got shapes "
-                             f"{[a.shape for a in states]}")
-        out = np.empty(shape)
-        fn(*(a.ctypes.data for a in states), shape[0], k, alpha, n, A, beta, out.ctypes.data)
+        states, rows = _state_views(x1, v1, x2, v2)
+        [out] = float_buffers(1, rows)
+        fn(*map(_address, states), rows, k, alpha, n, A, beta, _address(out))
         return out
 
     return energy_column
+
+
+def _c_cm_columns(fn):
+    """A ctypes wrapper of fn with cm_columns's arguments and return."""
+    fn.argtypes = [ctypes.c_void_p] * 4 + [_I] + [ctypes.c_void_p] * 4
+    fn.restype = None
+
+    def cm_columns(x1, v1, x2, v2):
+        states, rows = _state_views(x1, v1, x2, v2)
+        out = float_buffers(4, rows)
+        fn(*map(_address, states), rows, *map(_address, out))
+        return tuple(column.toreadonly() for column in out)
+
+    return cm_columns
 
 
 # The longest repr of a float64 ("-2.2250738585072014e-308") is 24 bytes; a
@@ -388,10 +477,11 @@ _CELL_BYTES = 25
 
 @functools.cache
 def _ryu_tables():
-    """Ryu's 128-bit multipliers as rows of (low, high) uint64 words, exact
-    from Python ints: 2**(bitlen(5**i) - 1 + 125) // 5**i + 1 for i < 342,
-    and 5**i scaled to 125 bits for i < 326.  Built on the first C format."""
-    import numpy as np
+    """Ryu's 128-bit multipliers as uint64 arrays of (low, high) word pairs,
+    exact from Python ints: 2**(bitlen(5**i) - 1 + 125) // 5**i + 1 for
+    i < 342, and 5**i scaled to 125 bits for i < 326.  Built on the first C
+    format."""
+    from array import array
 
     inverse, power = [], []
     for i in range(342):
@@ -401,7 +491,7 @@ def _ryu_tables():
         if i < 326:
             power.append(p << (125 - bits) if bits < 125 else p >> (bits - 125))
     mask = (1 << 64) - 1
-    return tuple(np.array([(v & mask, v >> 64) for v in table], dtype=np.uint64)
+    return tuple(array("Q", [word for v in table for word in (v & mask, v >> 64)])
                  for table in (inverse, power))
 
 
@@ -411,20 +501,16 @@ def _c_format_rows(fn):
     fn.restype = _I
 
     def format_rows(columns, start, stop):
-        import numpy as np
-
         if not 0 <= start <= stop:
             raise ValueError(f"bad row range {start}..{stop}")
-        for c in columns:
-            if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 1
-                    and c.flags.c_contiguous and c.flags.aligned and c.shape[0] >= stop):
-                raise ValueError(f"columns must be aligned, C-contiguous 1-D float64 "
-                                 f"arrays of at least {stop} cells")
+        views = float64_views(columns, "columns")
+        if any(len(v) < stop for v in views):
+            raise ValueError(f"columns must hold at least {stop} cells")
         inverse, power = _ryu_tables()
-        buf = np.empty(_CELL_BYTES * len(columns) * (stop - start), dtype=np.uint8)
-        pointers = (ctypes.c_void_p * len(columns))(*(c.ctypes.data for c in columns))
-        size = fn(pointers, len(columns), start, stop, inverse.ctypes.data,
-                  power.ctypes.data, buf.ctypes.data, buf.shape[0])
+        buf = bytearray(_CELL_BYTES * len(views) * (stop - start))
+        pointers = (ctypes.c_void_p * len(views))(*map(_address, views))
+        size = fn(pointers, len(views), start, stop, _address(inverse), _address(power),
+                  _address(buf), len(buf))
         if size < 0:
             raise RuntimeError("format_rows: the text outgrew its buffer")
         return str(memoryview(buf)[:size], "ascii")
@@ -449,4 +535,5 @@ else:
     _run_verlet = _bind(_c_runner(_LIB.run_verlet), _run_verlet)
     _run_rk4 = _bind(_c_runner(_LIB.run_rk4), _run_rk4)
     energy_column = _bind(_c_energy_column(_LIB.energy_column), energy_column)
+    cm_columns = _bind(_c_cm_columns(_LIB.cm_columns), cm_columns)
     format_rows = _bind(_c_format_rows(_LIB.format_rows), format_rows)

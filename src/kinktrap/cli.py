@@ -285,9 +285,10 @@ def _emit_csv(
     columns: tuple,
 ) -> None:
     """Write the metadata, the header and a body given as equal-length
-    columns (arrays, lists or tuples), one line per row.  A body of float64
-    arrays only is written by _kernels.format_rows, any other body cell by
-    cell through _fmt; both give _fmt's text for every cell."""
+    columns (buffers, lists or tuples), one line per row.  A body of 1-D
+    float64 buffers only (trajectory columns, numpy arrays) is written by
+    _kernels.format_rows, any other body cell by cell through _fmt; both give
+    _fmt's text for every cell."""
     lines = [f"# kinktrap-version {__version__}"]
     lines.append(f"# command = {_echo_command(command, settings, echo_keys)}")
     for key in echo_keys:
@@ -296,14 +297,13 @@ def _emit_csv(
         lines.append(f"# {key} = {_fmt(value)}")
     lines.append(",".join(header))
     rows = len(columns[0])
-    # columns of unequal length take the zip(strict=True) path, which raises;
-    # no array exists before numpy is loaded
-    np = sys.modules.get("numpy")
-    floats = np is not None and all(
-        isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1
-        and len(col) == rows for col in columns)
-    if floats:
-        columns = [np.require(col, np.float64, ("C", "A")) for col in columns]
+    try:
+        columns = _kernels.float64_views(columns, "columns", copy=True)
+    except ValueError:
+        floats = False
+    else:
+        # columns of unequal length take the zip(strict=True) path, which raises
+        floats = all(len(col) == rows for col in columns)
     sink = open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
     with sink as fh:
         fh.write("\n".join(lines) + "\n")
@@ -436,7 +436,7 @@ def _cmd_linear_compare(res: dict) -> int:
         omega_cm, traj_cm = measured_frequency(
             params, CMState(t=0.0, R=amp, V=0.0, r=0.5 * s_in, w=0.0),
             cfg, t_max, use_cm_coordinate=True)
-        if float(abs(traj_cm.R).max()) > 5.0 * amp:
+        if max(map(abs, traj_cm.R)) > 5.0 * amp:
             print("error: the pair escaped the well during the probe run",
                   file=sys.stderr)
             return 2

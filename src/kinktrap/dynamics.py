@@ -175,13 +175,7 @@ def total_energy(
 
 def to_cm(state: State) -> CMState:
     """Lab -> center-of-mass/relative coordinates."""
-    return CMState(
-        t=state.t,
-        R=0.5 * (state.x1 + state.x2),
-        V=0.5 * (state.v1 + state.v2),
-        r=0.5 * (state.x2 - state.x1),
-        w=0.5 * (state.v2 - state.v1),
-    )
+    return CMState(state.t, *_kernels.cm_coordinates(state.x1, state.v1, state.x2, state.v2))
 
 
 def from_cm(cm: CMState) -> State:

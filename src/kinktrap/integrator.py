@@ -11,10 +11,10 @@ update code.  Both run at fixed dt so results are bitwise reproducible.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from functools import cached_property
+from typing import Optional
 
 from . import _kernels
 from .dynamics import (
@@ -25,9 +25,6 @@ from .dynamics import (
     State,
     total_energy,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Scheme",
@@ -90,32 +87,44 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states: the initial point, every rec-stride-th step, and the final point."""
+    """Sampled states: the initial point, every rec-stride-th step, and the
+    final point.
 
-    t: np.ndarray
-    x1: np.ndarray
-    v1: np.ndarray
-    x2: np.ndarray
-    v2: np.ndarray
+    Each column is a read-only float64 memoryview (format 'd') over the
+    run's recording, so arithmetic on one raises TypeError instead of
+    concatenating; np.asarray(column) is a numpy view of the same memory,
+    without a copy.  R, V, r and w, the center-of-mass columns, are buffers
+    of the same kind, filled in one pass by _kernels.cm_columns on first use.
+    """
+
+    t: memoryview
+    x1: memoryview
+    v1: memoryview
+    x2: memoryview
+    v2: memoryview
 
     def __len__(self) -> int:
-        return self.t.shape[0]
+        return len(self.t)
+
+    @cached_property
+    def _cm(self) -> tuple:
+        return _kernels.cm_columns(self.x1, self.v1, self.x2, self.v2)
 
     @property
-    def R(self) -> np.ndarray:
-        return 0.5 * (self.x1 + self.x2)
+    def R(self) -> memoryview:
+        return self._cm[0]
 
     @property
-    def V(self) -> np.ndarray:
-        return 0.5 * (self.v1 + self.v2)
+    def V(self) -> memoryview:
+        return self._cm[1]
 
     @property
-    def r(self) -> np.ndarray:
-        return 0.5 * (self.x2 - self.x1)
+    def r(self) -> memoryview:
+        return self._cm[2]
 
     @property
-    def w(self) -> np.ndarray:
-        return 0.5 * (self.v2 - self.v1)
+    def w(self) -> memoryview:
+        return self._cm[3]
 
 
 @dataclass(frozen=True)
@@ -185,8 +194,9 @@ def integrate(
     and a run that ends on a state that is not finite (an overflow) raises
     NonFiniteState.
     record_every=m keeps every m-th step in the returned trajectory (plus the
-    initial and final points); note m=1 on a long run stores five float64
-    arrays of one entry per step.
+    initial and final points), whose columns are read-only float64
+    memoryviews over the one mapping the run recorded into (see Trajectory);
+    note m=1 on a long run stores five float64 columns of one entry per step.
 
     Results are bitwise deterministic for identical inputs and configuration.
     """
@@ -206,10 +216,14 @@ def integrate(
 
     rows = n_limit // stride + 1 if stride > 0 else 0
     try:
-        rec = _recording_buffers(rows)
+        # row 0 holds the initial state, the next rows are the runner's, and
+        # the row after the last one it recorded holds the final state
+        rec = _recording_buffers(rows + 2 if stride > 0 else 0)
     except (OSError, OverflowError) as exc:
         raise ValueError(f"cannot map a recording of {rows} rows at record_every = "
                          f"{stride}: {exc}") from None
+    if stride > 0:
+        _put_row(rec, 0, state)
 
     exit_arg = exit_radius if exit_radius is not None else -1.0
 
@@ -219,7 +233,7 @@ def integrate(
         state.x1, state.v1, state.x2, state.v2, state.t, cfg.dt, n_limit,
         params.k, params.alpha, params.n, params.A, params.beta,
         DEFAULT_COINCIDENCE_FLOOR, exit_arg, e0,
-        stride, *rec,
+        stride, *(column[1:-1] for column in rec),
     )
     denom = abs(e0) if abs(e0) > 1e-300 else 1.0
     rel_drift = maxd / denom
@@ -233,7 +247,11 @@ def integrate(
 
     trajectory = None
     if stride > 0:
-        trajectory = _assemble_trajectory(state, final, steps, stride, nrec, rec)
+        end = 1 + nrec
+        if steps % stride != 0:  # the last step was not recorded
+            _put_row(rec, end, final)
+            end += 1
+        trajectory = Trajectory(*(column[:end].toreadonly() for column in rec))
 
     if status == _kernels.STATUS_EXIT:
         reason = StopReason.EXIT_RADIUS
@@ -248,26 +266,11 @@ _COLUMNS = ("t", "x1", "v1", "x2", "v2")
 
 
 def _recording_buffers(rows: int) -> list:
-    """Float64 buffers of rows entries for t, x1, v1, x2, v2, as memoryviews
-    over one anonymous private mapping: a page takes memory only once a row
-    on it is written, so sizing for the step limit costs nothing up front.
-    No rows gives zero-length buffers."""
-    if rows == 0:
-        return [memoryview(bytearray()).cast("d")] * len(_COLUMNS)
-    mapping = mmap.mmap(-1, len(_COLUMNS) * rows * 8, flags=mmap.MAP_PRIVATE)
-    whole = memoryview(mapping).cast("d")
-    return [whole[i * rows:(i + 1) * rows] for i in range(len(_COLUMNS))]
+    """Writable float64 buffers of rows entries for t, x1, v1, x2, v2, over
+    one anonymous mapping (_kernels.float_buffers)."""
+    return _kernels.float_buffers(len(_COLUMNS), rows)
 
 
-def _assemble_trajectory(initial, final, steps, stride, nrec, rec):
-    """The initial point, the nrec recorded steps, and the final point unless
-    the last step fell on the stride and was recorded already, as numpy
-    arrays."""
-    import numpy as np
-
-    with_final = steps % stride != 0
-    columns = []
-    for name, recorded in zip(_COLUMNS, rec):
-        tail = [getattr(final, name)] if with_final else []
-        columns.append(np.concatenate(([getattr(initial, name)], recorded[:nrec], tail)))
-    return Trajectory(*columns)
+def _put_row(columns, row: int, state: State) -> None:
+    for column, name in zip(columns, _COLUMNS):
+        column[row] = getattr(state, name)

@@ -236,7 +236,6 @@ class DivergenceReport:
     lambda_: Optional[float]
     window: Optional[tuple[float, float]]
     t_first_unit: Optional[float]
-    scale: float
     sample_interval: float
     metric: str = "euclidean(x1, x2, v1, v2)"
 
@@ -244,6 +243,11 @@ class DivergenceReport:
     def degenerate(self) -> bool:
         """No exponent was fitted: the motion reads as non-chaotic."""
         return self.lambda_ is None
+
+    @property
+    def scale(self) -> float:
+        """The scale whose hundredth ends the exponent fit: DIVERGENCE_SCALE."""
+        return DIVERGENCE_SCALE
 
 
 def sensitivity(
@@ -271,13 +275,9 @@ def sensitivity(
     ta = integrate(state_a, sc.params, cfg, sc.t_max, record_every=stride).trajectory
     tb = integrate(state_b, sc.params, cfg, sc.t_max, record_every=stride).trajectory
 
-    times = ta.t
-    d = np.sqrt(
-        (ta.x1 - tb.x1) ** 2
-        + (ta.x2 - tb.x2) ** 2
-        + (ta.v1 - tb.v1) ** 2
-        + (ta.v2 - tb.v2) ** 2
-    )
+    times = np.asarray(ta.t)
+    d = np.sqrt(sum((np.asarray(getattr(ta, name)) - np.asarray(getattr(tb, name))) ** 2
+                    for name in ("x1", "x2", "v1", "v2")))
 
     def first_above(threshold: float) -> Optional[int]:
         idx = np.nonzero(d > threshold)[0]
@@ -309,6 +309,5 @@ def sensitivity(
         lambda_=lam,
         window=window,
         t_first_unit=t_first_unit,
-        scale=DIVERGENCE_SCALE,
         sample_interval=sample_interval,
     )

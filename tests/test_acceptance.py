@@ -251,7 +251,7 @@ class TestCriterion5:
                 record_every=stride,
             )
             traj = run.trajectory
-            turns = np.nonzero(traj.V * cm.V < 0.0)[0]
+            turns = np.nonzero(np.asarray(traj.V) * cm.V < 0.0)[0]
             captured = turns.size > 0
             ok = ok and captured
             if captured:

@@ -630,9 +630,10 @@ class TestModuleEntryPoint:
         assert lines == []
 
 
-# Runs in a fresh interpreter: a sweep on one and two workers and a zoom,
-# whose CSVs go to argv[2]-*.csv, then --version; prints whether numpy was
-# loaded.  With argv[1] == "numpy-first" it imports numpy before anything.
+# Runs in a fresh interpreter: a sweep on one and two workers, a zoom, and a
+# simulate under each scheme, whose CSVs go to argv[2]-*.csv, then --version;
+# prints whether numpy was loaded.  With argv[1] == "numpy-first" it imports
+# numpy before anything.
 NUMPY_FREE_RUNS = """
 import contextlib, io, sys
 if sys.argv[1] == "numpy-first":
@@ -644,6 +645,10 @@ prefix = sys.argv[2]
 for workers in ("1", "2"):
     assert main(["sweep", *grid, "--workers", workers, "--out", f"{prefix}-w{workers}.csv"]) == 0
 assert main(["zoom", *grid, "--factor", "2", "--depth", "1", "--out", f"{prefix}-zoom.csv"]) == 0
+assert main(["simulate", "--v0", "0.3", "--record-every", "1",
+             "--out", f"{prefix}-verlet.csv"]) == 0
+assert main(["simulate", "--scheme", "RK4", "--v0", "0.3", "--record-every", "3",
+             "--out", f"{prefix}-rk4.csv"]) == 0
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         main(["--version"])
@@ -655,8 +660,8 @@ print("numpy" in sys.modules)
 
 class TestNumpyFree:
     def test_sweep_zoom_and_version_never_load_numpy(self, tmp_path):
-        """The same runs write the same bytes whether or not numpy was
-        imported first."""
+        """Nor does simulate.  The same runs write the same bytes whether or
+        not numpy was imported first."""
         loaded = {}
         for mode in ("numpy-free", "numpy-first"):
             proc = subprocess.run(
@@ -665,7 +670,7 @@ class TestNumpyFree:
             assert proc.returncode == 0, proc.stderr
             loaded[mode] = proc.stdout.strip()
         assert loaded == {"numpy-free": "False", "numpy-first": "True"}
-        for name in ("w1", "w2", "zoom"):
+        for name in ("w1", "w2", "zoom", "verlet", "rk4"):
             free = (tmp_path / f"numpy-free-{name}.csv").read_bytes()
             assert free == (tmp_path / f"numpy-first-{name}.csv").read_bytes(), name
         assert (tmp_path / "numpy-free-w1.csv").read_bytes() == \

@@ -296,10 +296,46 @@ class TestRecording:
         p = ModelParams()
         r = integrate(_launch(0.2), p, IntegratorConfig(), 2.0, record_every=100)
         traj = r.trajectory
-        assert np.array_equal(traj.R, 0.5 * (traj.x1 + traj.x2))
-        assert np.array_equal(traj.r, 0.5 * (traj.x2 - traj.x1))
-        assert np.array_equal(traj.V, 0.5 * (traj.v1 + traj.v2))
-        assert np.array_equal(traj.w, 0.5 * (traj.v2 - traj.v1))
+        x1, v1, x2, v2 = (np.asarray(c) for c in (traj.x1, traj.v1, traj.x2, traj.v2))
+        assert np.array_equal(np.asarray(traj.R), 0.5 * (x1 + x2))
+        assert np.array_equal(np.asarray(traj.r), 0.5 * (x2 - x1))
+        assert np.array_equal(np.asarray(traj.V), 0.5 * (v1 + v2))
+        assert np.array_equal(np.asarray(traj.w), 0.5 * (v2 - v1))
+
+    def test_columns_are_read_only_float64_buffers(self):
+        """Arithmetic on a column raises instead of concatenating, and no
+        column can be written."""
+        traj = integrate(_launch(0.2), ModelParams(), IntegratorConfig(), 0.05,
+                         record_every=7).trajectory
+        for name in ("t", "x1", "v1", "x2", "v2", "R", "V", "r", "w"):
+            column = getattr(traj, name)
+            assert column.readonly and column.format == "d" and len(column) == len(traj), name
+            with pytest.raises(TypeError):
+                column[0] = 1.0
+        with pytest.raises(TypeError):
+            traj.x1 + traj.x2
+        with pytest.raises(TypeError):
+            traj.x1 * 2
+
+    @pytest.mark.parametrize("stride, steps", [(1, 50), (7, 70), (7, 75), (100, 1000),
+                                               (100, 1050)])
+    def test_columns_equal_the_concatenated_recording(self, stride, steps):
+        """np.asarray of each column has the bytes of the initial state, the
+        runner's recording into numpy buffers and, when the last step was off
+        the stride, the final state, concatenated."""
+        p, cfg, s = ModelParams(), IntegratorConfig(), _launch(0.3)
+        r = integrate(s, p, cfg, steps * cfg.dt, record_every=stride)
+        assert r.steps == steps
+        rec = [np.zeros(steps // stride + 1) for _ in range(5)]
+        *_, nrec = _kernels._run_verlet(
+            s.x1, s.v1, s.x2, s.v2, s.t, cfg.dt, steps, p.k, p.alpha, p.n, p.A, p.beta,
+            DEFAULT_COINCIDENCE_FLOOR, -1.0, total_energy(s, p), stride, *rec)
+        tail = [r.final] if steps % stride else []
+        for name, recorded in zip(("t", "x1", "v1", "x2", "v2"), rec):
+            expected = np.concatenate(
+                ([getattr(s, name)], recorded[:nrec], [getattr(f, name) for f in tail]))
+            column = np.asarray(getattr(r.trajectory, name))
+            assert column.dtype == np.float64 and column.tobytes() == expected.tobytes(), name
 
     @pytest.mark.parametrize("bad", [0, -3, 2.0, 2**63, 2**64 + 1])
     def test_record_every_must_be_a_positive_integer(self, bad):
@@ -335,7 +371,8 @@ class TestEnergyDriftInvariant:
         e0 = total_energy(s, p)
         net = abs(total_energy(r.final, p) - e0) / abs(e0)
         traj = r.trajectory
-        h = modified_energy(traj.x1, traj.v1, traj.x2, traj.v2, p, cfg.dt)
+        h = modified_energy(*(np.asarray(c) for c in (traj.x1, traj.v1, traj.x2, traj.v2)),
+                            p, cfg.dt)
         peak_h = float(np.max(np.abs(h - h[0]))) / abs(e0)
         assert net < 1e-6, f"net relative change in E {net:.3e}"
         assert peak_h < 1e-6, f"peak relative deviation of H~ {peak_h:.3e}"

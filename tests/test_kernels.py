@@ -1,11 +1,12 @@
 """The C kernels against their Python reference, bit for bit.
 
-`_kernels._run_verlet`, `_run_rk4`, `energy_column` and `format_rows` call
-the C copy in `_kernels.c` whenever gcc can build it; `py_func` is the
-Python function it mirrors.  Every runner comparison is of the whole return
-tuple, floats as hex, and of the bytes of the five recording buffers, which
-both sides receive filled with the same sentinel so that a write past nrec
-shows too.  The E column is compared as bytes, and the CSV text with repr.
+`_kernels._run_verlet`, `_run_rk4`, `energy_column`, `cm_columns` and
+`format_rows` call the C copy in `_kernels.c` whenever gcc can build it;
+`py_func` is the Python function it mirrors.  Every runner comparison is of
+the whole return tuple, floats as hex, and of the bytes of the five
+recording buffers, which both sides receive filled with the same sentinel so
+that a write past nrec shows too.  The E and center-of-mass columns are
+compared as bytes, and the CSV text with repr.
 """
 
 import ctypes
@@ -287,8 +288,8 @@ def test_format_rows_writes_nothing_past_its_capacity(c_backend):
     size = len(text) + 16
     for cap in (0, 1, 24, 25, len(text) - 1, len(text)):
         buf = ctypes.create_string_buffer(b"#" * size, size)
-        written = _kernels._LIB.format_rows(pointers, 2, 0, 2, inverse.ctypes.data,
-                                           power.ctypes.data, buf, cap)
+        written = _kernels._LIB.format_rows(pointers, 2, 0, 2, np.asarray(inverse).ctypes.data,
+                                           np.asarray(power).ctypes.data, buf, cap)
         if cap < len(text):
             assert written == -1, cap
         else:
@@ -322,8 +323,51 @@ def test_energy_column_matches_the_reference_bit_for_bit(c_backend):
         with np.errstate(divide="ignore"):
             expected = _kernels.energy_column.py_func(*states, k, alpha, n, A, beta)
         got = _kernels.energy_column(*states, k, alpha, n, A, beta)
-        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes(), (trial, n)
-    assert _kernels.energy_column(*[np.empty(0)] * 4, 1.0, 1.0, 2, 2.0, 1.0).shape == (0,)
+        assert np.asarray(got).dtype == np.float64 and got.tobytes() == expected.tobytes(), \
+            (trial, n)
+    assert np.asarray(_kernels.energy_column(*[np.empty(0)] * 4, 1.0, 1.0, 2, 2.0, 1.0)).shape \
+        == (0,)
+
+
+# Signed zeros, infinities, a nan, the smallest subnormal and a sum that
+# overflows, in every pairing with each other.
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5, 1e308]
+
+
+def test_cm_columns_match_the_reference_bit_for_bit(c_backend):
+    """Random states, strided inputs, every pairing of the special values,
+    and no states at all."""
+    rng = np.random.default_rng(11)
+    pairs = np.array([(a, b) for a in SPECIALS for b in SPECIALS]).T
+    for trial in range(6):
+        x1, v1, x2, v2 = rng.standard_normal((4, 1000)) * 10.0 ** rng.integers(-5, 5, (4, 1))
+        states = [np.concatenate((c, special)) for c, special in
+                  zip((x1, v1, x2, v2), (pairs[0], pairs[1], pairs[1], pairs[0]))]
+        if trial % 2:
+            states = [c[::3] for c in states]
+        got = _kernels.cm_columns(*states)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = _kernels.cm_columns.py_func(*states)
+        assert len(got) == len(expected) == 4
+        for a, b in zip(got, expected):
+            assert a.readonly and a.format == "d" and len(a) == len(states[0])
+            assert a.tobytes() == b.tobytes(), trial
+    for fn in (_kernels.cm_columns, _kernels.cm_columns.py_func):
+        assert [len(c) for c in fn(*[np.empty(0)] * 4)] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros(4, dtype=np.float32),
+    np.zeros(3),
+    [0.0] * 4,
+], ids=["float32", "short", "list"])
+@pytest.mark.parametrize("call", [
+    lambda *states: _kernels.energy_column(*states, 1.0, 1.0, 2, 2.0, 1.0),
+    lambda *states: _kernels.cm_columns(*states),
+], ids=["energy_column", "cm_columns"])
+def test_a_state_column_c_cannot_read_is_rejected(c_backend, call, bad):
+    with pytest.raises(ValueError):
+        call(np.ones(4), np.ones(4), bad, np.ones(4))
 
 
 def test_a_failed_build_loads_nothing(tmp_path, capsys):
