@@ -30,8 +30,7 @@ Each formula has one home:
 
   force   _accel.  dynamics.accelerations is the floor check plus _accel.
   step    _run_verlet and _run_rk4, which take the same 21 arguments and
-          return the same 8-tuple as their C wrappers.  integrator.step is a
-          one-step integrate.
+          return the same 8-tuple as their C wrappers.
   energy  pair_energy, used by dynamics.total_energy, by energy_column (the
           E column of `kinktrap simulate`) and by the tail.  In C it is the
           static pair_energy, which after_step and energy_column call; parity

@@ -5,6 +5,7 @@ short-range power-law repulsion, and both feel a finite attractive Gaussian
 well centered at the origin.  Sign convention: the external potential energy
 is U_ext(x) = -A exp(-beta x^2), so A > 0 means attractive and the external
 force is F(x) = -2 A beta x exp(-beta x^2), pointing toward the origin.
+Both are written once, in _kernels._accel and _kernels.pair_energy.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ __all__ = [
     "CMState",
     "CoincidentParticles",
     "equilibrium_separation",
-    "external_force",
-    "external_potential",
     "accelerations",
     "total_energy",
     "to_cm",
@@ -125,33 +124,20 @@ def equilibrium_separation(params: ModelParams) -> float:
     return (params.n * params.alpha / params.k) ** (1.0 / (params.n + 2))
 
 
-def external_potential(x: float, params: ModelParams) -> float:
-    """Potential energy of one particle in the well: -A exp(-beta x^2)."""
-    return -params.A * math.exp(-params.beta * x * x)
-
-
-def external_force(x: float, params: ModelParams) -> float:
-    """Force from the well on a particle at x: -2 A beta x exp(-beta x^2)."""
-    return (-2.0 * params.A * params.beta) * x * math.exp(-params.beta * x * x)
-
-
 def _check_separation(x1: float, x2: float, floor: float) -> None:
     if abs(x1 - x2) < floor:
         raise CoincidentParticles(x1, x2, floor)
 
 
-def accelerations(
-    state: State,
-    params: ModelParams,
-    coincidence_floor: float = DEFAULT_COINCIDENCE_FLOOR,
-) -> tuple[float, float]:
+def accelerations(state: State, params: ModelParams) -> tuple[float, float]:
     """Accelerations (a1, a2) for unit masses.
 
     a1 = -k (x1 - x2) + n alpha (x1 - x2)/|x1 - x2|^(n+2) + F(x1), and a2 is
     the mirror image.  The internal part is computed once and negated so the
-    action-reaction pair cancels exactly in floating point.
+    action-reaction pair cancels exactly in floating point.  A separation
+    below DEFAULT_COINCIDENCE_FLOOR raises CoincidentParticles.
     """
-    _check_separation(state.x1, state.x2, coincidence_floor)
+    _check_separation(state.x1, state.x2, DEFAULT_COINCIDENCE_FLOOR)
     a1, a2, _, _ = _kernels._accel(
         state.x1, state.x2, params.k, params.alpha, params.n, params.A, params.beta
     )

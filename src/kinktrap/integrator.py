@@ -11,7 +11,7 @@ update code.  Both run at fixed dt so results are bitwise reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Optional
@@ -34,7 +34,6 @@ __all__ = [
     "NonFiniteState",
     "Trajectory",
     "IntegrationResult",
-    "step",
     "integrate",
 ]
 
@@ -161,17 +160,6 @@ def sample_stride(interval: float, dt: float) -> int:
     """The record_every that samples about every interval time units: the
     step count nearest interval / dt, at least 1."""
     return max(1, int(round(_steps_in(interval, dt))))
-
-
-def step(state: State, params: ModelParams, cfg: IntegratorConfig) -> State:
-    """Advance one fixed step of cfg.dt under cfg.scheme: a one-step integrate.
-
-    The step runs from t = 0 and the result carries state.t + cfg.dt, because
-    at a large state.t the rounding of t + dt can make a horizon of t + dt
-    ask for two steps.
-    """
-    result = integrate(replace(state, t=0.0), params, cfg, cfg.dt)
-    return replace(result.final, t=state.t + cfg.dt)
 
 
 def integrate(

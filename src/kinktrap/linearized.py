@@ -16,7 +16,6 @@ both readings.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -28,19 +27,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "LinearizedParams",
-    "WellAbsent",
     "InsufficientOscillations",
     "linearized_frequencies",
-    "delta_offset",
-    "closed_form_trajectory",
     "dominant_frequency",
     "measured_frequency",
     "in_well_equilibrium_separation",
 ]
-
-
-class WellAbsent(UserWarning):
-    """Flagged when A = 0 makes an in-well quantity undefined; callers get 0."""
 
 
 class InsufficientOscillations(RuntimeError):
@@ -70,7 +62,10 @@ def _well_curvature(params: ModelParams, r_eq: float) -> float:
 
 def linearized_frequencies(params: ModelParams, r_eq: Optional[float] = None) -> LinearizedParams:
     """Closed-form frequencies omega_R = sqrt(2 A beta e^(-beta r_eq^2)) and
-    omega_eps = sqrt(2k + 2 A beta e^(-beta r_eq^2)).
+    omega_eps = sqrt(2k + 2 A beta e^(-beta r_eq^2)), and the static shift of
+    the stretch center inside the well, delta = -r_eq / (1 + (k/(A beta))
+    e^(beta r_eq^2)): negative for an attractive well (the pair shrinks),
+    and 0.0 for A = 0, where no well shifts it.
 
     omega_eps is the stretch frequency of a harmonic bond of stiffness k and
     rest half-length r_eq in the well; it omits the repulsion curvature, so
@@ -86,55 +81,9 @@ def linearized_frequencies(params: ModelParams, r_eq: Optional[float] = None) ->
     if params.A == 0.0:
         delta = 0.0
     else:
-        delta = _offset(params, r_eq)
+        delta = -r_eq / (1.0 + (params.k / (params.A * params.beta))
+                         * math.exp(params.beta * r_eq * r_eq))
     return LinearizedParams(omega_R=omega_r, omega_eps=omega_eps, delta=delta, r_eq=r_eq)
-
-
-def _offset(params: ModelParams, r_eq: float) -> float:
-    return -r_eq / (1.0 + (params.k / (params.A * params.beta)) * math.exp(params.beta * r_eq * r_eq))
-
-
-def delta_offset(params: ModelParams, r_eq: Optional[float] = None) -> float:
-    """Static shift of the stretch equilibrium inside the well:
-    -r_eq / (1 + (k/(A beta)) e^(beta r_eq^2)).
-
-    Negative for an attractive well (the pair shrinks).  With A = 0 the well
-    is absent and the offset is undefined; returns 0.0 and warns WellAbsent.
-    """
-    if r_eq is None:
-        r_eq = equilibrium_separation(params)
-    if params.A == 0.0:
-        warnings.warn("A = 0: no well, stretch offset undefined; returning 0.0", WellAbsent, stacklevel=2)
-        return 0.0
-    return _offset(params, r_eq)
-
-
-def closed_form_trajectory(lp: LinearizedParams, initial: CMState, t: float) -> CMState:
-    """Evaluate the linearized motion at time t from the given initial condition.
-
-    R oscillates at omega_R about 0; the relative coordinate oscillates at
-    omega_eps about lp.r_eq + lp.delta.  With omega_R = 0 (no well) the CM
-    drifts freely.  The initial condition is taken at initial.t.
-    """
-    tau = t - initial.t
-    w_r, w_e = lp.omega_R, lp.omega_eps
-    if w_r > 0.0:
-        c, s = math.cos(w_r * tau), math.sin(w_r * tau)
-        R = initial.R * c + (initial.V / w_r) * s
-        V = -initial.R * w_r * s + initial.V * c
-    else:
-        R = initial.R + initial.V * tau
-        V = initial.V
-    center = lp.r_eq + lp.delta
-    eps0 = initial.r - center
-    if w_e > 0.0:
-        c, s = math.cos(w_e * tau), math.sin(w_e * tau)
-        eps = eps0 * c + (initial.w / w_e) * s
-        w = -eps0 * w_e * s + initial.w * c
-    else:
-        eps = eps0 + initial.w * tau
-        w = initial.w
-    return CMState(t=t, R=R, V=V, r=center + eps, w=w)
 
 
 def dominant_frequency(ts: np.ndarray, xs: np.ndarray) -> float:
@@ -160,10 +109,12 @@ def dominant_frequency(ts: np.ndarray, xs: np.ndarray) -> float:
         raise InsufficientOscillations(0)
     band = 0.05 * amp
 
+    # the same doubles as Python floats, which index without numpy scalars
+    ts, d = ts.tolist(), d.tolist()
     crossings: list[float] = []
     armed = 0  # sign of the band last left
     last_zero_t = None
-    for i in range(1, d.size):
+    for i in range(1, len(d)):
         a, b = d[i - 1], d[i]
         if (a > 0.0 and b <= 0.0) or (a >= 0.0 and b < 0.0) or (a < 0.0 and b >= 0.0) or (a <= 0.0 and b > 0.0):
             if b != a:

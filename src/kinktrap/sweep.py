@@ -237,7 +237,11 @@ class DivergenceReport:
     window: Optional[tuple[float, float]]
     t_first_unit: Optional[float]
     sample_interval: float
-    metric: str = "euclidean(x1, x2, v1, v2)"
+
+    @property
+    def metric(self) -> str:
+        """The distance d(t) measures, as the sensitivity CSV names it."""
+        return "euclidean(x1, x2, v1, v2)"
 
     @property
     def degenerate(self) -> bool:

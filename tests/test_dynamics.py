@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,8 +14,6 @@ from kinktrap.dynamics import (
     State,
     accelerations,
     equilibrium_separation,
-    external_force,
-    external_potential,
     from_cm,
     to_cm,
     total_energy,
@@ -109,25 +108,55 @@ class TestEquilibriumSeparation:
                                              rel=1e-12)
 
 
+def _partner(x, p):
+    """Where particle 2 sits when particle 1 is at x: the bond's rest length
+    away, on the side away from the origin, so the pair at -x is the mirror
+    image of the pair at x and the internal force is at the rounding level."""
+    return x + math.copysign(equilibrium_separation(p), x)
+
+
+def _well_force(x1, x2, p):
+    """The kernels' well force on particle 1: its acceleration in the well
+    minus its acceleration with A = 0, which cancels the internal terms."""
+    s = State(0.0, x1, 0.0, x2, 0.0)
+    return accelerations(s, p)[0] - accelerations(s, replace(p, A=0.0))[0]
+
+
+def _well_energy(x1, x2, p):
+    """The kernels' well energy of the pair: total_energy in the well minus
+    total_energy with A = 0."""
+    s = State(0.0, x1, 0.0, x2, 0.0)
+    return total_energy(s, p) - total_energy(s, replace(p, A=0.0))
+
+
 class TestExternalForce:
+    """The well's force, -2 A beta x exp(-beta x^2), as accelerations
+    computes it (its one formula, _kernels._accel)."""
+
     def test_vanishes_at_origin(self):
-        assert external_force(0.0, ModelParams()) == 0.0
+        p = ModelParams()
+        assert _well_force(0.0, _partner(0.0, p), p) == 0.0
 
     def test_unit_displacement_reference_value(self):
-        got = external_force(1.0, ModelParams(A=2.0, beta=1.0))
+        p = ModelParams(A=2.0, beta=1.0)
+        got = _well_force(1.0, _partner(1.0, p), p)
         assert got == pytest.approx(-4.0 * math.exp(-1.0), rel=1e-15)
 
     def test_decays_far_from_the_well(self):
-        assert abs(external_force(50.0, ModelParams())) < 1e-100
+        p = ModelParams()
+        assert abs(_well_force(50.0, _partner(50.0, p), p)) < 1e-100
 
     def test_is_minus_gradient_of_potential(self):
+        """Against the well energy of _kernels.pair_energy, the partner held
+        still while particle 1 moves."""
         rng = random.Random(11)
         h = 1e-6
         for _ in range(100):
             p = _random_params(rng)
             x = rng.uniform(-2.5, 2.5)
-            fd = -(external_potential(x + h, p) - external_potential(x - h, p)) / (2 * h)
-            f = external_force(x, p)
+            x2 = _partner(x, p)
+            fd = -(_well_energy(x + h, x2, p) - _well_energy(x - h, x2, p)) / (2 * h)
+            f = _well_force(x, x2, p)
             assert abs(f - fd) <= 1e-6 * max(1.0, abs(f))
 
     def test_odd_under_reflection_exactly(self):
@@ -135,7 +164,7 @@ class TestExternalForce:
         for _ in range(100):
             p = _random_params(rng)
             x = rng.uniform(-4.0, 4.0)
-            assert external_force(-x, p) == -external_force(x, p)
+            assert _well_force(-x, _partner(-x, p), p) == -_well_force(x, _partner(x, p), p)
 
 
 class TestAccelerations:
@@ -151,7 +180,9 @@ class TestAccelerations:
         r0 = equilibrium_separation(p)
         s = State(0.0, -10.0 - r0 / 2, 0.0, -10.0 + r0 / 2, 0.0)
         a1, a2 = accelerations(s, p)
-        df = external_force(s.x1, p) - external_force(s.x2, p)
+        # the well force -2 A beta x exp(-beta x^2) on each particle
+        df = (-2.0 * p.A * p.beta) * (s.x1 * math.exp(-p.beta * s.x1 * s.x1)
+                                      - s.x2 * math.exp(-p.beta * s.x2 * s.x2))
         assert a1 - a2 == pytest.approx(df, abs=1e-14)
 
     def test_matches_finite_difference_gradient(self):
@@ -285,9 +316,12 @@ class TestCoincidenceGuard:
             total_energy(s, p)
 
     def test_floor_is_configurable(self):
+        """accelerations always checks DEFAULT_COINCIDENCE_FLOOR; total_energy
+        takes the floor as an argument."""
         p = ModelParams()
         s = State(0.0, 0.0, 0.0, 1e-13, 0.0)
         with pytest.raises(CoincidentParticles):
             accelerations(s, p)  # default floor 1e-12
-        a1, a2 = accelerations(s, p, coincidence_floor=1e-16)
-        assert math.isfinite(a1) and math.isfinite(a2)
+        with pytest.raises(CoincidentParticles):
+            total_energy(s, p)
+        assert math.isfinite(total_energy(s, p, 1e-16))

@@ -1,4 +1,4 @@
-"""Small-oscillation model: closed forms, trajectory evaluation, frequency extraction.
+"""Small-oscillation model: closed forms and frequency extraction.
 
 Oracle values are written out as independent expressions rather than read back
 from the module, so a regression in the formulas cannot hide behind itself.
@@ -15,12 +15,8 @@ from kinktrap import (
     InsufficientOscillations,
     IntegratorConfig,
     ModelParams,
-    WellAbsent,
-    closed_form_trajectory,
-    delta_offset,
     dominant_frequency,
     equilibrium_separation,
-    external_force,
     in_well_equilibrium_separation,
     linearized_frequencies,
     measured_frequency,
@@ -72,71 +68,21 @@ class TestClosedForms:
         assert lp.omega_eps == math.sqrt(2.0 * p.k)
         assert lp.delta == 0.0
 
-    def test_offset_warns_and_returns_zero_without_a_well(self):
-        with pytest.warns(WellAbsent):
-            d = delta_offset(ModelParams(A=0.0))
-        assert d == 0.0
-
-    def test_offset_agrees_between_entry_points(self):
-        p = ModelParams()
-        assert delta_offset(p) == linearized_frequencies(p).delta
-
     def test_offset_sign_and_limits(self):
         rng = random.Random(13)
         for _ in range(100):
             p = _random_attractive(rng)
-            d = delta_offset(p)
+            d = linearized_frequencies(p).delta
             assert d < 0.0  # attractive well always shrinks the pair
             assert abs(d) < equilibrium_separation(p)
         p = ModelParams()
         r_eq = equilibrium_separation(p)
         # stiffer spring resists the shrink; deeper well wins it back
-        assert abs(delta_offset(ModelParams(k=10.0))) < abs(delta_offset(p))
-        assert delta_offset(ModelParams(A=1e8)) == pytest.approx(-r_eq, rel=1e-6)
+        def delta(params):
+            return linearized_frequencies(params).delta
 
-
-class TestClosedFormTrajectory:
-    def test_initial_time_reproduces_initial_condition(self):
-        lp = linearized_frequencies(ModelParams())
-        c0 = CMState(t=2.5, R=0.3, V=-0.1, r=0.7, w=0.2)
-        c = closed_form_trajectory(lp, c0, 2.5)
-        assert (c.R, c.V, c.w) == (c0.R, c0.V, c0.w)
-        assert c.r == pytest.approx(c0.r, rel=1e-14)
-        assert c.t == 2.5
-
-    def test_cm_is_periodic_at_its_own_period(self):
-        lp = linearized_frequencies(ModelParams())
-        c0 = CMState(t=0.0, R=0.4, V=0.05, r=0.8, w=0.0)
-        c = closed_form_trajectory(lp, c0, 2.0 * math.pi / lp.omega_R)
-        assert c.R == pytest.approx(c0.R, abs=1e-9)
-        assert c.V == pytest.approx(c0.V, abs=1e-9)
-
-    def test_stretch_center_is_a_fixed_point(self):
-        lp = linearized_frequencies(ModelParams())
-        center = lp.r_eq + lp.delta
-        c0 = CMState(t=0.0, R=0.0, V=0.0, r=center, w=0.0)
-        for t in (0.1, 1.0, 7.3, 42.0):
-            c = closed_form_trajectory(lp, c0, t)
-            assert c.r == center
-            assert c.w == 0.0
-
-    def test_both_oscillators_conserve_their_quadratic_invariants(self):
-        lp = linearized_frequencies(ModelParams())
-        c0 = CMState(t=0.0, R=0.3, V=-0.2, r=1.0, w=0.15)
-        center = lp.r_eq + lp.delta
-        cm0 = lp.omega_R ** 2 * c0.R ** 2 + c0.V ** 2
-        st0 = lp.omega_eps ** 2 * (c0.r - center) ** 2 + c0.w ** 2
-        for t in np.linspace(0.0, 20.0, 101):
-            c = closed_form_trajectory(lp, c0, float(t))
-            assert lp.omega_R ** 2 * c.R ** 2 + c.V ** 2 == pytest.approx(cm0, rel=1e-10)
-            assert lp.omega_eps ** 2 * (c.r - center) ** 2 + c.w ** 2 == pytest.approx(st0, rel=1e-10)
-
-    def test_cm_drifts_freely_when_the_well_is_absent(self):
-        lp = linearized_frequencies(ModelParams(A=0.0))
-        c0 = CMState(t=1.0, R=-3.0, V=0.25, r=0.6, w=0.0)
-        c = closed_form_trajectory(lp, c0, 9.0)
-        assert c.R == pytest.approx(-3.0 + 0.25 * 8.0, rel=1e-14)
-        assert c.V == 0.25
+        assert abs(delta(ModelParams(k=10.0))) < abs(delta(p))
+        assert delta(ModelParams(A=1e8)) == pytest.approx(-r_eq, rel=1e-6)
 
 
 class TestDominantFrequency:
@@ -241,12 +187,16 @@ class TestStretchFrequencyInvariant:
         p = ModelParams(A=50.0, beta=0.01)
         r0 = equilibrium_separation(p)
         dt = 1e-3
+
+        def well(x):
+            return -2.0 * p.A * p.beta * x * math.exp(-p.beta * x * x)
+
         for r_eq in (r0, r0 / 2.0):
             rest = 2.0 * r_eq
 
             def bond_and_well(x1, x2):
                 pull = p.k * ((x2 - x1) - rest)
-                return pull + external_force(x1, p), -pull + external_force(x2, p)
+                return pull + well(x1), -pull + well(x2)
 
             lp = linearized_frequencies(p, r_eq=r_eq)
             r = lp.r_eq + lp.delta + 0.01

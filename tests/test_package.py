@@ -1,7 +1,9 @@
 """The package namespace: what `import kinktrap` exports."""
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import kinktrap
 
@@ -13,7 +15,7 @@ def test_all_is_the_version_and_each_submodules_names_in_order():
     for name in SUBMODULES:
         expected += sorted(importlib.import_module(f"kinktrap.{name}").__all__)
     assert kinktrap.__all__ == expected
-    assert len(expected) == 43 and len(set(expected)) == 43
+    assert len(expected) == 37 and len(set(expected)) == 37
     assert expected[:3] == ["__version__", "CMState", "CoincidentParticles"]
     assert expected[-3:] == ["sensitivity", "sweep", "zoom"]
 
@@ -29,3 +31,40 @@ def test_every_exported_name_resolves_to_its_submodules_object():
 def test_sweep_is_the_function_not_the_submodule():
     assert isinstance(kinktrap.sweep, types.FunctionType)
     assert kinktrap.sweep is importlib.import_module("kinktrap.sweep").sweep
+
+
+def _module_level_imports(tree):
+    """(bound name, line) for each import in the module's body, looking into
+    if/try/with blocks but not into functions or classes."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+        elif isinstance(node, (ast.If, ast.Try, ast.With)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                stack.extend(getattr(node, field, []))
+        elif isinstance(node, ast.ExceptHandler):
+            stack.extend(node.body)
+
+
+def test_no_module_level_import_is_unused():
+    """Every name a module imports at module level is read somewhere in it;
+    a string in __all__ counts as a read."""
+    unused = []
+    for path in sorted(Path(kinktrap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used.update(elt.value for elt in ast.walk(node.value)
+                            if isinstance(elt, ast.Constant) and isinstance(elt.value, str))
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in _module_level_imports(tree) if name not in used]
+    assert unused == []
