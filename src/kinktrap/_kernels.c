@@ -1,7 +1,6 @@
 /* The Python reference of _kernels.py, operation for operation: the Verlet
- * and RK4 runners, energy_column (the E column of `kinktrap simulate`),
- * cm_columns (the center-of-mass columns of a trajectory) and format_rows
- * (the CSV rows of float64 columns).
+ * and RK4 runners, derived_columns (the R, V, r, w and E columns of a
+ * trajectory) and format_rows (the CSV rows of float64 columns).
  *
  * Every expression keeps the order of its Python counterpart, and the
  * library is built with -O2 -ffp-contract=off (no fused multiply-add, no
@@ -20,6 +19,9 @@
  * format_rows writes each float as the bytes of Python's repr: the shortest
  * digits that read back to the same double, found with Ryu (U. Adams, "Ryu:
  * fast float-to-string conversion", PLDI 2018), laid out as repr lays them out.
+ *
+ * The four functions without static are the library's whole interface:
+ * _kernels.py binds each of them, and nothing else.
  */
 
 #include <math.h>
@@ -213,29 +215,22 @@ SIGNATURE(run_rk4)
     RETURN(status, steps, x1, v1, x2, v2);
 }
 
-/* energy_column: pair_energy at each of len recorded states, into out. */
-void energy_column(const double *x1, const double *v1, const double *x2, const double *v2,
-                   int64_t len, double k, double alpha, int64_t n, double A, double beta,
-                   double *out)
+/* derived_columns: at each of len recorded states, cm_coordinates (R, V, r,
+ * w) and pair_energy (E), whose Gaussian factors come from exp as in the
+ * runners, into the five output columns. */
+void derived_columns(const double *x1, const double *v1, const double *x2, const double *v2,
+                     int64_t len, double k, double alpha, int64_t n, double A, double beta,
+                     double *R, double *V, double *r, double *w, double *E)
 {
     const Model m = {k, alpha, A, beta, n};
-    for (int64_t i = 0; i < len; i++) {
-        double g1 = exp(-beta * x1[i] * x1[i]);
-        double g2 = exp(-beta * x2[i] * x2[i]);
-        out[i] = pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2);
-    }
-}
-
-/* cm_columns: cm_coordinates (R, V, r, w) at each of len recorded states,
- * into the four output columns. */
-void cm_columns(const double *x1, const double *v1, const double *x2, const double *v2,
-                int64_t len, double *R, double *V, double *r, double *w)
-{
     for (int64_t i = 0; i < len; i++) {
         R[i] = 0.5 * (x1[i] + x2[i]);
         V[i] = 0.5 * (v1[i] + v2[i]);
         r[i] = 0.5 * (x2[i] - x1[i]);
         w[i] = 0.5 * (v2[i] - v1[i]);
+        double g1 = exp(-beta * x1[i] * x1[i]);
+        double g2 = exp(-beta * x2[i] * x2[i]);
+        E[i] = pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2);
     }
 }
 

@@ -2,11 +2,11 @@
 
 The Python functions below are the reference.  `_kernels.c` mirrors them
 operation for operation; it is built once with the system gcc and loaded
-through ctypes, and then `_run_verlet`, `_run_rk4`, `energy_column`,
-`cm_columns` and `format_rows` are thin wrappers around it that keep the
-Python function as `py_func`.  BACKEND names the implementation in use:
-"c" or "python".  The C functions are reentrant: their only statics are
-const tables, and every result goes to buffers the caller passes in.
+through ctypes, and then `_run_verlet`, `_run_rk4`, `derived_columns` and
+`format_rows` are thin wrappers around its four exported functions that
+keep the Python function as `py_func`.  BACKEND names the implementation
+in use: "c" or "python".  The C functions are reentrant: their only statics
+are const tables, and every result goes to buffers the caller passes in.
 ctypes releases the GIL for each call, so threads run them in parallel
 (sweep does).
 
@@ -31,14 +31,17 @@ Each formula has one home:
   force   _accel.  dynamics.accelerations is the floor check plus _accel.
   step    _run_verlet and _run_rk4, which take the same 21 arguments and
           return the same 8-tuple as their C wrappers.
-  energy  pair_energy, used by dynamics.total_energy, by energy_column (the
-          E column of `kinktrap simulate`) and by the tail.  In C it is the
-          static pair_energy, which after_step and energy_column call; parity
-          tests pin both to the Python energy bit for bit.
+  energy  pair_energy, used by dynamics.total_energy, by derived_columns and
+          by the tail.  In C it is the static pair_energy, which after_step
+          and derived_columns call; parity tests pin both to the Python
+          energy bit for bit.
   CM      cm_coordinates, the center-of-mass coordinates (R, V, r, w) of one
-          state, used by dynamics.to_cm and by cm_columns along a
-          trajectory.  In C it is the body of cm_columns's loop; a parity
-          test pins the two bit for bit.
+          state, used by dynamics.to_cm and by derived_columns.
+  columns derived_columns, what a trajectory derives from its recorded
+          states: cm_coordinates and pair_energy of each state, in one pass
+          (integrator.Trajectory's R, V, r, w and E).  In C its loop spells
+          out cm_coordinates; a parity test pins it to the Python loop bit
+          for bit.
   tail    _tail, the bookkeeping both runners do after a completed step:
           the drift peak, the recording test and the exit test.  after_step
           and done in _kernels.c mirror its two closures.
@@ -53,11 +56,11 @@ Each formula has one home:
 Buffers: every column C reads or writes is a 1-D float64 buffer, any object
 with the buffer protocol and memoryview format 'd': a numpy array, or a
 memoryview over an anonymous mmap (float_buffers; integrate records into
-five of them).  float64_views checks each one before C sees its address:
-the runners' five must be writable, aligned, C-contiguous and of one length;
-format_rows's columns aligned, C-contiguous and long enough.  The C
-energy_column and cm_columns copy a strided or misaligned state column
-first.  Both sides of those two return new buffers.  Nothing here imports
+five of them).  float64_views checks each one before C sees its address,
+and C gets nothing that is not aligned and C-contiguous: the runners' five
+must also be writable and of one length, derived_columns's four state
+columns of one length, and format_rows's columns long enough.  Both sides
+of derived_columns return new read-only buffers.  Nothing here imports
 numpy.
 
 Division: the runners take every force and energy at a separation >= floor,
@@ -116,7 +119,7 @@ def pair_energy(dx, v1, v2, g1, g2, k, alpha, n, A):
     p = 1.0
     for _ in range(n):
         p *= sep
-    # p is zero only at an exact contact, which energy_column's input may
+    # p is zero only at an exact contact, which derived_columns's input may
     # hold: Python raises there, and alpha * inf is C's alpha / +0.0
     repulsion = alpha / p if p else alpha * math.inf
     # the well terms are paired before the grand total so particle exchange
@@ -135,29 +138,23 @@ def float_buffers(count, rows):
     return [whole[i * rows:(i + 1) * rows] for i in range(count)]
 
 
-def energy_column(x1, v1, x2, v2, k, alpha, n, A, beta):
-    """pair_energy at each state of a recorded trajectory, as a float64
-    buffer.  The Gaussian factors come from math.exp, as in the runners."""
-    [out] = float_buffers(1, len(x1))
-    for i, (a, va, b, vb) in enumerate(zip(x1, v1, x2, v2, strict=True)):
-        out[i] = pair_energy(a - b, va, vb, math.exp(-beta * a * a), math.exp(-beta * b * b),
-                             k, alpha, n, A)
-    return out
-
-
 def cm_coordinates(x1, v1, x2, v2):
     """(R, V, r, w) of one state: the center of mass, its velocity, half the
     separation x2 - x1 and its rate."""
     return 0.5 * (x1 + x2), 0.5 * (v1 + v2), 0.5 * (x2 - x1), 0.5 * (v2 - v1)
 
 
-def cm_columns(x1, v1, x2, v2):
-    """cm_coordinates at each state of a recorded trajectory, as four
-    read-only float64 buffers (R, V, r, w)."""
-    R, V, r, w = float_buffers(4, len(x1))
-    for i, state in enumerate(zip(x1, v1, x2, v2, strict=True)):
-        R[i], V[i], r[i], w[i] = cm_coordinates(*state)
-    return R.toreadonly(), V.toreadonly(), r.toreadonly(), w.toreadonly()
+def derived_columns(x1, v1, x2, v2, k, alpha, n, A, beta):
+    """(R, V, r, w, E) at each state of a recorded trajectory, as five
+    read-only float64 buffers: cm_coordinates and pair_energy of the state,
+    whose Gaussian factors come from math.exp, as in the runners."""
+    out = float_buffers(5, len(x1))
+    R, V, r, w, E = out
+    for i, (a, va, b, vb) in enumerate(zip(x1, v1, x2, v2, strict=True)):
+        R[i], V[i], r[i], w[i] = cm_coordinates(a, va, b, vb)
+        E[i] = pair_energy(a - b, va, vb, math.exp(-beta * a * a), math.exp(-beta * b * b),
+                           k, alpha, n, A)
+    return tuple(column.toreadonly() for column in out)
 
 
 def format_rows(columns, start, stop):
@@ -379,27 +376,19 @@ def _address(contiguous) -> int:
     return view.buf or 0
 
 
-def float64_views(buffers, what, *, writable=False, copy=False) -> list:
+def float64_views(buffers, what, *, writable=False) -> list:
     """Each buffer as a 1-D float64 memoryview (format 'd') that C can use at
-    its _address: C-contiguous and aligned, and writable if asked.  With
-    copy, a strided or misaligned buffer is copied into memory that is;
-    otherwise, and for anything else, ValueError says what was wanted.  All
-    checked before C reads or writes them."""
-    def addressable(m):
-        return m.c_contiguous and _address(m) % 8 == 0
-
+    its _address: C-contiguous and aligned, and writable if asked; for
+    anything else ValueError says what was wanted.  All checked before C
+    reads or writes them."""
     views = []
     for b in buffers:
         try:
             m = memoryview(b)
         except TypeError:
             m = None
-        ok = m is not None and m.format == "d" and m.ndim == 1 and not (writable and m.readonly)
-        if ok and copy and not addressable(m):
-            [copied] = float_buffers(1, len(m))
-            copied[:] = m
-            m = copied
-        if not (ok and addressable(m)):
+        if not (m is not None and m.format == "d" and m.ndim == 1
+                and not (writable and m.readonly) and m.c_contiguous and _address(m) % 8 == 0):
             raise ValueError(f"{what} must be {'writable, ' if writable else ''}aligned, "
                              f"C-contiguous 1-D float64 buffers")
         views.append(m)
@@ -411,12 +400,6 @@ def _one_length(views, what) -> int:
     if any(n != lengths[0] for n in lengths):
         raise ValueError(f"{what} differ in length: {lengths}")
     return lengths[0]
-
-
-def _state_views(x1, v1, x2, v2):
-    """The state columns as views C can read, and their common length."""
-    views = float64_views((x1, v1, x2, v2), "states", copy=True)
-    return views, _one_length(views, "states")
 
 
 def _c_runner(fn):
@@ -441,32 +424,19 @@ def _c_runner(fn):
     return run
 
 
-def _c_energy_column(fn):
-    """A ctypes wrapper of fn with energy_column's arguments and return."""
-    fn.argtypes = [ctypes.c_void_p] * 4 + [_I, _D, _D, _I, _D, _D, ctypes.c_void_p]
+def _c_derived_columns(fn):
+    """A ctypes wrapper of fn with derived_columns's arguments and return."""
+    fn.argtypes = [ctypes.c_void_p] * 4 + [_I, _D, _D, _I, _D, _D] + [ctypes.c_void_p] * 5
     fn.restype = None
 
-    def energy_column(x1, v1, x2, v2, k, alpha, n, A, beta):
-        states, rows = _state_views(x1, v1, x2, v2)
-        [out] = float_buffers(1, rows)
-        fn(*map(_address, states), rows, k, alpha, n, A, beta, _address(out))
-        return out
-
-    return energy_column
-
-
-def _c_cm_columns(fn):
-    """A ctypes wrapper of fn with cm_columns's arguments and return."""
-    fn.argtypes = [ctypes.c_void_p] * 4 + [_I] + [ctypes.c_void_p] * 4
-    fn.restype = None
-
-    def cm_columns(x1, v1, x2, v2):
-        states, rows = _state_views(x1, v1, x2, v2)
-        out = float_buffers(4, rows)
-        fn(*map(_address, states), rows, *map(_address, out))
+    def derived_columns(x1, v1, x2, v2, k, alpha, n, A, beta):
+        states = float64_views((x1, v1, x2, v2), "states")
+        rows = _one_length(states, "states")
+        out = float_buffers(5, rows)
+        fn(*map(_address, states), rows, k, alpha, n, A, beta, *map(_address, out))
         return tuple(column.toreadonly() for column in out)
 
-    return cm_columns
+    return derived_columns
 
 
 # The longest repr of a float64 ("-2.2250738585072014e-308") is 24 bytes; a
@@ -533,6 +503,5 @@ else:
     BACKEND = "c"
     _run_verlet = _bind(_c_runner(_LIB.run_verlet), _run_verlet)
     _run_rk4 = _bind(_c_runner(_LIB.run_rk4), _run_rk4)
-    energy_column = _bind(_c_energy_column(_LIB.energy_column), energy_column)
-    cm_columns = _bind(_c_cm_columns(_LIB.cm_columns), cm_columns)
+    derived_columns = _bind(_c_derived_columns(_LIB.derived_columns), derived_columns)
     format_rows = _bind(_c_format_rows(_LIB.format_rows), format_rows)

@@ -15,10 +15,11 @@ config file that does the same.  The echo deliberately omits --workers and
 --out: neither affects the data; --center and --halfwidth appear as v_min and
 v_max.
 
-Exit codes: 0 success, 1 bad usage or configuration, 2 a run that failed for
-physical or numerical reasons (particle coincidence, step budget, no
-measurable oscillation), 141 the reader of the output closed its pipe
-(128 + SIGPIPE, as a shell reports a process killed by it).
+Exit codes: 0 success, 1 bad usage or configuration, or an --out that cannot
+be opened for writing, 2 a run that failed for physical or numerical reasons
+(particle coincidence, step budget, no measurable oscillation), 141 the
+reader of the output closed its pipe (128 + SIGPIPE, as a shell reports a
+process killed by it).
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ _WINDOW = {
 def load_config(path: str, command: Optional[str] = None) -> dict:
     """Parse a flat 'key = value' file.  Blank lines and #-comments are
     skipped; keys outside the published set are a hard error, not a warning,
-    so a typo cannot silently fall back to a default.  Given a subcommand,
-    a published key for which it has no flag is an error too, so a setting
-    cannot be silently dropped."""
+    so a typo cannot silently fall back to a default.  So is a key given
+    twice, so one of its values cannot be silently ignored.  Given a
+    subcommand, a published key for which it has no flag is an error too, so
+    a setting cannot be silently dropped."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -182,6 +184,8 @@ def load_config(path: str, command: Optional[str] = None) -> dict:
         raw = raw.strip()
         if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is given twice")
         if command is not None and key not in _flags_of(command):
             raise ConfigError(
                 f"{path}:{lineno}: config key {key!r} does not apply to {command}")
@@ -242,14 +246,10 @@ def _fmt(value) -> str:
         return "none"
     if isinstance(value, Enum):
         return str(value.value)
-    # no numpy value exists before numpy is loaded
-    np = sys.modules.get("numpy")
-    if isinstance(value, float) or np is not None and isinstance(value, np.floating):
+    if isinstance(value, float):
         return repr(float(value))
-    if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int) or np is not None and isinstance(value, np.integer):
-        return str(int(value))
     return str(value)
 
 
@@ -285,10 +285,10 @@ def _emit_csv(
     columns: tuple,
 ) -> None:
     """Write the metadata, the header and a body given as equal-length
-    columns (buffers, lists or tuples), one line per row.  A body of 1-D
-    float64 buffers only (trajectory columns, numpy arrays) is written by
-    _kernels.format_rows, any other body cell by cell through _fmt; both give
-    _fmt's text for every cell."""
+    columns (buffers, lists or tuples), one line per row.  A body of aligned,
+    C-contiguous 1-D float64 buffers only (trajectory columns, numpy arrays)
+    is written by _kernels.format_rows, any other body cell by cell through
+    _fmt; both give _fmt's text for every cell."""
     lines = [f"# kinktrap-version {__version__}"]
     lines.append(f"# command = {_echo_command(command, settings, echo_keys)}")
     for key in echo_keys:
@@ -298,7 +298,7 @@ def _emit_csv(
     lines.append(",".join(header))
     rows = len(columns[0])
     try:
-        columns = _kernels.float64_views(columns, "columns", copy=True)
+        columns = _kernels.float64_views(columns, "columns")
     except ValueError:
         floats = False
     else:
@@ -324,12 +324,9 @@ _SIM_KEYS = [*_MODEL, "v0", *_LAUNCH, *_INTEGRATOR, "record_every", "max_steps"]
 
 
 def _cmd_simulate(res: dict) -> int:
-    sc = _scenario(res)
-    params = sc.params
-    rec = run_scattering(sc, _integrator_config(res), record_every=res["record_every"])
+    rec = run_scattering(_scenario(res), _integrator_config(res),
+                         record_every=res["record_every"])
     traj = rec.trajectory
-    energy = _kernels.energy_column(traj.x1, traj.v1, traj.x2, traj.v2, params.k,
-                                    params.alpha, params.n, params.A, params.beta)
     meta = {
         "outcome": rec.outcome.value,
         "v_final": rec.v_final,
@@ -337,7 +334,7 @@ def _cmd_simulate(res: dict) -> int:
         "energy_drift": rec.energy_drift,
         "steps": rec.steps,
     }
-    columns = (traj.t, traj.x1, traj.x2, traj.v1, traj.v2, traj.R, traj.r, energy)
+    columns = (traj.t, traj.x1, traj.x2, traj.v1, traj.v2, traj.R, traj.r, traj.E)
     _emit_csv(res["out"], "simulate", res, _SIM_KEYS, meta,
               ["t", "x1", "x2", "v1", "v2", "R", "r", "E"], columns)
     return 0
@@ -523,12 +520,6 @@ def main(argv=None) -> int:
     try:
         res = _resolve(args)
         return args.func(res)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CoincidentParticles, StepBudgetExhausted, NonFiniteState) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader closed the pipe: send what is still buffered to devnull,
         # so the flush at interpreter exit cannot raise again
@@ -536,6 +527,14 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except (ConfigError, ValueError, OSError) as exc:
+        # OSError, of which BrokenPipeError above is a kind: an --out that
+        # cannot be opened for writing
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (CoincidentParticles, StepBudgetExhausted, NonFiniteState) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

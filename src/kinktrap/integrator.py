@@ -86,14 +86,16 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states: the initial point, every rec-stride-th step, and the
-    final point.
+    """Sampled states of a run under params: the initial point, every
+    rec-stride-th step, and the final point.
 
     Each column is a read-only float64 memoryview (format 'd') over the
     run's recording, so arithmetic on one raises TypeError instead of
     concatenating; np.asarray(column) is a numpy view of the same memory,
-    without a copy.  R, V, r and w, the center-of-mass columns, are buffers
-    of the same kind, filled in one pass by _kernels.cm_columns on first use.
+    without a copy.  The derived columns, R, V, r and w (the center-of-mass
+    coordinates) and E (the energy), are buffers of the same kind, filled
+    together in one pass by _kernels.derived_columns the first time any of
+    them is read.
     """
 
     t: memoryview
@@ -101,29 +103,36 @@ class Trajectory:
     v1: memoryview
     x2: memoryview
     v2: memoryview
+    params: ModelParams
 
     def __len__(self) -> int:
         return len(self.t)
 
     @cached_property
-    def _cm(self) -> tuple:
-        return _kernels.cm_columns(self.x1, self.v1, self.x2, self.v2)
+    def _derived(self) -> tuple:
+        p = self.params
+        return _kernels.derived_columns(self.x1, self.v1, self.x2, self.v2,
+                                        p.k, p.alpha, p.n, p.A, p.beta)
 
     @property
     def R(self) -> memoryview:
-        return self._cm[0]
+        return self._derived[0]
 
     @property
     def V(self) -> memoryview:
-        return self._cm[1]
+        return self._derived[1]
 
     @property
     def r(self) -> memoryview:
-        return self._cm[2]
+        return self._derived[2]
 
     @property
     def w(self) -> memoryview:
-        return self._cm[3]
+        return self._derived[3]
+
+    @property
+    def E(self) -> memoryview:
+        return self._derived[4]
 
 
 @dataclass(frozen=True)
@@ -206,7 +215,7 @@ def integrate(
     try:
         # row 0 holds the initial state, the next rows are the runner's, and
         # the row after the last one it recorded holds the final state
-        rec = _recording_buffers(rows + 2 if stride > 0 else 0)
+        rec = _kernels.float_buffers(len(_COLUMNS), rows + 2 if stride > 0 else 0)
     except (OSError, OverflowError) as exc:
         raise ValueError(f"cannot map a recording of {rows} rows at record_every = "
                          f"{stride}: {exc}") from None
@@ -239,7 +248,7 @@ def integrate(
         if steps % stride != 0:  # the last step was not recorded
             _put_row(rec, end, final)
             end += 1
-        trajectory = Trajectory(*(column[:end].toreadonly() for column in rec))
+        trajectory = Trajectory(*(column[:end].toreadonly() for column in rec), params)
 
     if status == _kernels.STATUS_EXIT:
         reason = StopReason.EXIT_RADIUS
@@ -251,12 +260,6 @@ def integrate(
 
 
 _COLUMNS = ("t", "x1", "v1", "x2", "v2")
-
-
-def _recording_buffers(rows: int) -> list:
-    """Writable float64 buffers of rows entries for t, x1, v1, x2, v2, over
-    one anonymous mapping (_kernels.float_buffers)."""
-    return _kernels.float_buffers(len(_COLUMNS), rows)
 
 
 def _put_row(columns, row: int, state: State) -> None:

@@ -61,6 +61,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"run\.cfg:2.*sprng"):
             load_config(str(cfg))
 
+    def test_a_repeated_key_is_a_hard_error_with_location(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 2.0\nn = 3\nk = 3.0\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:3: config key 'k' is given twice"):
+            load_config(str(cfg))
+
     def test_line_without_equals_is_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")
@@ -216,6 +222,15 @@ class TestExitCodes:
         assert err.startswith("error: cannot map a recording of 100000000000001 rows "
                               "at record_every = 1") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_an_out_that_cannot_be_written_exits_one(self, where, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.csv" if where == "missing-directory" else tmp_path
+        code, text, err = run_cli(["simulate", "--t-max", "1", "--out", str(out)], capsys)
+        assert (code, text) == (1, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f"{str(out)!r}\n")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_well_linear_compare_exits_two(self, capsys):
         code, _, err = run_cli(["linear-compare", "--A", "0"], capsys)
         assert code == 2
@@ -352,9 +367,9 @@ def format_calls(monkeypatch):
 
 
 class TestCsvWriter:
-    """The writer streams the body in chunks, a body of float64 arrays only
-    through _kernels.format_rows and any other column by column; its bytes
-    must be those of _fmt on every cell, row by row."""
+    """The writer streams the body in chunks, a body of contiguous float64
+    arrays only through _kernels.format_rows and any other cell by cell; its
+    bytes must be those of _fmt on every cell, row by row."""
 
     @staticmethod
     def written_and_expected(tmp_path, columns):
@@ -374,22 +389,40 @@ class TestCsvWriter:
     def test_float_array_edge_values(self, tmp_path, format_calls):
         values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-05, 1e16, 0.1]
         column = np.array(values)
-        written, expected = self.written_and_expected(tmp_path, (column, column[::-1]))
+        written, expected = self.written_and_expected(tmp_path, (column, column[::-1].copy()))
         assert written == expected
         assert b"\nnan,0.1\n" in written and b"\n-0.0,5e-324\n" in written
         assert format_calls == [(0, len(values))]
 
-    def test_float_bodies_are_written_by_format_rows(self, tmp_path, format_calls):
-        """Float64 arrays only, a reversed and a strided view among them, over
-        two chunks: format_rows writes each chunk, in C where gcc built it."""
+    @staticmethod
+    def float_columns(rows):
+        """Random bit patterns and a reversed view of them, a strided view of
+        values near both ends of the exponent range, and counting numbers."""
         rng = np.random.default_rng(3)
-        rows = _CHUNK_ROWS + 5
         grid = rng.standard_normal((rows, 3)) * np.array([1.0, 1e-300, 1e300])
         column = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
-        columns = (column, column[::-1], grid[:, 1], np.arange(rows, dtype=np.float64))
+        return column, column[::-1], grid[:, 1], np.arange(rows, dtype=np.float64)
+
+    def test_float_bodies_are_written_by_format_rows(self, tmp_path, format_calls):
+        """Contiguous float64 arrays only, over two chunks: format_rows
+        writes each chunk, in C where gcc built it."""
+        rows = _CHUNK_ROWS + 5
+        columns = tuple(np.ascontiguousarray(c) for c in self.float_columns(rows))
+        written, expected = self.written_and_expected(tmp_path, columns)
+        assert written == expected
+        assert format_calls == [(0, _CHUNK_ROWS), (_CHUNK_ROWS, rows)]
+
+    def test_strided_float_columns_are_written_cell_by_cell(self, tmp_path, format_calls):
+        """A reversed and a strided float64 view among the columns: the body
+        goes through _fmt, with the bytes format_rows gives the same values."""
+        rows = _CHUNK_ROWS + 5
+        columns = self.float_columns(rows)
         assert not (columns[1].flags.c_contiguous or columns[2].flags.c_contiguous)
         written, expected = self.written_and_expected(tmp_path, columns)
         assert written == expected
+        assert format_calls == []
+        contiguous = tuple(np.ascontiguousarray(c) for c in columns)
+        assert written == self.written_and_expected(tmp_path, contiguous)[0]
         assert format_calls == [(0, _CHUNK_ROWS), (_CHUNK_ROWS, rows)]
 
     def test_columns_that_are_not_float_arrays(self, tmp_path, format_calls):
@@ -399,12 +432,10 @@ class TestCsvWriter:
             list(Outcome)[:4] + [Outcome.TRAPPED],
             [None] * 5,
             ["omega_cm", "a b", "", "x", "y"],
-            np.arange(5, dtype=np.int64),
-            np.array([True, False, True, True, False]),
         )
         written, expected = self.written_and_expected(tmp_path, columns)
         assert written == expected
-        assert b"\n0.1,0,Transmitted,none,omega_cm,0,true\n" in written
+        assert b"\n0.1,0,Transmitted,none,omega_cm\n" in written
         assert format_calls == []
 
     @pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1],

@@ -292,12 +292,21 @@ class TestRecording:
         assert np.array_equal(np.asarray(traj.V), 0.5 * (v1 + v2))
         assert np.array_equal(np.asarray(traj.w), 0.5 * (v2 - v1))
 
+    def test_energy_column_is_the_total_energy_of_each_state(self):
+        """E is total_energy of each recorded state under the run's model,
+        here one whose five constants all differ from the defaults."""
+        p = ModelParams(k=1.3, alpha=0.7, n=3, A=1.5, beta=0.8)
+        traj = integrate(_launch(0.2), p, IntegratorConfig(), 20.0, record_every=100).trajectory
+        assert traj.params is p
+        states = zip(traj.t, traj.x1, traj.v1, traj.x2, traj.v2)
+        assert list(traj.E) == [total_energy(State(*s), p) for s in states]
+
     def test_columns_are_read_only_float64_buffers(self):
         """Arithmetic on a column raises instead of concatenating, and no
         column can be written."""
         traj = integrate(_launch(0.2), ModelParams(), IntegratorConfig(), 0.05,
                          record_every=7).trajectory
-        for name in ("t", "x1", "v1", "x2", "v2", "R", "V", "r", "w"):
+        for name in ("t", "x1", "v1", "x2", "v2", "R", "V", "r", "w", "E"):
             column = getattr(traj, name)
             assert column.readonly and column.format == "d" and len(column) == len(traj), name
             with pytest.raises(TypeError):

@@ -1,12 +1,12 @@
 """The C kernels against their Python reference, bit for bit.
 
-`_kernels._run_verlet`, `_run_rk4`, `energy_column`, `cm_columns` and
-`format_rows` call the C copy in `_kernels.c` whenever gcc can build it;
-`py_func` is the Python function it mirrors.  Every runner comparison is of
-the whole return tuple, floats as hex, and of the bytes of the five
-recording buffers, which both sides receive filled with the same sentinel so
-that a write past nrec shows too.  The E and center-of-mass columns are
-compared as bytes, and the CSV text with repr.
+`_kernels._run_verlet`, `_run_rk4`, `derived_columns` and `format_rows`
+call the C copy in `_kernels.c` whenever gcc can build it; `py_func` is the
+Python function it mirrors.  Every runner comparison is of the whole return
+tuple, floats as hex, and of the bytes of the five recording buffers, which
+both sides receive filled with the same sentinel so that a write past nrec
+shows too.  The derived columns are compared as bytes, and the CSV text with
+repr.
 """
 
 import ctypes
@@ -16,6 +16,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinktrap import ModelParams, _kernels, cli, integrator
+from kinktrap import ModelParams, _kernels, cli
 
 RUNNERS = {"verlet": "_run_verlet", "rk4": "_run_rk4"}
 STRIDES = (0, 1, 7, 100)
@@ -50,7 +51,7 @@ def _numpy_buffers(cap):
 
 def _mmap_buffers(cap):
     """integrate's recording buffers, memoryviews over one anonymous mmap."""
-    rec = integrator._recording_buffers(cap)
+    rec = _kernels.float_buffers(5, cap)
     for b in rec:
         b[:] = memoryview(np.full(cap, SENTINEL))
     return rec
@@ -308,66 +309,68 @@ def test_format_rows_rejects_a_column_c_cannot_read(c_backend, bad):
         _kernels.format_rows([np.zeros(4), bad], 0, 4)
 
 
-def test_energy_column_matches_the_reference_bit_for_bit(c_backend):
-    """Random models and states, strided inputs, n = 0 and an exact contact,
-    where both sides give the IEEE quotient (inf)."""
-    rng = np.random.default_rng(7)
-    for trial in range(60):
-        k, alpha, A, beta = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), \
-            rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.0)
-        n = int(rng.integers(0, 5))
-        x1, v1, v2 = rng.uniform(-4.0, 4.0, size=(3, 2000))
-        x2 = x1 + rng.uniform(-3.0, 3.0, 2000)
-        x2[0] = x1[0]
-        states = (x1, v1, x2, v2) if trial % 2 else (x1[::2], v1[::2], x2[::2], v2[::2])
-        with np.errstate(divide="ignore"):
-            expected = _kernels.energy_column.py_func(*states, k, alpha, n, A, beta)
-        got = _kernels.energy_column(*states, k, alpha, n, A, beta)
-        assert np.asarray(got).dtype == np.float64 and got.tobytes() == expected.tobytes(), \
-            (trial, n)
-    assert np.asarray(_kernels.energy_column(*[np.empty(0)] * 4, 1.0, 1.0, 2, 2.0, 1.0)).shape \
-        == (0,)
-
-
 # Signed zeros, infinities, a nan, the smallest subnormal and a sum that
 # overflows, in every pairing with each other.
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5, 1e308]
 
 
-def test_cm_columns_match_the_reference_bit_for_bit(c_backend):
-    """Random states, strided inputs, every pairing of the special values,
-    and no states at all."""
-    rng = np.random.default_rng(11)
+def test_derived_columns_match_the_reference_bit_for_bit(c_backend):
+    """Random models and states, among them exact contacts, where both sides
+    give the IEEE quotient of the repulsion (inf), and n = 0; every pairing
+    of the special values as positions and as velocities; and no states at
+    all."""
+    rng = np.random.default_rng(7)
     pairs = np.array([(a, b) for a in SPECIALS for b in SPECIALS]).T
-    for trial in range(6):
-        x1, v1, x2, v2 = rng.standard_normal((4, 1000)) * 10.0 ** rng.integers(-5, 5, (4, 1))
-        states = [np.concatenate((c, special)) for c, special in
+    for trial in range(30):
+        k, alpha, A, beta = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), \
+            rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.0)
+        n = int(rng.integers(0, 5))
+        x1, v1, v2 = rng.uniform(-4.0, 4.0, size=(3, 1000)) * 10.0 ** rng.integers(-5, 3, (3, 1))
+        x2 = x1 + rng.uniform(-3.0, 3.0, 1000)
+        x2[:10] = x1[:10]
+        states = [memoryview(np.concatenate((c, special))) for c, special in
                   zip((x1, v1, x2, v2), (pairs[0], pairs[1], pairs[1], pairs[0]))]
-        if trial % 2:
-            states = [c[::3] for c in states]
-        got = _kernels.cm_columns(*states)
-        with np.errstate(invalid="ignore", over="ignore"):
-            expected = _kernels.cm_columns.py_func(*states)
-        assert len(got) == len(expected) == 4
+        got = _kernels.derived_columns(*states, k, alpha, n, A, beta)
+        expected = _kernels.derived_columns.py_func(*states, k, alpha, n, A, beta)
+        assert len(got) == len(expected) == 5
         for a, b in zip(got, expected):
             assert a.readonly and a.format == "d" and len(a) == len(states[0])
-            assert a.tobytes() == b.tobytes(), trial
-    for fn in (_kernels.cm_columns, _kernels.cm_columns.py_func):
-        assert [len(c) for c in fn(*[np.empty(0)] * 4)] == [0, 0, 0, 0]
+            assert a.tobytes() == b.tobytes(), (trial, n)
+    for fn in (_kernels.derived_columns, _kernels.derived_columns.py_func):
+        assert [len(c) for c in fn(*[np.empty(0)] * 4, 1.0, 1.0, 2, 2.0, 1.0)] == [0] * 5
 
 
 @pytest.mark.parametrize("bad", [
     np.zeros(4, dtype=np.float32),
+    np.zeros(8)[::2],
+    np.zeros(4)[::-1],
+    np.frombuffer(bytearray(33), offset=1),
+    memoryview(bytearray(33))[1:].cast("d"),
     np.zeros(3),
     [0.0] * 4,
-], ids=["float32", "short", "list"])
-@pytest.mark.parametrize("call", [
-    lambda *states: _kernels.energy_column(*states, 1.0, 1.0, 2, 2.0, 1.0),
-    lambda *states: _kernels.cm_columns(*states),
-], ids=["energy_column", "cm_columns"])
-def test_a_state_column_c_cannot_read_is_rejected(c_backend, call, bad):
+], ids=["float32", "strided", "reversed", "misaligned", "misaligned-memoryview", "short",
+        "list"])
+def test_a_state_column_c_cannot_read_is_rejected(c_backend, bad):
     with pytest.raises(ValueError):
-        call(np.ones(4), np.ones(4), bad, np.ones(4))
+        _kernels.derived_columns(np.ones(4), np.ones(4), bad, np.ones(4), 1.0, 1.0, 2, 2.0, 1.0)
+
+
+def test_the_library_exports_exactly_the_functions_it_binds(c_backend):
+    """The defined dynamic symbols of the built library are the names
+    _kernels.py binds from _LIB, one wrapper each, and every wrapper keeps
+    its Python reference as py_func."""
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("no nm")
+    proc = subprocess.run([nm, "-D", "--defined-only", _kernels._LIB._name],
+                          capture_output=True, text=True, check=True)
+    exported = [line.split()[-1] for line in proc.stdout.splitlines() if line.strip()]
+    bound = re.findall(r"_LIB\.(\w+)", Path(_kernels.__file__).read_text())
+    assert sorted(exported) == sorted(bound) == \
+        ["derived_columns", "format_rows", "run_rk4", "run_verlet"]
+    for name in ("_run_verlet", "_run_rk4", "derived_columns", "format_rows"):
+        wrapper = getattr(_kernels, name)
+        assert wrapper.py_func is not wrapper and wrapper.py_func.__name__ == name
 
 
 def test_a_failed_build_loads_nothing(tmp_path, capsys):
