@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinktrap import ModelParams, _kernels, cli
+from kinktrap import ModelParams, _kernels, cli, integrator
 
 RUNNERS = {"verlet": "_run_verlet", "rk4": "_run_rk4"}
 STRIDES = (0, 1, 7, 100)
@@ -314,11 +314,11 @@ def test_format_rows_rejects_a_column_c_cannot_read(c_backend, bad):
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5, 1e308]
 
 
-def test_derived_columns_match_the_reference_bit_for_bit(c_backend):
-    """Random models and states, among them exact contacts, where both sides
-    give the IEEE quotient of the repulsion (inf), and n = 0; every pairing
-    of the special values as positions and as velocities; and no states at
-    all."""
+def _derived_trials():
+    """(trial, n, C columns, reference columns) of derived_columns for random
+    models and states, among them exact contacts, where both sides give the
+    IEEE quotient of the repulsion (inf), and n = 0, each with every pairing
+    of the special values as positions and as velocities appended."""
     rng = np.random.default_rng(7)
     pairs = np.array([(a, b) for a in SPECIALS for b in SPECIALS]).T
     for trial in range(30):
@@ -333,11 +333,32 @@ def test_derived_columns_match_the_reference_bit_for_bit(c_backend):
         got = _kernels.derived_columns(*states, k, alpha, n, A, beta)
         expected = _kernels.derived_columns.py_func(*states, k, alpha, n, A, beta)
         assert len(got) == len(expected) == 5
-        for a, b in zip(got, expected):
+        for a in got:
             assert a.readonly and a.format == "d" and len(a) == len(states[0])
+        yield trial, n, got, expected
+
+
+def _empty_derived_columns():
+    return [fn(*[np.empty(0)] * 4, 1.0, 1.0, 2, 2.0, 1.0)
+            for fn in (_kernels.derived_columns, _kernels.derived_columns.py_func)]
+
+
+def test_energy_column_matches_the_reference_bit_for_bit(c_backend):
+    """The E column of derived_columns: random models and states, exact
+    contacts, n = 0, the special values, and no states at all."""
+    for trial, n, got, expected in _derived_trials():
+        assert got[4].tobytes() == expected[4].tobytes(), (trial, n)
+    assert [len(columns[4]) for columns in _empty_derived_columns()] == [0, 0]
+
+
+def test_cm_columns_match_the_reference_bit_for_bit(c_backend):
+    """The R, V, r and w columns of derived_columns: random states, every
+    pairing of the special values, and no states at all."""
+    for trial, n, got, expected in _derived_trials():
+        for a, b in zip(got[:4], expected[:4]):
             assert a.tobytes() == b.tobytes(), (trial, n)
-    for fn in (_kernels.derived_columns, _kernels.derived_columns.py_func):
-        assert [len(c) for c in fn(*[np.empty(0)] * 4, 1.0, 1.0, 2, 2.0, 1.0)] == [0] * 5
+    for columns in _empty_derived_columns():
+        assert [len(c) for c in columns[:4]] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("bad", [
@@ -350,9 +371,14 @@ def test_derived_columns_match_the_reference_bit_for_bit(c_backend):
     [0.0] * 4,
 ], ids=["float32", "strided", "reversed", "misaligned", "misaligned-memoryview", "short",
         "list"])
-def test_a_state_column_c_cannot_read_is_rejected(c_backend, bad):
+@pytest.mark.parametrize("column", ["E", "R"], ids=["energy_column", "cm_columns"])
+def test_a_state_column_c_cannot_read_is_rejected(c_backend, column, bad):
+    """Reading a trajectory's energy column or its center-of-mass columns
+    raises before C sees a state column it cannot read."""
+    traj = integrator.Trajectory(memoryview(np.zeros(4)), np.ones(4), np.ones(4), bad,
+                                 np.ones(4), ModelParams())
     with pytest.raises(ValueError):
-        _kernels.derived_columns(np.ones(4), np.ones(4), bad, np.ones(4), 1.0, 1.0, 2, 2.0, 1.0)
+        getattr(traj, column)
 
 
 def test_the_library_exports_exactly_the_functions_it_binds(c_backend):
