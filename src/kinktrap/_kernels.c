@@ -1,11 +1,12 @@
 /* The Python reference of _kernels.py, operation for operation: the Verlet
  * and RK4 runners, derived_columns (the R, V, r, w and E columns of a
- * trajectory) and format_rows (the CSV rows of float64 columns).
+ * trajectory), divergence (twin runs' distance and exponent fit) and
+ * format_rows (the CSV rows of float64 columns).
  *
  * Every expression keeps the order of its Python counterpart, and the
  * library is built with -O2 -ffp-contract=off (no fused multiply-add, no
  * reassociation), so each result equals the Python reference bit for bit.
- * exp is libm's, the function that Python's math.exp calls.
+ * exp, log and sqrt are libm's, the functions that Python's math module calls.
  *
  * accel, pair_energy and after_step are static inline so that gcc -O2
  * inlines them into each runner's loop: a step then keeps the accelerations,
@@ -20,7 +21,7 @@
  * digits that read back to the same double, found with Ryu (U. Adams, "Ryu:
  * fast float-to-string conversion", PLDI 2018), laid out as repr lays them out.
  *
- * The four functions without static are the library's whole interface:
+ * The five functions without static are the library's whole interface:
  * _kernels.py binds each of them, and nothing else.
  */
 
@@ -232,6 +233,68 @@ void derived_columns(const double *x1, const double *v1, const double *x2, const
         double g2 = exp(-beta * x2[i] * x2[i]);
         E[i] = pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2);
     }
+}
+
+/* divergence: at each of len samples, the distance d of twin runs a and b,
+ * each given as its (x1, x2, v1, v2) columns: sqrt of the squared
+ * differences summed in that order.  idx receives the first sample with
+ * d > 1, or -1, and then the fit window: from the first sample with
+ * d > 10 seed_delta to the first with d > scale / 100, when seed_delta > 0,
+ * the peak of d exceeds 100 seed_delta and the end follows the start.
+ * Returns 1 with *slope, the least-squares slope of log d against t over the
+ * window's samples with d > 0 (mean-centred, in two passes), when those
+ * samples span time; else 0 with the window's idx at -1. */
+int divergence(const double *t, const double *const *a, const double *const *b,
+               int64_t len, double seed_delta, double scale, double *d,
+               int64_t *idx, double *slope)
+{
+    int64_t unit = -1, lo = -1, hi = -1;
+    double peak = 0.0;
+    for (int64_t i = 0; i < len; i++) {
+        double e1 = a[0][i] - b[0][i];
+        double e2 = a[1][i] - b[1][i];
+        double e3 = a[2][i] - b[2][i];
+        double e4 = a[3][i] - b[3][i];
+        double di = sqrt(e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4);
+        d[i] = di;
+        if (unit < 0 && di > 1.0)
+            unit = i;
+        if (lo < 0 && di > 10.0 * seed_delta)
+            lo = i;
+        if (hi < 0 && di > 0.01 * scale)
+            hi = i;
+        if (di > peak)
+            peak = di;
+    }
+    idx[0] = unit;
+    idx[1] = idx[2] = -1;
+    if (!(seed_delta > 0.0 && peak > 100.0 * seed_delta && lo >= 0 && hi > lo))
+        return 0;
+    int64_t count = 0;
+    double sum_t = 0.0, sum_y = 0.0;
+    for (int64_t i = lo; i <= hi; i++) {
+        if (d[i] > 0.0) {
+            count++;
+            sum_t += t[i];
+            sum_y += log(d[i]);
+        }
+    }
+    double mean_t = sum_t / (double)count;
+    double mean_y = sum_y / (double)count;
+    double sxx = 0.0, sxy = 0.0;
+    for (int64_t i = lo; i <= hi; i++) {
+        if (d[i] > 0.0) {
+            double u = t[i] - mean_t;
+            sxx += u * u;
+            sxy += u * (log(d[i]) - mean_y);
+        }
+    }
+    if (!(sxx > 0.0))
+        return 0;
+    idx[1] = lo;
+    idx[2] = hi;
+    *slope = sxy / sxx;
+    return 1;
 }
 
 /* The integer helpers of shortest, below. */

@@ -2,19 +2,21 @@
 
 The Python functions below are the reference.  `_kernels.c` mirrors them
 operation for operation; it is built once with the system gcc and loaded
-through ctypes, and then `_run_verlet`, `_run_rk4`, `derived_columns` and
-`format_rows` are thin wrappers around its four exported functions that
-keep the Python function as `py_func`.  BACKEND names the implementation
-in use: "c" or "python".  The C functions are reentrant: their only statics
-are const tables, and every result goes to buffers the caller passes in.
+through ctypes, and then `_run_verlet`, `_run_rk4`, `derived_columns`,
+`divergence` and `format_rows` are thin wrappers around its five exported
+functions that keep the Python function as `py_func`.  BACKEND names the
+implementation in use: "c" or "python".  The C functions are reentrant:
+their only statics are const tables, and every result goes to buffers the
+caller passes in.
 ctypes releases the GIL for each call, so threads run them in parallel
 (sweep does).
 
   build   gcc -O2 -ffp-contract=off -fPIC -shared -lm.  -ffp-contract=off
           keeps gcc from fusing a multiply and an add into one FMA, which
           rounds once instead of twice; -ffast-math and -march=native are
-          left out for the same reason.  exp is libm's, which is what
-          math.exp calls, so the C results equal the reference bit for bit.
+          left out for the same reason.  exp, log and sqrt are libm's, which
+          is what math.exp, math.log and math.sqrt call, so the C results
+          equal the reference bit for bit.
           Tier-1 tests compare them on random input.
   cache   __pycache__/ next to this file, under a name keyed by a CRC-32 of
           the C source, the flags and the platform.  The build writes a
@@ -42,6 +44,10 @@ Each formula has one home:
           (integrator.Trajectory's R, V, r, w and E).  In C its loop spells
           out cm_coordinates; a parity test pins it to the Python loop bit
           for bit.
+  twins   divergence, what sweep.sensitivity derives from two runs: their
+          distance at each sample, where it first passes 1 and its fit
+          window, and the least-squares slope of log d over that window,
+          all in one pass over the samples and two over the window.
   tail    _tail, the bookkeeping both runners do after a completed step:
           the drift peak, the recording test and the exit test.  after_step
           and done in _kernels.c mirror its two closures.
@@ -59,9 +65,9 @@ memoryview over an anonymous mmap (float_buffers; integrate records into
 five of them).  float64_views checks each one before C sees its address,
 and C gets nothing that is not aligned and C-contiguous: the runners' five
 must also be writable and of one length, derived_columns's four state
-columns of one length, and format_rows's columns long enough.  Both sides
-of derived_columns return new read-only buffers.  Nothing here imports
-numpy.
+columns and divergence's nine columns of one length, and format_rows's
+columns long enough.  Both sides of derived_columns and divergence return
+new read-only buffers.  Nothing here imports numpy.
 
 Division: the runners take every force and energy at a separation >= floor,
 so floor ** (n + 2) > 0 keeps the repulsion's divisor nonzero; integrate's
@@ -155,6 +161,53 @@ def derived_columns(x1, v1, x2, v2, k, alpha, n, A, beta):
         E[i] = pair_energy(a - b, va, vb, math.exp(-beta * a * a), math.exp(-beta * b * b),
                            k, alpha, n, A)
     return tuple(column.toreadonly() for column in out)
+
+
+def divergence(t, a, b, seed_delta, scale):
+    """The distance d of twin runs a and b, each given as its (x1, x2, v1,
+    v2) columns sampled at times t, and the finite-time exponent fit of
+    sweep.sensitivity: one pass over the samples, then two over the window.
+
+    d is the square root of the squared differences summed in the order x1,
+    x2, v1, v2.  The fit window runs from the first sample with
+    d > 10*seed_delta to the first with d > 0.01*scale; it forms only when
+    seed_delta > 0, the peak of d exceeds 100*seed_delta and the end follows
+    the start.  The slope is that of the least-squares line through
+    (t, log d) over the window's samples with d > 0, mean-centred in two
+    passes, and is fitted only when those samples span time.  Returns
+    (d, unit, fit): d a read-only float64 buffer, unit the index of the
+    first sample with d > 1 or None, fit (lo, hi, slope) or None.
+    """
+    (d,) = float_buffers(1, len(t))
+    unit = lo = hi = -1
+    peak = 0.0
+    for i, (_, p1, p2, p3, p4, q1, q2, q3, q4) in enumerate(zip(t, *a, *b, strict=True)):
+        e1, e2, e3, e4 = p1 - q1, p2 - q2, p3 - q3, p4 - q4
+        d[i] = di = math.sqrt(e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4)
+        if unit < 0 and di > 1.0:
+            unit = i
+        if lo < 0 and di > 10.0 * seed_delta:
+            lo = i
+        if hi < 0 and di > 0.01 * scale:
+            hi = i
+        if di > peak:
+            peak = di
+    fit = None
+    if seed_delta > 0.0 and peak > 100.0 * seed_delta and lo >= 0 and hi > lo:
+        window = [i for i in range(lo, hi + 1) if d[i] > 0.0]
+        sum_t = sum_y = 0.0
+        for i in window:
+            sum_t += t[i]
+            sum_y += math.log(d[i])
+        mean_t, mean_y = sum_t / len(window), sum_y / len(window)
+        sxx = sxy = 0.0
+        for i in window:
+            u = t[i] - mean_t
+            sxx += u * u
+            sxy += u * (math.log(d[i]) - mean_y)
+        if sxx > 0.0:
+            fit = (lo, hi, sxy / sxx)
+    return d.toreadonly(), (unit if unit >= 0 else None), fit
 
 
 def format_rows(columns, start, stop):
@@ -439,6 +492,28 @@ def _c_derived_columns(fn):
     return derived_columns
 
 
+def _c_divergence(fn):
+    """A ctypes wrapper of fn with divergence's arguments and return."""
+    fn.argtypes = [ctypes.c_void_p] * 3 + [_I, _D, _D, ctypes.c_void_p,
+                                           ctypes.POINTER(_I), ctypes.POINTER(_D)]
+    fn.restype = ctypes.c_int
+
+    def divergence(t, a, b, seed_delta, scale):
+        if not len(a) == len(b) == 4:
+            raise ValueError("each run must be given as its 4 columns (x1, x2, v1, v2)")
+        views = float64_views((t, *a, *b), "columns")
+        rows = _one_length(views, "columns")
+        (d,) = float_buffers(1, rows)
+        runs = [(ctypes.c_void_p * 4)(*map(_address, run)) for run in (views[1:5], views[5:])]
+        idx = (_I * 3)()
+        slope = _D()
+        fitted = fn(_address(views[0]), *runs, rows, seed_delta, scale, _address(d), idx, slope)
+        fit = (idx[1], idx[2], slope.value) if fitted else None
+        return d.toreadonly(), (idx[0] if idx[0] >= 0 else None), fit
+
+    return divergence
+
+
 # The longest repr of a float64 ("-2.2250738585072014e-308") is 24 bytes; a
 # cell adds its ',' or newline.
 _CELL_BYTES = 25
@@ -504,4 +579,5 @@ else:
     _run_verlet = _bind(_c_runner(_LIB.run_verlet), _run_verlet)
     _run_rk4 = _bind(_c_runner(_LIB.run_rk4), _run_rk4)
     derived_columns = _bind(_c_derived_columns(_LIB.derived_columns), derived_columns)
+    divergence = _bind(_c_divergence(_LIB.divergence), divergence)
     format_rows = _bind(_c_format_rows(_LIB.format_rows), format_rows)

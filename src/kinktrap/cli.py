@@ -25,6 +25,7 @@ process killed by it).
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import math
 import os
@@ -268,6 +269,21 @@ def _echo_command(command: str, settings: dict, keys: list) -> str:
         # leading '-' values are glued with '=' so the echo always re-parses
         parts.append(f"{flag}={text}" if text.startswith("-") else f"{flag} {text}")
     return " ".join(parts)
+
+
+def _check_out(path: Optional[str]) -> None:
+    """Raise, before any work, the OSError that opening path for writing
+    would raise when path is a directory or its parent directory is
+    missing.  Nothing is created, so a run that fails leaves no file."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 # Body rows formatted and written per chunk: the output is streamed, never
@@ -519,6 +535,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         res = _resolve(args)
+        _check_out(res["out"])
         return args.func(res)
     except BrokenPipeError:
         # the reader closed the pipe: send what is still buffered to devnull,
@@ -529,7 +546,8 @@ def main(argv=None) -> int:
         return 141
     except (ConfigError, ValueError, OSError) as exc:
         # OSError, of which BrokenPipeError above is a kind: an --out that
-        # cannot be opened for writing
+        # cannot be opened for writing, found before the run where
+        # _check_out can tell
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CoincidentParticles, StepBudgetExhausted, NonFiniteState) as exc:

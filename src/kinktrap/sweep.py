@@ -15,16 +15,13 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from . import _kernels
 from .dynamics import CoincidentParticles, ModelParams
 from .integrator import (IntegratorConfig, NonFiniteState, StepBudgetExhausted, integrate,
                          sample_stride)
 from .scattering import Outcome, OutcomeRecord, Scenario, initial_state, run_scattering
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SweepSpec",
@@ -223,15 +220,18 @@ def zoom(
 class DivergenceReport:
     """Phase-space separation of two runs d(t) plus a finite-time exponent fit.
 
-    The metric is the Euclidean distance over (x1, x2, v1, v2).  The exponent
-    is the least-squares slope of ln d(t) between the first sample with
+    times and distances are read-only float64 memoryviews (format 'd'), as
+    a Trajectory's columns are; np.asarray views either without a copy.  The
+    metric is the Euclidean distance over (x1, x2, v1, v2).  The exponent is
+    the least-squares slope of ln d(t) between the first sample with
     d > 10*seed_delta and the first with d > 0.01*scale; when either bound is
     never reached, or d never grows a hundredfold, lambda_ is None and the
-    motion is flagged degenerate (non-chaotic).
+    motion is flagged degenerate (non-chaotic).  _kernels.divergence computes
+    d, the bounds and the slope.
     """
 
-    times: np.ndarray
-    distances: np.ndarray
+    times: memoryview
+    distances: memoryview
     seed_delta: float
     lambda_: Optional[float]
     window: Optional[tuple[float, float]]
@@ -266,8 +266,6 @@ def sensitivity(
     Both runs share dt and horizon so samples align exactly.  The scale that
     ends the exponent fit is fixed at DIVERGENCE_SCALE (1.0).
     """
-    import numpy as np
-
     if not (seed_delta >= 0.0 and math.isfinite(seed_delta)):
         raise ValueError(f"seed_delta must be >= 0 and finite, got {seed_delta!r}")
     if not (sample_interval > 0.0 and math.isfinite(sample_interval)):
@@ -279,39 +277,19 @@ def sensitivity(
     ta = integrate(state_a, sc.params, cfg, sc.t_max, record_every=stride).trajectory
     tb = integrate(state_b, sc.params, cfg, sc.t_max, record_every=stride).trajectory
 
-    times = np.asarray(ta.t)
-    d = np.sqrt(sum((np.asarray(getattr(ta, name)) - np.asarray(getattr(tb, name))) ** 2
-                    for name in ("x1", "x2", "v1", "v2")))
-
-    def first_above(threshold: float) -> Optional[int]:
-        idx = np.nonzero(d > threshold)[0]
-        return int(idx[0]) if idx.size else None
-
-    t_first_unit = None
-    i_unit = first_above(1.0)
-    if i_unit is not None:
-        t_first_unit = float(times[i_unit])
-
-    lam: Optional[float] = None
-    window: Optional[tuple[float, float]] = None
-    if seed_delta > 0.0 and float(d.max(initial=0.0)) > 100.0 * seed_delta:
-        lo = first_above(10.0 * seed_delta)
-        hi = first_above(0.01 * DIVERGENCE_SCALE)
-        if lo is not None and hi is not None and hi > lo:
-            seg_t = times[lo : hi + 1]
-            seg_d = d[lo : hi + 1]
-            mask = seg_d > 0.0
-            if int(mask.sum()) >= 2:
-                coeffs = np.polyfit(seg_t[mask], np.log(seg_d[mask]), 1)
-                lam = float(coeffs[0])
-                window = (float(seg_t[0]), float(seg_t[-1]))
-
+    d, unit, fit = _kernels.divergence(ta.t, (ta.x1, ta.x2, ta.v1, ta.v2),
+                                       (tb.x1, tb.x2, tb.v1, tb.v2), seed_delta,
+                                       DIVERGENCE_SCALE)
+    lam = window = None
+    if fit is not None:
+        lo, hi, lam = fit
+        window = (ta.t[lo], ta.t[hi])
     return DivergenceReport(
-        times=times,
+        times=ta.t,
         distances=d,
         seed_delta=seed_delta,
         lambda_=lam,
         window=window,
-        t_first_unit=t_first_unit,
+        t_first_unit=None if unit is None else ta.t[unit],
         sample_interval=sample_interval,
     )

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from kinktrap import Outcome, __version__, _kernels
+from kinktrap import Outcome, __version__, _kernels, cli
 from kinktrap.cli import (
     _CHUNK_ROWS,
     _COMMANDS,
@@ -226,6 +226,25 @@ class TestExitCodes:
     def test_an_out_that_cannot_be_written_exits_one(self, where, tmp_path, capsys):
         out = tmp_path / "absent" / "x.csv" if where == "missing-directory" else tmp_path
         code, text, err = run_cli(["simulate", "--t-max", "1", "--out", str(out)], capsys)
+        assert (code, text) == (1, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f"{str(out)!r}\n")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, work", [
+        ("simulate", "run_scattering"), ("sweep", "sweep"), ("zoom", "zoom"),
+        ("sensitivity", "sensitivity"), ("linear-compare", "measured_frequency"),
+    ])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_an_out_that_cannot_be_written_fails_before_the_run(
+            self, command, work, where, monkeypatch, tmp_path, capsys):
+        """The subcommand's work function is never called."""
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(cli, work, no_run)
+        out = tmp_path / "absent" / "x.csv" if where == "missing-directory" else tmp_path
+        code, text, err = run_cli([command, "--out", str(out)], capsys)
         assert (code, text) == (1, "")
         assert err.startswith("error: [Errno ") and err.endswith(f"{str(out)!r}\n")
         assert err.count("\n") == 1
@@ -661,8 +680,9 @@ class TestModuleEntryPoint:
         assert lines == []
 
 
-# Runs in a fresh interpreter: a sweep on one and two workers, a zoom, and a
-# simulate under each scheme, whose CSVs go to argv[2]-*.csv, then --version;
+# Runs in a fresh interpreter: a sweep on one and two workers, a zoom, a
+# simulate under each scheme and a chaotic sensitivity run, whose CSVs go to
+# argv[2]-*.csv, then --version;
 # prints whether numpy was loaded.  With argv[1] == "numpy-first" it imports
 # numpy before anything.
 NUMPY_FREE_RUNS = """
@@ -680,6 +700,8 @@ assert main(["simulate", "--v0", "0.3", "--record-every", "1",
              "--out", f"{prefix}-verlet.csv"]) == 0
 assert main(["simulate", "--scheme", "RK4", "--v0", "0.3", "--record-every", "3",
              "--out", f"{prefix}-rk4.csv"]) == 0
+assert main(["sensitivity", "--v0", "0.056", "--t-max", "300",
+             "--out", f"{prefix}-sensitivity.csv"]) == 0
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         main(["--version"])
@@ -691,8 +713,9 @@ print("numpy" in sys.modules)
 
 class TestNumpyFree:
     def test_sweep_zoom_and_version_never_load_numpy(self, tmp_path):
-        """Nor does simulate.  The same runs write the same bytes whether or
-        not numpy was imported first."""
+        """Nor do simulate and sensitivity.  The same runs write the same
+        bytes whether or not numpy was imported first, the sensitivity
+        run's fitted exponent included."""
         loaded = {}
         for mode in ("numpy-free", "numpy-first"):
             proc = subprocess.run(
@@ -701,8 +724,11 @@ class TestNumpyFree:
             assert proc.returncode == 0, proc.stderr
             loaded[mode] = proc.stdout.strip()
         assert loaded == {"numpy-free": "False", "numpy-first": "True"}
-        for name in ("w1", "w2", "zoom", "verlet", "rk4"):
+        for name in ("w1", "w2", "zoom", "verlet", "rk4", "sensitivity"):
             free = (tmp_path / f"numpy-free-{name}.csv").read_bytes()
             assert free == (tmp_path / f"numpy-first-{name}.csv").read_bytes(), name
         assert (tmp_path / "numpy-free-w1.csv").read_bytes() == \
             (tmp_path / "numpy-free-w2.csv").read_bytes()
+        sensitivity = (tmp_path / "numpy-free-sensitivity.csv").read_text()
+        assert meta_value(sensitivity, "degenerate") == "false"
+        assert 0.01 < float(meta_value(sensitivity, "lambda")) < 0.2

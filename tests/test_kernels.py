@@ -1,12 +1,13 @@
 """The C kernels against their Python reference, bit for bit.
 
-`_kernels._run_verlet`, `_run_rk4`, `derived_columns` and `format_rows`
-call the C copy in `_kernels.c` whenever gcc can build it; `py_func` is the
-Python function it mirrors.  Every runner comparison is of the whole return
-tuple, floats as hex, and of the bytes of the five recording buffers, which
-both sides receive filled with the same sentinel so that a write past nrec
-shows too.  The derived columns are compared as bytes, and the CSV text with
-repr.
+`_kernels._run_verlet`, `_run_rk4`, `derived_columns`, `divergence` and
+`format_rows` call the C copy in `_kernels.c` whenever gcc can build it;
+`py_func` is the Python function it mirrors.  Every runner comparison is of
+the whole return tuple, floats as hex, and of the bytes of the five
+recording buffers, which both sides receive filled with the same sentinel so
+that a write past nrec shows too.  The derived columns and the twin
+distances are compared as bytes, the exponent fit as hex, and the CSV text
+with repr.
 """
 
 import ctypes
@@ -25,7 +26,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinktrap import ModelParams, _kernels, cli, integrator
+from kinktrap import IntegratorConfig, ModelParams, Scenario, _kernels, cli, integrator
+from kinktrap.scattering import initial_state
+from kinktrap.sweep import DIVERGENCE_SCALE, sensitivity
 
 RUNNERS = {"verlet": "_run_verlet", "rk4": "_run_rk4"}
 STRIDES = (0, 1, 7, 100)
@@ -381,6 +384,117 @@ def test_a_state_column_c_cannot_read_is_rejected(c_backend, column, bad):
         getattr(traj, column)
 
 
+def _divergence_both(t, a, b, seed_delta, scale):
+    """divergence and its reference on the same columns, as memoryviews (so
+    that the reference computes with Python floats), each result as (bytes
+    of d, unit, fit with the slope as hex)."""
+    t, a, b = memoryview(t), [memoryview(c) for c in a], [memoryview(c) for c in b]
+    results = []
+    for fn in (_kernels.divergence, _kernels.divergence.py_func):
+        d, unit, fit = fn(t, a, b, seed_delta, scale)
+        assert d.readonly and d.format == "d" and len(d) == len(t)
+        results.append((d.tobytes(), unit, fit and (fit[0], fit[1], fit[2].hex())))
+    return results
+
+
+def _twins(rng, rows, rate=0.05, seed_delta=1e-9):
+    """Increasing sample times and two runs' (x1, x2, v1, v2) columns whose
+    distance grows from about seed_delta at the given rate, with noise."""
+    t = np.cumsum(rng.uniform(0.1, 2.0, rows))
+    a = rng.uniform(-5.0, 5.0, (4, rows))
+    growth = seed_delta * np.exp(rate * (t - t[0])) * rng.uniform(0.5, 2.0, rows)
+    b = a + growth * rng.standard_normal((4, rows))
+    return t, a, b
+
+
+def test_divergence_matches_the_reference_bit_for_bit(c_backend):
+    """Random twin columns under random seed deltas and scales, some with
+    exact zeros, nan and inf among the differences and repeated sample
+    times: the same d bytes, the same first unit sample and the same fit."""
+    rng = np.random.default_rng(11)
+    fitted = 0
+    for trial in range(60):
+        rows = int(rng.integers(1, 3000))
+        t, a, b = _twins(rng, rows, rate=rng.uniform(0.0, 0.1),
+                         seed_delta=10.0 ** rng.uniform(-12, -3))
+        if trial % 4 == 1:
+            b[:, rng.integers(0, rows, rows // 10)] = a[:, rng.integers(0, rows, rows // 10)]
+            b[rng.integers(0, 4, 5), rng.integers(0, rows, 5)] = rng.choice(SPECIALS, 5)
+        if trial % 4 == 2:
+            t = np.floor(t / 20.0)
+        seed_delta = float(rng.choice([0.0, 1e-9, 1e-6, 10.0 ** rng.uniform(-12, -2)]))
+        scale = float(rng.choice([DIVERGENCE_SCALE, 0.5, 1e3, 0.0, -1.0]))
+        got, expected = _divergence_both(t, a, b, seed_delta, scale)
+        assert got == expected, trial
+        fitted += got[2] is not None
+    assert fitted >= 10
+
+
+def test_identical_twins_give_zero_distance_and_no_fit(c_backend):
+    t, a, _ = _twins(np.random.default_rng(12), 500)
+    for seed_delta in (0.0, 1e-9):
+        got, expected = _divergence_both(t, a, a.copy(), seed_delta, DIVERGENCE_SCALE)
+        assert got == expected == (np.zeros(500).tobytes(), None, None)
+
+
+def test_a_window_fits_through_its_positive_samples_only(c_backend):
+    """Both ends of a window are positive (d > 10*seed_delta and
+    d > 0.01*scale), so it always holds two positive samples; zeros and nan
+    inside it are left out of the fit, a window without a time span fits
+    nothing, and a scale <= 0 forms no window at all."""
+    t = np.arange(6.0)
+    a = np.zeros((4, 6))
+    b = a.copy()
+    b[0] = [1e-9, 2e-8, 0.0, math.nan, 0.0, 0.5]
+    got, expected = _divergence_both(t, a, b, 1e-9, DIVERGENCE_SCALE)
+    assert got == expected
+    assert got[1] is None and got[2][:2] == (1, 5)
+    slope = float.fromhex(got[2][2])
+    assert slope == pytest.approx((math.log(0.5) - math.log(2e-8)) / 4.0, rel=1e-12)
+    for times, scale in ((np.full(6, 3.0), DIVERGENCE_SCALE), (t, 0.0), (t, -1.0)):
+        got, expected = _divergence_both(times, a, b, 1e-9, scale)
+        assert got == expected and got[2] is None
+
+
+def test_divergence_of_no_samples(c_backend):
+    empty = np.empty(0)
+    got, expected = _divergence_both(empty, [empty] * 4, [empty] * 4, 1e-9, DIVERGENCE_SCALE)
+    assert got == expected == (b"", None, None)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(8)[::2], np.zeros(3), [0.0] * 4],
+                         ids=["strided", "short", "list"])
+def test_a_twin_column_c_cannot_read_is_rejected(c_backend, bad):
+    t, a, b = _twins(np.random.default_rng(13), 4)
+    with pytest.raises(ValueError):
+        _kernels.divergence(t, a, [*b[:3], bad], 1e-9, DIVERGENCE_SCALE)
+    with pytest.raises(ValueError):
+        _kernels.divergence(t, a, b[:3], 1e-9, DIVERGENCE_SCALE)
+
+
+def test_divergence_gives_the_numpy_distance_and_fit_of_a_chaotic_twin():
+    """v0 = 0.056 to t_max = 600: d has the bits of numpy's sum of squared
+    differences, the slope agrees with np.polyfit on the same window to
+    rel 1e-12, and sensitivity reports both."""
+    sc = Scenario(params=ModelParams(), v0=0.056, t_max=600.0)
+    cfg = IntegratorConfig()
+    runs = [integrator.integrate(initial_state(s), sc.params, cfg, sc.t_max,
+                                 record_every=1000).trajectory
+            for s in (sc, Scenario(params=ModelParams(), v0=0.056 + 1e-9, t_max=600.0))]
+    columns = [(r.x1, r.x2, r.v1, r.v2) for r in runs]
+    d, unit, (lo, hi, slope) = _kernels.divergence(runs[0].t, *columns, 1e-9, DIVERGENCE_SCALE)
+    old = np.sqrt(sum((np.asarray(p) - np.asarray(q)) ** 2 for p, q in zip(*columns)))
+    assert d.tobytes() == old.tobytes()
+    t = np.asarray(runs[0].t)
+    assert lo == np.nonzero(old > 1e-8)[0][0] and hi == np.nonzero(old > 0.01)[0][0]
+    assert unit == np.nonzero(old > 1.0)[0][0]
+    seg_t, seg_d = t[lo:hi + 1], old[lo:hi + 1]
+    assert slope == pytest.approx(np.polyfit(seg_t, np.log(seg_d), 1)[0], rel=1e-12, abs=0)
+    rep = sensitivity(sc, cfg)
+    assert rep.distances.tobytes() == d.tobytes() and rep.times.tobytes() == t.tobytes()
+    assert (rep.lambda_, rep.window, rep.t_first_unit) == (slope, (t[lo], t[hi]), t[unit])
+
+
 def test_the_library_exports_exactly_the_functions_it_binds(c_backend):
     """The defined dynamic symbols of the built library are the names
     _kernels.py binds from _LIB, one wrapper each, and every wrapper keeps
@@ -393,8 +507,8 @@ def test_the_library_exports_exactly_the_functions_it_binds(c_backend):
     exported = [line.split()[-1] for line in proc.stdout.splitlines() if line.strip()]
     bound = re.findall(r"_LIB\.(\w+)", Path(_kernels.__file__).read_text())
     assert sorted(exported) == sorted(bound) == \
-        ["derived_columns", "format_rows", "run_rk4", "run_verlet"]
-    for name in ("_run_verlet", "_run_rk4", "derived_columns", "format_rows"):
+        ["derived_columns", "divergence", "format_rows", "run_rk4", "run_verlet"]
+    for name in ("_run_verlet", "_run_rk4", "derived_columns", "divergence", "format_rows"):
         wrapper = getattr(_kernels, name)
         assert wrapper.py_func is not wrapper and wrapper.py_func.__name__ == name
 
@@ -438,21 +552,22 @@ def test_the_source_compiles_without_a_warning(tmp_path):
 
 
 # A small sweep on two workers (transmit, reflect and time-limit rows; forked
-# processes without gcc, threads with it) and an RK4 run recorded at an odd
-# stride.
+# processes without gcc, threads with it), an RK4 run recorded at an odd
+# stride, and a twin run whose exponent is fitted.
 FALLBACK_RUNS = {
     "sweep": ["sweep", "--v-min", "0.2", "--v-max", "0.3", "--dv", "0.05",
               "--launch-offset=-4", "--exit-radius", "4", "--t-max", "60",
               "--workers", "2"],
     "simulate": ["simulate", "--scheme", "RK4", "--v0", "0.3", "--t-max", "25",
                  "--record-every", "7"],
+    "sensitivity": ["sensitivity", "--v0", "0.2", "--t-max", "100", "--seed-delta", "1e-6"],
 }
 
 
 def test_the_python_fallback_writes_the_c_bytes_end_to_end(c_backend, tmp_path):
     """A copy of the package with no built library, run where gcc cannot be
     found, says once that it falls back, names the python kernel and writes
-    the CSV bytes of the C kernel."""
+    the CSV bytes of the C kernel, a fitted exponent included."""
     package = Path(_kernels.__file__).parent
     copy = tmp_path / "kinktrap"
     copy.mkdir()
@@ -477,3 +592,4 @@ def test_the_python_fallback_writes_the_c_bytes_end_to_end(c_backend, tmp_path):
         assert cli.main([*argv, "--out", str(out_c)]) == 0
         fallback(*argv, "--out", str(out_py))
         assert out_py.read_bytes() == out_c.read_bytes(), name
+    assert "# degenerate = false\n" in (tmp_path / "sensitivity-c.csv").read_text()
