@@ -30,7 +30,8 @@ ctypes releases the GIL for each call, so threads run them in parallel
 
 Each formula has one home:
 
-  force   _accel.  dynamics.accelerations is the floor check plus _accel.
+  force   _accel.  dynamics.accelerations is the floor check plus _accel;
+          linearized.in_well_equilibrium_separation bisects it.
   step    _run_verlet and _run_rk4, which take the same 21 arguments and
           return the same 8-tuple as their C wrappers.
   energy  pair_energy, used by dynamics.total_energy, by derived_columns and

@@ -161,13 +161,13 @@ _WINDOW = {
 }
 
 
-def load_config(path: str, command: Optional[str] = None) -> dict:
-    """Parse a flat 'key = value' file.  Blank lines and #-comments are
-    skipped; keys outside the published set are a hard error, not a warning,
-    so a typo cannot silently fall back to a default.  So is a key given
-    twice, so one of its values cannot be silently ignored.  Given a
-    subcommand, a published key for which it has no flag is an error too, so
-    a setting cannot be silently dropped."""
+def load_config(path: str, command: str) -> dict:
+    """Parse a flat 'key = value' file for a subcommand.  Blank lines and
+    #-comments are skipped; keys outside the published set are a hard error,
+    not a warning, so a typo cannot silently fall back to a default.  So is a
+    key given twice, so one of its values cannot be silently ignored, and a
+    published key for which the subcommand has no flag, so a setting cannot
+    be silently dropped."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -187,7 +187,7 @@ def load_config(path: str, command: Optional[str] = None) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: config key {key!r} is given twice")
-        if command is not None and key not in _flags_of(command):
+        if key not in _flags_of(command):
             raise ConfigError(
                 f"{path}:{lineno}: config key {key!r} does not apply to {command}")
         values[key] = _SETTINGS[key].convert(key, raw)

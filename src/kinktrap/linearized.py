@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .dynamics import CMState, ModelParams, equilibrium_separation, from_cm
+from . import _kernels
+from .dynamics import CMState, ModelParams, State, accelerations, equilibrium_separation, from_cm
 from .integrator import IntegratorConfig, Trajectory, integrate, sample_stride
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "LinearizedParams",
@@ -86,31 +84,28 @@ def linearized_frequencies(params: ModelParams, r_eq: Optional[float] = None) ->
     return LinearizedParams(omega_R=omega_r, omega_eps=omega_eps, delta=delta, r_eq=r_eq)
 
 
-def dominant_frequency(ts: np.ndarray, xs: np.ndarray) -> float:
+def dominant_frequency(ts, xs) -> float:
     """Angular frequency from mean-crossing timing.
 
-    Crossings of the series about its mean are located by linear interpolation
-    and debounced with a hysteresis band of 5% of the peak deviation, so small
-    measurement noise does not register spurious crossings.  The estimate is
-    pi over the mean half-period.  Raises InsufficientOscillations when fewer
-    than 4 debounced crossings exist.
+    ts and xs are 1-D float64 buffers of one length (trajectory columns,
+    numpy arrays); anything else, a plain list too, raises ValueError.
+    Crossings of the series about its fsum mean are located by linear
+    interpolation and debounced with a hysteresis band of 5% of the peak
+    deviation, so small measurement noise does not register spurious
+    crossings.  The estimate is pi over the fsum mean half-period.  Raises
+    InsufficientOscillations when fewer than 4 debounced crossings exist.
     """
-    import numpy as np
-
-    ts = np.asarray(ts, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    if ts.ndim != 1 or ts.shape != xs.shape:
-        raise ValueError("ts and xs must be 1-d arrays of equal length")
-    if ts.size < 2:
+    views = _kernels.float64_views((ts, xs), "ts and xs")
+    if _kernels._one_length(views, "ts and xs") < 2:
         raise InsufficientOscillations(0)
-    d = xs - xs.mean()
-    amp = float(np.max(np.abs(d))) if d.size else 0.0
+    ts, xs = (view.tolist() for view in views)
+    mean = math.fsum(xs) / len(xs)
+    d = [x - mean for x in xs]
+    amp = max(map(abs, d))
     if amp == 0.0:
         raise InsufficientOscillations(0)
     band = 0.05 * amp
 
-    # the same doubles as Python floats, which index without numpy scalars
-    ts, d = ts.tolist(), d.tolist()
     crossings: list[float] = []
     armed = 0  # sign of the band last left
     last_zero_t = None
@@ -131,8 +126,8 @@ def dominant_frequency(ts: np.ndarray, xs: np.ndarray) -> float:
             armed = -1
     if len(crossings) < 4:
         raise InsufficientOscillations(len(crossings))
-    half_periods = np.diff(np.asarray(crossings))
-    return math.pi / float(half_periods.mean())
+    half_periods = [b - a for a, b in zip(crossings, crossings[1:])]
+    return math.pi / (math.fsum(half_periods) / len(half_periods))
 
 
 def measured_frequency(
@@ -159,8 +154,9 @@ def measured_frequency(
 def in_well_equilibrium_separation(params: ModelParams) -> float:
     """Separation minimizing the full potential for the pair centered in the well.
 
-    Solves k s - n alpha / s^(n+1) + A beta s e^(-beta s^2 / 4) = 0 by
-    bisection.  For A > 0 the root sits below the free equilibrium (the pair
+    Solves k s - n alpha / s^(n+1) + A beta s e^(-beta s^2 / 4) = 0, the
+    force dynamics.accelerations gives on the left particle of the pair at
+    -s/2 and s/2, by bisection of that force.  For A > 0 the root sits below the free equilibrium (the pair
     shrinks inside the well); for A = 0 it is the free equilibrium itself.
     """
     s_free = equilibrium_separation(params)
@@ -168,11 +164,7 @@ def in_well_equilibrium_separation(params: ModelParams) -> float:
         return s_free
 
     def net(s: float) -> float:
-        return (
-            params.k * s
-            - params.n * params.alpha / s ** (params.n + 1)
-            + params.A * params.beta * s * math.exp(-params.beta * s * s / 4.0)
-        )
+        return accelerations(State(0.0, -0.5 * s, 0.0, 0.5 * s, 0.0), params)[0]
 
     hi = s_free
     if net(hi) < 0.0:

@@ -54,11 +54,6 @@ class Scenario:
             raise ValueError(f"launch_offset must be finite, got {self.launch_offset!r}")
         if self.launch_offset == 0.0:
             raise ValueError("launch_offset must be nonzero (the pair starts outside the well)")
-        if not (self.exit_radius <= abs(self.launch_offset)):
-            raise ValueError(
-                f"exit_radius ({self.exit_radius!r}) must not exceed |launch_offset| "
-                f"({abs(self.launch_offset)!r}); otherwise the launch point is already outside"
-            )
         if self.separation is not None and not (self.separation > 0.0
                                                 and math.isfinite(self.separation)):
             raise ValueError(f"separation must be positive and finite, got {self.separation!r}")
@@ -111,6 +106,13 @@ def initial_state(sc: Scenario) -> State:
     return from_cm(cm)
 
 
+def _check_exit_radius(sc: Scenario) -> None:
+    if not (sc.exit_radius <= abs(sc.launch_offset)):
+        raise ValueError(f"exit_radius ({sc.exit_radius!r}) must not exceed |launch_offset| "
+                         f"({abs(sc.launch_offset)!r}); otherwise the launch point is "
+                         "already outside")
+
+
 def run_scattering(
     sc: Scenario,
     cfg: IntegratorConfig,
@@ -121,8 +123,10 @@ def run_scattering(
     Passing record_every attaches the trajectory sampled every record_every
     steps to the record; otherwise nothing is recorded.  Integration
     failures (coincident particles, exhausted step budget) propagate as
-    exceptions; sweep-level callers turn them into Error rows.
+    exceptions; sweep-level callers turn them into Error rows.  An
+    exit_radius beyond |launch_offset| raises ValueError before the run.
     """
+    _check_exit_radius(sc)
     result = integrate(
         initial_state(sc),
         sc.params,

@@ -21,7 +21,8 @@ from . import _kernels
 from .dynamics import CoincidentParticles, ModelParams
 from .integrator import (IntegratorConfig, NonFiniteState, StepBudgetExhausted, integrate,
                          sample_stride)
-from .scattering import Outcome, OutcomeRecord, Scenario, initial_state, run_scattering
+from .scattering import (Outcome, OutcomeRecord, Scenario, _check_exit_radius, initial_state,
+                         run_scattering)
 
 __all__ = [
     "SweepSpec",
@@ -47,7 +48,8 @@ DIVERGENCE_SCALE = 1.0
 class SweepSpec:
     """A family of scattering scenarios differing only in launch speed.
 
-    The launch settings are Scenario's, which checks them.
+    The launch settings are Scenario's, checked up front as run_scattering
+    checks them, so a bad exit radius fails before the first point runs.
     """
 
     params: ModelParams
@@ -74,7 +76,7 @@ class SweepSpec:
             raise ValueError(f"v_min..v_max = {self.v_min!r}..{self.v_max!r} in steps of "
                              f"dv = {self.dv!r} gives {ratio + 1:.3g} grid points, "
                              f"more than {MAX_GRID_POINTS}")
-        self.scenario(self.v_min)
+        _check_exit_radius(self.scenario(self.v_min))
 
     def scenario(self, v0: float) -> Scenario:
         """The scenario at launch speed v0; every other Scenario field is this spec's."""

@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import importlib
 import math
 import mmap
 import shlex
@@ -51,7 +52,7 @@ class TestLoadConfig:
         cfg.write_text(
             "# model\nk = 2.5\nn=3\n\nseparation = none\nscheme = RK4\nworkers = 4\n"
         )
-        values = load_config(str(cfg))
+        values = load_config(str(cfg), "sweep")
         assert values == {"k": 2.5, "n": 3, "separation": None,
                           "scheme": "RK4", "workers": 4}
 
@@ -59,29 +60,29 @@ class TestLoadConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 1.0\nsprng = 2.0\n")
         with pytest.raises(ConfigError, match=r"run\.cfg:2.*sprng"):
-            load_config(str(cfg))
+            load_config(str(cfg), "sweep")
 
     def test_a_repeated_key_is_a_hard_error_with_location(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 2.0\nn = 3\nk = 3.0\n")
         with pytest.raises(ConfigError, match=r"run\.cfg:3: config key 'k' is given twice"):
-            load_config(str(cfg))
+            load_config(str(cfg), "sweep")
 
     def test_line_without_equals_is_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")
         with pytest.raises(ConfigError, match="key = value"):
-            load_config(str(cfg))
+            load_config(str(cfg), "sweep")
 
     def test_non_numeric_value_is_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = fast\n")
         with pytest.raises(ConfigError, match="expected a number"):
-            load_config(str(cfg))
+            load_config(str(cfg), "sweep")
 
     def test_missing_file_is_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
-            load_config(str(tmp_path / "absent.cfg"))
+            load_config(str(tmp_path / "absent.cfg"), "sweep")
 
     def test_a_key_of_another_subcommand_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -249,6 +250,33 @@ class TestExitCodes:
         assert err.startswith("error: [Errno ") and err.endswith(f"{str(out)!r}\n")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, work", [
+        ("simulate", "integrate"), ("sweep", "_classify_point"), ("zoom", "_classify_point"),
+    ])
+    def test_a_launch_inside_the_exit_radius_exits_one_before_the_run(
+            self, command, work, monkeypatch, capsys):
+        """The subcommands that test the exit refuse a launch point inside
+        the exit radius; sweep and zoom before any point runs."""
+        module = importlib.import_module(
+            "kinktrap.scattering" if command == "simulate" else "kinktrap.sweep")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(module, work, no_run)
+        code, out, err = run_cli([command, "--launch-offset=-5"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: exit_radius (10.0) must not exceed |launch_offset| (5.0); "
+                       "otherwise the launch point is already outside\n")
+
+    def test_sensitivity_runs_from_inside_the_exit_radius(self, capsys):
+        """sensitivity has no exit test and no --exit-radius flag, so the
+        exit radius cannot veto its launch point."""
+        code, out, err = run_cli(["sensitivity", "--launch-offset=-5", "--t-max", "20"], capsys)
+        assert (code, err) == (0, "")
+        assert meta_value(out, "launch_offset") == "-5.0"
+        assert len(csv_body(out)[1]) == 21
 
     def test_no_well_linear_compare_exits_two(self, capsys):
         code, _, err = run_cli(["linear-compare", "--A", "0"], capsys)
@@ -681,8 +709,8 @@ class TestModuleEntryPoint:
 
 
 # Runs in a fresh interpreter: a sweep on one and two workers, a zoom, a
-# simulate under each scheme and a chaotic sensitivity run, whose CSVs go to
-# argv[2]-*.csv, then --version;
+# simulate under each scheme, a chaotic sensitivity run and a linear-compare
+# under each scheme, whose CSVs go to argv[2]-*.csv, then --version;
 # prints whether numpy was loaded.  With argv[1] == "numpy-first" it imports
 # numpy before anything.
 NUMPY_FREE_RUNS = """
@@ -703,6 +731,9 @@ assert main(["simulate", "--scheme", "RK4", "--v0", "0.3", "--record-every", "3"
 assert main(["sensitivity", "--v0", "0.056", "--t-max", "300",
              "--out", f"{prefix}-sensitivity.csv"]) == 0
 with contextlib.redirect_stdout(io.StringIO()):
+    for scheme in ("VelocityVerlet", "RK4"):
+        assert main(["linear-compare", "--t-max", "120", "--scheme", scheme,
+                     "--out", f"{prefix}-linear-{scheme}.csv"]) == 0
     try:
         main(["--version"])
     except SystemExit as exc:
@@ -713,9 +744,10 @@ print("numpy" in sys.modules)
 
 class TestNumpyFree:
     def test_sweep_zoom_and_version_never_load_numpy(self, tmp_path):
-        """Nor do simulate and sensitivity.  The same runs write the same
-        bytes whether or not numpy was imported first, the sensitivity
-        run's fitted exponent included."""
+        """Nor do simulate, sensitivity and linear-compare.  The same runs
+        write the same bytes whether or not numpy was imported first, the
+        sensitivity run's fitted exponent and linear-compare's measured
+        frequencies included."""
         loaded = {}
         for mode in ("numpy-free", "numpy-first"):
             proc = subprocess.run(
@@ -724,7 +756,8 @@ class TestNumpyFree:
             assert proc.returncode == 0, proc.stderr
             loaded[mode] = proc.stdout.strip()
         assert loaded == {"numpy-free": "False", "numpy-first": "True"}
-        for name in ("w1", "w2", "zoom", "verlet", "rk4", "sensitivity"):
+        for name in ("w1", "w2", "zoom", "verlet", "rk4", "sensitivity",
+                     "linear-VelocityVerlet", "linear-RK4"):
             free = (tmp_path / f"numpy-free-{name}.csv").read_bytes()
             assert free == (tmp_path / f"numpy-first-{name}.csv").read_bytes(), name
         assert (tmp_path / "numpy-free-w1.csv").read_bytes() == \

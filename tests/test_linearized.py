@@ -6,6 +6,7 @@ from the module, so a regression in the formulas cannot hide behind itself.
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from kinktrap import (
     InsufficientOscillations,
     IntegratorConfig,
     ModelParams,
+    State,
+    accelerations,
     dominant_frequency,
     equilibrium_separation,
     in_well_equilibrium_separation,
@@ -124,6 +127,8 @@ class TestDominantFrequency:
             dominant_frequency(np.arange(5.0), np.arange(6.0))
         with pytest.raises(ValueError):
             dominant_frequency(np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(2, 3))
+        with pytest.raises(ValueError):  # float64 buffers only
+            dominant_frequency([0.0, 1.0, 0.0], [0.0, 1.0, 0.0])
 
 
 class TestMeasuredFrequency:
@@ -146,6 +151,23 @@ class TestInWellEquilibrium:
             net = (p.k * s - p.n * p.alpha / s ** (p.n + 1)
                    + p.A * p.beta * s * math.exp(-p.beta * s * s / 4.0))
             assert abs(net) < 1e-9
+
+    def test_root_is_a_sign_change_of_the_kernels_force(self):
+        """The force accelerations gives on the left particle of the pair
+        centered in the well goes from <= 0 to > 0 between the root's
+        neighbouring floats: the root of the force the runs integrate."""
+        def force(p, s):
+            return accelerations(State(0.0, -0.5 * s, 0.0, 0.5 * s, 0.0), p)[0]
+
+        rng = random.Random(19)
+        for i in range(400):
+            p = _random_attractive(rng)
+            if i % 4 == 0:
+                p = replace(p, A=-rng.uniform(0.05, 0.5) * p.k / p.beta)
+            s = in_well_equilibrium_separation(p)
+            below, above = math.nextafter(s, 0.0), math.nextafter(s, math.inf)
+            assert (force(p, below) <= 0.0 < force(p, s)
+                    or force(p, s) <= 0.0 < force(p, above)), p
 
     def test_default_root_is_stable(self):
         assert in_well_equilibrium_separation(ModelParams()) == pytest.approx(

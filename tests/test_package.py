@@ -5,6 +5,8 @@ import importlib
 import types
 from pathlib import Path
 
+import pytest
+
 import kinktrap
 
 SUBMODULES = ("dynamics", "integrator", "linearized", "scattering", "sweep")
@@ -68,3 +70,24 @@ def test_no_module_level_import_is_unused():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in _module_level_imports(tree) if name not in used]
     assert unused == []
+
+
+def test_the_package_needs_no_numpy():
+    """No module imports numpy, at module level, in a function or under
+    TYPE_CHECKING, and the project declares no runtime dependency."""
+    found = []
+    root = Path(kinktrap.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "numpy"]
+    assert found == []
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from kinktrap import scattering
 from kinktrap import (
     IntegratorConfig,
     ModelParams,
@@ -39,7 +40,7 @@ class TestScenario:
         ({"v0": 0.1, "t_max": 0.0}, "t_max must be positive"),
         ({"v0": 0.1, "exit_radius": -1.0}, "exit_radius must be positive"),
         ({"v0": 0.1, "launch_offset": 0.0}, "launch_offset must be nonzero"),
-        ({"v0": 0.1, "exit_radius": 12.0}, "must not exceed"),
+        ({"v0": 0.1, "exit_radius": math.nan}, "exit_radius must be positive"),
         ({"v0": 0.1, "separation": 0.0}, "separation must be positive"),
         ({"v0": 0.1, "t_max": math.inf}, "t_max must be positive and finite"),
         ({"v0": 0.1, "launch_offset": -math.inf}, "launch_offset must be finite"),
@@ -146,6 +147,19 @@ class TestMirrorSymmetry:
 
 
 class TestExitRadiusInvariance:
+    def test_an_exit_radius_beyond_the_launch_point_is_rejected_before_the_run(
+            self, monkeypatch):
+        """The scenario itself is valid (sensitivity runs it with no exit
+        test); run_scattering, which tests the exit, refuses it."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrate ran")
+
+        monkeypatch.setattr(scattering, "integrate", no_run)
+        sc = Scenario(params=ModelParams(), v0=0.1, exit_radius=12.0)
+        with pytest.raises(ValueError, match=r"^exit_radius \(12\.0\) must not exceed "
+                                             r"\|launch_offset\| \(10\.0\)"):
+            run_scattering(sc, CFG)
+
     def test_classification_does_not_depend_on_the_detector_position(self):
         # launch from -12 so both exit radii fit inside the launch offset
         p = ModelParams()

@@ -78,6 +78,7 @@ class TestGrid:
         {"v_max": 1e300},
         {"dv": 2.5e-8},
         {"v_min": 0.5, "v_max": 0.5 + MAX_GRID_POINTS * 2**-26, "dv": 2**-26},
+        {"launch_offset": -5.0},  # inside the default exit radius
     ])
     def test_bad_specs_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -348,6 +349,13 @@ class TestSensitivity:
         assert np.allclose(np.diff(rep.times), 1.0, atol=1e-9)
         # both runs launch with the same positions, velocities delta apart
         assert rep.distances[0] == pytest.approx(1e-9 * math.sqrt(2.0), rel=1e-6)
+
+    def test_the_exit_radius_is_not_checked_against_the_launch_point(self):
+        """The twins run to t_max with no exit test, so a launch inside the
+        default exit radius is a valid start."""
+        sc = Scenario(params=ModelParams(), v0=0.1, launch_offset=-5.0, t_max=20.0)
+        rep = sensitivity(sc, IntegratorConfig())
+        assert len(rep.times) == 21 and rep.times[-1] == 20.0
 
     def test_bad_arguments_are_rejected(self):
         sc = Scenario(params=ModelParams(), v0=0.12, t_max=10.0)
