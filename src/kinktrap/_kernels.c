@@ -20,6 +20,9 @@
  * format_rows writes each float as the bytes of Python's repr: the shortest
  * digits that read back to the same double, found with Ryu (U. Adams, "Ryu:
  * fast float-to-string conversion", PLDI 2018), laid out as repr lays them out.
+ * The digits go straight into the caller's buffer, in the 8-, 4- and 2-digit
+ * groups of Ryu's d2s; only cells near the end of the buffer are formatted
+ * aside first, so that nothing is written past its capacity.
  *
  * The five functions without static are the library's whole interface:
  * _kernels.py binds each of them, and nothing else.
@@ -334,15 +337,24 @@ static inline uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
 
 static inline int decimal_length(uint64_t v)  /* v < 10^17 */
 {
-    static const uint64_t powers[] = {
-        10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull, 10000000ull,
-        100000000ull, 1000000000ull, 10000000000ull, 100000000000ull,
-        1000000000000ull, 10000000000000ull, 100000000000000ull,
-        1000000000000000ull, 10000000000000000ull};
-    int len = 1;
-    while (len < 17 && v >= powers[len - 1])
-        len++;
-    return len;
+    /* a compare chain, as Ryu's decimalLength17: no table, no loop */
+    if (v >= 10000000000000000ull) return 17;
+    if (v >= 1000000000000000ull) return 16;
+    if (v >= 100000000000000ull) return 15;
+    if (v >= 10000000000000ull) return 14;
+    if (v >= 1000000000000ull) return 13;
+    if (v >= 100000000000ull) return 12;
+    if (v >= 10000000000ull) return 11;
+    if (v >= 1000000000ull) return 10;
+    if (v >= 100000000ull) return 9;
+    if (v >= 10000000ull) return 8;
+    if (v >= 1000000ull) return 7;
+    if (v >= 100000ull) return 6;
+    if (v >= 10000ull) return 5;
+    if (v >= 1000ull) return 4;
+    if (v >= 100ull) return 3;
+    if (v >= 10ull) return 2;
+    return 1;
 }
 
 /* Ryu's d2d: the shortest decimal digits * 10^e10 that read back as the
@@ -468,9 +480,51 @@ static const char DIGIT_PAIRS[] =
     "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
     "8081828384858687888990919293949596979899";
 
-/* x as repr(x) writes it, into out (24 bytes at most); returns the length.
- * Plain notation when the decimal exponent lies in [-4, 16), with ".0" on an
- * integral value; otherwise d[.ddd]e+XX, with at least two exponent digits. */
+/* The four digits of c < 10000 into p[0..3]. */
+static inline void write4(char *p, uint32_t c)
+{
+    memcpy(p, DIGIT_PAIRS + 2 * (c / 100), 2);
+    memcpy(p + 2, DIGIT_PAIRS + 2 * (c % 100), 2);
+}
+
+/* The len decimal digits of v (len = decimal_length(v)) into out[0..len),
+ * last digit first, as Ryu's d2s writes them: 8 at once with one 64-bit
+ * division while v needs more than 32 bits, then 4 and 2 at a time in
+ * 32-bit arithmetic. */
+static inline void write_digits(char *out, uint64_t v, int len)
+{
+    char *p = out + len;
+    if (v >> 32) {
+        const uint64_t q = v / 100000000;
+        const uint32_t low = (uint32_t)(v - 100000000 * q);
+        v = q;
+        write4(p - 4, low % 10000);
+        write4(p - 8, low / 10000);
+        p -= 8;
+    }
+    uint32_t u = (uint32_t)v;
+    while (u >= 10000) {
+        write4(p - 4, u % 10000);
+        u /= 10000;
+        p -= 4;
+    }
+    if (u >= 100) {
+        memcpy(p - 2, DIGIT_PAIRS + 2 * (u % 100), 2);
+        u /= 100;
+        p -= 2;
+    }
+    if (u >= 10)
+        memcpy(p - 2, DIGIT_PAIRS + 2 * u, 2);
+    else
+        p[-1] = (char)('0' + u);
+}
+
+/* x as repr(x) writes it, into out (24 bytes at most, and nothing is
+ * written past the returned length); returns the length.  Plain notation
+ * when the decimal exponent lies in [-4, 16), with ".0" on an integral
+ * value; otherwise d[.ddd]e+XX, with at least two exponent digits.  The
+ * digits go straight to their place; where a '.' splits them they are
+ * written one place right and the part before the '.' moved back. */
 static int format_double(char *out, double x, const uint64_t *pow5_inv, const uint64_t *pow5)
 {
     uint64_t bits;
@@ -493,16 +547,8 @@ static int format_double(char *out, double x, const uint64_t *pow5_inv, const ui
         return (int)(p - out) + 3;
     }
     int32_t e10;
-    uint64_t v = shortest(exponent, mantissa, pow5_inv, pow5, &e10);
-    char digits[20];
+    const uint64_t v = shortest(exponent, mantissa, pow5_inv, pow5, &e10);
     const int len = decimal_length(v);
-    int i = len;
-    for (; i >= 2; i -= 2) {
-        memcpy(digits + i - 2, DIGIT_PAIRS + 2 * (v % 100), 2);
-        v /= 100;
-    }
-    if (i == 1)
-        digits[0] = (char)('0' + v);
     const int decpt = e10 + len;   /* x = 0.digits * 10^decpt */
     if (decpt > -4 && decpt <= 16) {
         if (decpt <= 0) {
@@ -510,16 +556,15 @@ static int format_double(char *out, double x, const uint64_t *pow5_inv, const ui
             *p++ = '.';
             for (int i = 0; i < -decpt; i++)
                 *p++ = '0';
-            memcpy(p, digits, len);
+            write_digits(p, v, len);
             p += len;
         } else if (decpt < len) {
-            memcpy(p, digits, decpt);
-            p += decpt;
-            *p++ = '.';
-            memcpy(p, digits + decpt, len - decpt);
-            p += len - decpt;
+            write_digits(p + 1, v, len);
+            memmove(p, p + 1, decpt);
+            p[decpt] = '.';
+            p += len + 1;
         } else {
-            memcpy(p, digits, len);
+            write_digits(p, v, len);
             p += len;
             for (int i = len; i < decpt; i++)
                 *p++ = '0';
@@ -527,12 +572,11 @@ static int format_double(char *out, double x, const uint64_t *pow5_inv, const ui
             *p++ = '0';
         }
     } else {
-        *p++ = digits[0];
-        if (len > 1) {
-            *p++ = '.';
-            memcpy(p, digits + 1, len - 1);
-            p += len - 1;
-        }
+        write_digits(p + 1, v, len);
+        p[0] = p[1];
+        if (len > 1)
+            p[1] = '.';
+        p += len > 1 ? len + 1 : 1;
         *p++ = 'e';
         int e = decpt - 1;
         *p++ = e < 0 ? '-' : '+';
@@ -542,8 +586,8 @@ static int format_double(char *out, double x, const uint64_t *pow5_inv, const ui
             *p++ = (char)('0' + e / 100);
             e %= 100;
         }
-        *p++ = (char)('0' + e / 10);
-        *p++ = (char)('0' + e % 10);
+        memcpy(p, DIGIT_PAIRS + 2 * e, 2);
+        p += 2;
     }
     return (int)(p - out);
 }
@@ -551,7 +595,8 @@ static int format_double(char *out, double x, const uint64_t *pow5_inv, const ui
 /* format_rows: rows start..stop of the ncols columns as CSV text, cells
  * joined by ',' and each row ended by '\n', into buf.  Returns the number of
  * bytes written, or -1, having written nothing past buf + cap, when the text
- * does not fit. */
+ * does not fit.  A cell is formatted in place while a whole cell fits in
+ * what is left, and through cell, then copied if it fits, near cap. */
 int64_t format_rows(const double *const *cols, int64_t ncols, int64_t start, int64_t stop,
                     const uint64_t *pow5_inv, const uint64_t *pow5, char *buf, int64_t cap)
 {
@@ -559,10 +604,15 @@ int64_t format_rows(const double *const *cols, int64_t ncols, int64_t start, int
     int64_t pos = 0;
     for (int64_t i = start; i < stop; i++) {
         for (int64_t j = 0; j < ncols; j++) {
-            int len = format_double(cell, cols[j][i], pow5_inv, pow5);
-            if (len + 1 > cap - pos)
-                return -1;
-            memcpy(buf + pos, cell, len);
+            int len;
+            if (cap - pos >= (int64_t)sizeof cell) {
+                len = format_double(buf + pos, cols[j][i], pow5_inv, pow5);
+            } else {
+                len = format_double(cell, cols[j][i], pow5_inv, pow5);
+                if (len + 1 > cap - pos)
+                    return -1;
+                memcpy(buf + pos, cell, len);
+            }
             pos += len;
             buf[pos++] = j + 1 < ncols ? ',' : '\n';
         }

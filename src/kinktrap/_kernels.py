@@ -52,10 +52,12 @@ Each formula has one home:
   tail    _tail, the bookkeeping both runners do after a completed step:
           the drift peak, the recording test and the exit test.  after_step
           and done in _kernels.c mirror its two closures.
-  text    format_rows, the CSV rows of a body of float64 columns: repr of
-          each cell.  The C copy finds the shortest round-trip digits with
-          Ryu (U. Adams, PLDI 2018), ties to even, and lays them out as repr
-          does; its 128-bit power-of-5 tables are computed exactly from
+  text    format_rows, the CSV rows of a body of float64 columns as ASCII
+          bytes: repr of each cell.  The C copy finds the shortest
+          round-trip digits with Ryu (U. Adams, PLDI 2018), ties to even,
+          and writes them as repr lays them out straight into its buffer,
+          which it returns as a read-only memoryview; the reference returns
+          bytes.  Its 128-bit power-of-5 tables are computed exactly from
           Python ints by _ryu_tables on the first call and passed in.  A
           tier-1 test compares it with repr on a million random doubles and
           the edge cases.
@@ -212,11 +214,12 @@ def divergence(t, a, b, seed_delta, scale):
 
 
 def format_rows(columns, start, stop):
-    """Rows start..stop of equal-length float64 columns as CSV text: repr of
-    each cell, cells joined by ',' and every row ended by a newline."""
+    """Rows start..stop of equal-length float64 columns as the ASCII bytes of
+    CSV text: repr of each cell, cells joined by ',' and every row ended by a
+    newline."""
     cells = [map(repr, column[start:stop].tolist()) for column in columns]
     text = "\n".join(map(",".join, zip(*cells)))
-    return text + "\n" if text else ""
+    return (text + "\n" if text else "").encode("ascii")
 
 
 def _tail(k, alpha, n, A, t0, dt, exit_radius, e0, rec_stride, rec):
@@ -558,7 +561,7 @@ def _c_format_rows(fn):
                   _address(buf), len(buf))
         if size < 0:
             raise RuntimeError("format_rows: the text outgrew its buffer")
-        return str(memoryview(buf)[:size], "ascii")
+        return memoryview(buf)[:size].toreadonly()
 
     return format_rows
 

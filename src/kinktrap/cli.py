@@ -301,10 +301,13 @@ def _emit_csv(
     columns: tuple,
 ) -> None:
     """Write the metadata, the header and a body given as equal-length
-    columns (buffers, lists or tuples), one line per row.  A body of aligned,
-    C-contiguous 1-D float64 buffers only (trajectory columns, numpy arrays)
-    is written by _kernels.format_rows, any other body cell by cell through
-    _fmt; both give _fmt's text for every cell."""
+    columns (buffers, lists or tuples), one line per row, as bytes to one
+    binary sink: the file out, or stdout's byte stream after what is
+    pending on stdout's text layer.  A body of aligned, C-contiguous 1-D
+    float64 buffers only (trajectory columns, numpy arrays) is written by
+    _kernels.format_rows, whose bytes go to the sink as they are; any other
+    body is formatted cell by cell through _fmt and encoded per chunk.  Both
+    give _fmt's text for every cell."""
     lines = [f"# kinktrap-version {__version__}"]
     lines.append(f"# command = {_echo_command(command, settings, echo_keys)}")
     for key in echo_keys:
@@ -320,16 +323,20 @@ def _emit_csv(
     else:
         # columns of unequal length take the zip(strict=True) path, which raises
         floats = all(len(col) == rows for col in columns)
-    sink = open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
+    if out:
+        sink = open(out, "wb")
+    else:
+        sys.stdout.flush()
+        sink = nullcontext(sys.stdout.buffer)
     with sink as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(("\n".join(lines) + "\n").encode())
         for start in range(0, rows, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, rows)
             if floats:
                 fh.write(_kernels.format_rows(columns, start, stop))
                 continue
             cells = [map(_fmt, col[start:stop]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+            fh.write(("\n".join(map(",".join, zip(*cells, strict=True))) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------

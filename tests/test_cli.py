@@ -495,14 +495,29 @@ class TestCsvWriter:
         assert written == expected
         assert written.count(b"\n") == 5 + rows
 
-    def test_stdout_and_out_get_the_same_bytes(self, tmp_path, capsys):
-        argv = ["simulate", "--A", "0", "--t-max", "20", "--record-every", "1"]
-        out = tmp_path / "sim.csv"
+    # Per run: its arguments and a line its CSV holds.  simulate's body is
+    # three chunks of format_rows bytes, sensitivity's is format_rows bytes
+    # under metadata that reads none, and the sweep's goes through _fmt.
+    STDOUT_RUNS = {
+        "simulate": (["simulate", "--A", "0", "--t-max", "20", "--record-every", "1"],
+                     "# steps = 20000"),
+        "sensitivity": (["sensitivity", "--A", "0", "--t-max", "20"], "# lambda = none"),
+        "sweep": (["sweep", "--v-min", "0.2", "--v-max", "0.3", "--dv", "0.05",
+                   "--launch-offset=-4", "--exit-radius", "4", "--t-max", "60",
+                   "--workers", "1"], "# points = 3"),
+    }
+
+    @pytest.mark.parametrize("name", STDOUT_RUNS)
+    def test_stdout_and_out_get_the_same_bytes(self, tmp_path, capsys, name):
+        argv, line = self.STDOUT_RUNS[name]
+        out = tmp_path / "run.csv"
         code, text, _ = run_cli(argv + ["--out", str(out)], capsys)
         assert (code, text) == (0, "")
         code, text, _ = run_cli(argv, capsys)
         assert code == 0
-        assert len(csv_body(text)[1]) > 2 * _CHUNK_ROWS
+        assert line in text.splitlines()
+        if name == "simulate":
+            assert len(csv_body(text)[1]) > 2 * _CHUNK_ROWS
         assert text.encode() == out.read_bytes()
 
     def test_a_failed_run_leaves_no_file(self, tmp_path, capsys):
@@ -511,6 +526,66 @@ class TestCsvWriter:
                                 "--out", str(out)], capsys)
         assert code == 2 and "budget" in err
         assert not out.exists()
+
+
+# The call sites that the benchmark's traced runs wrap, each by its name in
+# the calling module (perfbench/run.py, install), and per run the calls each
+# site sees (EXPECTED_SPANS there).  A name that its caller comes to import
+# inside a function, or that a subcommand stops calling, breaks those runs.
+SEAM_SITES = [("cli", "sweep"), ("cli", "sensitivity"), ("cli", "run_scattering"),
+              ("sweep", "run_scattering"), ("sweep", "integrate"),
+              ("scattering", "integrate"), ("_kernels", "_run_verlet"),
+              ("_kernels", "_run_rk4")]
+
+SEAM_RUNS = {
+    "simulate": (["simulate", "--v0", "0.3", "--t-max", "40", "--record-every", "100"],
+                 {"cli.run_scattering": 1, "scattering.integrate": 1,
+                  "_kernels._run_verlet": 1}),
+    "sensitivity": (["sensitivity", "--v0", "0.056", "--t-max", "50"],
+                    {"cli.sensitivity": 1, "sweep.integrate": 2, "_kernels._run_verlet": 2}),
+    "sweep": (["sweep", "--v-min", "0.2", "--v-max", "0.3", "--dv", "0.05",
+               "--launch-offset=-4", "--exit-radius", "4", "--t-max", "60", "--workers", "1"],
+              {"cli.sweep": 1, "sweep.run_scattering": 3, "scattering.integrate": 3,
+               "_kernels._run_verlet": 3}),
+}
+
+
+class TestBenchmarkSeams:
+    @staticmethod
+    def counting(name, original, calls, steps):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            result = original(*args, **kwargs)
+            if name.startswith("_kernels."):
+                steps.append(result[1])  # a runner returns (status, steps, ...)
+            return result
+
+        return wrapper
+
+    @pytest.mark.parametrize("name", SEAM_RUNS)
+    def test_the_benchmark_call_sites_see_each_run(self, name, tmp_path, monkeypatch):
+        """Wrapped by name as the benchmark wraps them, the sites see the
+        calls it expects, and the runners' steps add up to the CSV's."""
+        assert _kernels.NUMBA_ENABLED is False  # the benchmark reads it
+        calls, steps = {}, []
+        for module, attr in SEAM_SITES:
+            mod = importlib.import_module(f"kinktrap.{module}")
+            wrapper = self.counting(f"{module}.{attr}", getattr(mod, attr), calls, steps)
+            monkeypatch.setattr(mod, attr, wrapper)
+        argv, expected = SEAM_RUNS[name]
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert calls == expected
+        text = out.read_text()
+        if name == "simulate":
+            total = int(meta_value(text, "steps"))
+        elif name == "sweep":
+            header, rows = csv_body(text)
+            column = header.split(",").index("steps")
+            total = sum(int(row.split(",")[column]) for row in rows)
+        else:
+            total = 2 * round(float(meta_value(text, "t_max")) / float(meta_value(text, "dt")))
+        assert sum(steps) == total > 0
 
 
 # One quick run per subcommand, for the regeneration tests.

@@ -245,12 +245,23 @@ def _neighbours(values):
 TIES = [1318.8284301757812, 14952.423461914062, 1698191082685399.2, -251299372490427.12,
         -19267498070990.062]
 
+# Shortest digits of every length from 1 to 17 (prefixes of DIGITS), and
+# digit strings on both sides of 10**8 and of 2**32, where the C writer
+# changes how it splits the digits into groups: each with the point inside,
+# after and before the digits, and in exponent notation.
+DIGITS = "12345678912345678"
+SPLITS = ["99999999", "100000001", "4294967295", "4294967296", "4294967297"]
+DIGIT_LENGTHS = [float(f"{d[0]}.{d[1:]}e{e}")
+                 for d in [DIGITS[:n] for n in range(1, 18)] + SPLITS
+                 for e in (-7, -5, -1, 0, 3, len(d) - 1, 15, 16, 22, -300, 300)]
+
 EDGE_VALUES = np.concatenate([
     [2.0**e for e in range(-1074, 1024)],
     [float(f"1e{e}") for e in range(-323, 309)],
     _neighbours([5e-324, sys.float_info.max, sys.float_info.min, 2.0**53,
                  1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e23, 1.0, 0.1]),
     TIES,
+    DIGIT_LENGTHS,
     [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf],
 ])
 
@@ -264,35 +275,45 @@ def test_format_rows_writes_the_bytes_of_repr_on_random_doubles(c_backend):
             == _kernels.format_rows.py_func(columns, 0, 250_000))
     assert (_kernels.format_rows(columns, 1000, 1003)
             == _kernels.format_rows.py_func(columns, 1000, 1003))
-    assert _kernels.format_rows(columns, 7, 7) == ""
+    assert _kernels.format_rows(columns, 7, 7) == b""
 
 
 def test_format_rows_writes_the_bytes_of_repr_on_edge_values(c_backend):
     """Powers of 2 and 10 over the whole range, the subnormal and largest
     doubles, 2**53 and its neighbours, each side of the switches to exponent
-    notation, ties, signed zeros, nan and the infinities, and the negatives
-    of all of them."""
+    notation, ties, every length of shortest digits, signed zeros, nan and
+    the infinities, and the negatives of all of them."""
+    assert {len(repr(v).split("e")[0].replace(".", "").strip("0"))
+            for v in DIGIT_LENGTHS} == set(range(1, 18))
     column = np.concatenate([EDGE_VALUES, -EDGE_VALUES])
-    written = _kernels.format_rows([column], 0, len(column))
-    _assert_same_rows(written, "".join(f"{value!r}\n" for value in column.tolist()))
-    for text in ("\n1e+16\n", "\n9999999999999998.0\n", "\n0.0001\n",
-                 "\n9.999999999999999e-05\n", "\n5e-324\n", "\n-0.0\n", "\nnan\n",
-                 "\n-inf\n", "\n1318.8284301757812\n", "\n9007199254740992.0\n"):
+    written = bytes(_kernels.format_rows([column], 0, len(column)))
+    _assert_same_rows(written, "".join(f"{value!r}\n" for value in column.tolist()).encode())
+    for text in (b"\n1e+16\n", b"\n9999999999999998.0\n", b"\n0.0001\n",
+                 b"\n9.999999999999999e-05\n", b"\n5e-324\n", b"\n-0.0\n", b"\nnan\n",
+                 b"\n-inf\n", b"\n1318.8284301757812\n", b"\n9007199254740992.0\n",
+                 b"\n1234567891234567.8\n", b"\n4294967296.0\n", b"\n4294.967295\n",
+                 b"\n1.00000001e-05\n", b"\n9.9999999e+22\n"):
         assert text in written
     assert max(len(line) for line in written.splitlines()) + 1 <= _kernels._CELL_BYTES
 
 
 def test_format_rows_writes_nothing_past_its_capacity(c_backend):
-    """A buffer too short for the text makes C return -1, and the bytes
-    after the capacity it was given stay as they were."""
-    columns = [np.array([-2.2250738585072014e-308, 0.1]), np.array([1e16, -5e-324])]
-    text = _kernels.format_rows.py_func(columns, 0, 2).encode()
+    """At every capacity up to the length of the text, through the switch
+    from cells written in place to cells written near the end: a buffer too
+    short for the text makes C return -1, and the bytes after the capacity
+    it was given stay as they were."""
+    by_length = {len(repr(v)): v for v in np.concatenate([EDGE_VALUES, -EDGE_VALUES]).tolist()}
+    assert set(range(3, 25)) <= set(by_length)
+    cells = [by_length[n] for n in range(3, 25)]
+    columns = [np.array(cells[0::2]), np.array(cells[1::2])]
+    rows = len(columns[0])
+    text = _kernels.format_rows.py_func(columns, 0, rows)
     inverse, power = _kernels._ryu_tables()
     pointers = (ctypes.c_void_p * 2)(*(c.ctypes.data for c in columns))
-    size = len(text) + 16
-    for cap in (0, 1, 24, 25, len(text) - 1, len(text)):
+    size = len(text) + 32
+    for cap in range(len(text) + 1):
         buf = ctypes.create_string_buffer(b"#" * size, size)
-        written = _kernels._LIB.format_rows(pointers, 2, 0, 2, np.asarray(inverse).ctypes.data,
+        written = _kernels._LIB.format_rows(pointers, 2, 0, rows, np.asarray(inverse).ctypes.data,
                                            np.asarray(power).ctypes.data, buf, cap)
         if cap < len(text):
             assert written == -1, cap
