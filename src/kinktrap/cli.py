@@ -2,7 +2,7 @@
 
 Subcommands: simulate, sweep, zoom, sensitivity, linear-compare.  Two tables
 drive it.  _SETTINGS gives each setting its default, its flag and its
-config-file converter; a default lives on the dataclass field or function
+config-file converter; a default lives on the record field or function
 parameter that consumes it, and only v0, record_every and out are the command
 line's own.  _COMMANDS gives each subcommand its handler, its help and the
 settings its CSV echoes; the parser is one loop over it.
@@ -15,24 +15,23 @@ config file that does the same.  The echo deliberately omits --workers and
 --out: neither affects the data; --center and --halfwidth appear as v_min and
 v_max.
 
-Exit codes: 0 success, 1 bad usage or configuration, or an --out that cannot
-be opened for writing, 2 a run that failed for physical or numerical reasons
-(particle coincidence, step budget, no measurable oscillation), 141 the
-reader of the output closed its pipe (128 + SIGPIPE, as a shell reports a
-process killed by it).
+Exit codes: 0 success, 1 bad usage or configuration, an --out that cannot be
+opened for writing, or no --out and a stdout with no byte stream, 2 a run
+that failed for physical or numerical reasons (particle coincidence, step
+budget, no measurable oscillation), 141 the reader of the output closed its
+pipe (128 + SIGPIPE, as a shell reports a process killed by it).
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import inspect
 import math
 import os
 import sys
 from contextlib import nullcontext
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, get_type_hints
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__, _kernels
 from .dynamics import (
@@ -88,14 +87,14 @@ def _conv_text(key: str, raw: str) -> str:
 
 _SCHEMES = [scheme.value for scheme in Scheme]
 
-# Per setting type: the add_argument keywords of its flag and its config-file
-# converter.
+# Per setting type, by the text of its annotation: the add_argument keywords
+# of its flag and its config-file converter.
 _KINDS = {
-    float: ({"type": float}, _conv_float),
-    int: ({"type": int}, _conv_int),
-    Optional[float]: ({"type": float}, _conv_optional_float),
-    Scheme: ({"choices": _SCHEMES}, _conv_text),
-    str: ({}, _conv_text),
+    "float": ({"type": float}, _conv_float),
+    "int": ({"type": int}, _conv_int),
+    "Optional[float]": ({"type": float}, _conv_optional_float),
+    "Scheme": ({"choices": _SCHEMES}, _conv_text),
+    "str": ({}, _conv_text),
 }
 
 
@@ -106,7 +105,7 @@ class _Setting(NamedTuple):
     help: str
 
 
-def _setting(default, kind, help: str) -> _Setting:
+def _setting(default, kind: str, help: str) -> _Setting:
     return _Setting(default, *_KINDS[kind], help)
 
 
@@ -116,13 +115,19 @@ _LIBRARY_NAMES = {"factor": "refinement_factor"}
 
 def _library(home, **helps) -> dict:
     """{setting: _Setting} for settings whose default and type are those of a
-    parameter of home, a function or a dataclass's constructor."""
-    params = inspect.signature(home).parameters
-    hints = get_type_hints(home)
+    field of home, a record class, or of a parameter of home, a function.  A
+    field's default is the class attribute of its name, a parameter's is in
+    the function's __defaults__, and either's type is its annotation text."""
+    if isinstance(home, type):
+        defaults = vars(home)
+    else:
+        code = home.__code__
+        names = code.co_varnames[:code.co_argcount]
+        defaults = dict(zip(names[len(names) - len(home.__defaults__):], home.__defaults__))
     found = {}
     for name, text in helps.items():
         lib = _LIBRARY_NAMES.get(name, name)
-        found[name] = _setting(params[lib].default, hints[lib], text)
+        found[name] = _setting(defaults[lib], home.__annotations__[lib], text)
     return found
 
 
@@ -142,22 +147,22 @@ _DIVERGENCE = _library(sensitivity, seed_delta="launch speed perturbation",
                        sample_interval="time between recorded distance samples")
 
 # Every setting that flags and config files may set.  A default lives on the
-# dataclass field or function parameter that consumes it; v0, record_every
-# and out are the command line's own.
+# record field or function parameter that consumes it; v0, record_every and
+# out are the command line's own.
 _SETTINGS = {
     **_MODEL, **_LAUNCH, **_INTEGRATOR, **_GRID, **_DIVERGENCE,
     **_library(IntegratorConfig, max_steps="hard step budget per trajectory"),
     **_library(zoom, factor="grid refinement factor", depth="refinement levels",
                workers="parallel workers, at most one per point and CPU (data unchanged)"),
-    "v0": _setting(0.1, float, "launch speed toward the well"),
-    "record_every": _setting(10, int, "record every Nth step"),
-    "out": _setting(None, str, "output CSV path (default: stdout)"),
+    "v0": _setting(0.1, "float", "launch speed toward the well"),
+    "record_every": _setting(10, "int", "record every Nth step"),
+    "out": _setting(None, "str", "output CSV path (default: stdout)"),
 }
 
 # Flags that are not settings: they set v_min and v_max.
 _WINDOW = {
-    "center": _setting(None, float, "with --halfwidth, sets v-min/v-max around this speed"),
-    "halfwidth": _setting(None, float, "half width for --center"),
+    "center": _setting(None, "float", "with --halfwidth, sets v-min/v-max around this speed"),
+    "halfwidth": _setting(None, "float", "half width for --center"),
 }
 
 
@@ -271,11 +276,17 @@ def _echo_command(command: str, settings: dict, keys: list) -> str:
     return " ".join(parts)
 
 
-def _check_out(path: Optional[str]) -> None:
-    """Raise, before any work, the OSError that opening path for writing
-    would raise when path is a directory or its parent directory is
-    missing.  Nothing is created, so a run that fails leaves no file."""
+def _check_out(path: Optional[str], command: str) -> None:
+    """Raise, before any work, what writing the CSV would raise.  With no
+    path the CSV goes to stdout's byte stream, so a stdout without one (a
+    text stream such as io.StringIO put in its place in-process) raises
+    ConfigError, except for linear-compare, which then writes no CSV.  With
+    a path, raise the OSError that opening it for writing would raise when
+    path is a directory or its parent directory is missing.  Nothing is
+    created, so a run that fails leaves no file."""
     if not path:
+        if command != "linear-compare" and not hasattr(sys.stdout, "buffer"):
+            raise ConfigError("stdout has no byte stream to write the CSV to; use --out")
         return
     if os.path.isdir(path):
         code = errno.EISDIR
@@ -542,7 +553,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         res = _resolve(args)
-        _check_out(res["out"])
+        _check_out(res["out"], args.command)
         return args.func(res)
     except BrokenPipeError:
         # the reader closed the pipe: send what is still buffered to devnull,

@@ -11,9 +11,9 @@ Both are written once, in _kernels._accel and _kernels.pair_energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _kernels
+from ._record import record
 
 __all__ = [
     "ModelParams",
@@ -54,7 +54,7 @@ class CoincidentParticles(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@record
 class ModelParams:
     """Physical constants of the pair-plus-well model.
 
@@ -93,7 +93,7 @@ class ModelParams:
                              f"alpha = {self.alpha!r}, n = {self.n!r}")
 
 
-@dataclass(frozen=True)
+@record
 class State:
     """Phase-space point in lab coordinates."""
 
@@ -104,7 +104,7 @@ class State:
     v2: float
 
 
-@dataclass(frozen=True)
+@record
 class CMState:
     """Center-of-mass / relative coordinates.
 

@@ -11,12 +11,12 @@ update code.  Both run at fixed dt so results are bitwise reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Optional
 
 from . import _kernels
+from ._record import record
 from .dynamics import (
     DEFAULT_COINCIDENCE_FLOOR,
     INT64_MAX,
@@ -70,7 +70,7 @@ class NonFiniteState(RuntimeError):
                          f"{(state.x1, state.v1, state.x2, state.v2)!r}; the arithmetic overflowed")
 
 
-@dataclass(frozen=True)
+@record
 class IntegratorConfig:
     scheme: Scheme = Scheme.VELOCITY_VERLET
     dt: float = 1e-3
@@ -84,7 +84,7 @@ class IntegratorConfig:
                              f"got {self.max_steps!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Trajectory:
     """Sampled states of a run under params: the initial point, every
     rec-stride-th step, and the final point.
@@ -135,7 +135,7 @@ class Trajectory:
         return self._derived[4]
 
 
-@dataclass(frozen=True)
+@record
 class IntegrationResult:
     """How a run ended.  max_energy_drift is the peak of |E(t) - E(0)| / |E(0)|
     sampled after every step.  trajectory is None unless the run was given

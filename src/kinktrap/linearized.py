@@ -16,10 +16,10 @@ both readings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
+from ._record import record
 from .dynamics import CMState, ModelParams, State, accelerations, equilibrium_separation, from_cm
 from .integrator import IntegratorConfig, Trajectory, integrate, sample_stride
 
@@ -43,7 +43,7 @@ class InsufficientOscillations(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@record
 class LinearizedParams:
     """Small-oscillation constants: CM frequency, stretch frequency, offset, and the r_eq used."""
 

@@ -11,10 +11,10 @@ record instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from ._record import record
 from .dynamics import CMState, ModelParams, State, equilibrium_separation, from_cm
 from .integrator import IntegratorConfig, StopReason, Trajectory, integrate
 
@@ -28,7 +28,7 @@ class Outcome(Enum):
     ERROR = "Error"
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """One scattering experiment.
 
@@ -70,7 +70,7 @@ class Scenario:
         return 1.0 if self.launch_offset < 0.0 else -1.0
 
 
-@dataclass(frozen=True)
+@record
 class OutcomeRecord:
     """Classified scattering result of the launch at speed v0.
 

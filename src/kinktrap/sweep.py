@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Optional
 
 from . import _kernels
+from ._record import fields, record, replace
 from .dynamics import CoincidentParticles, ModelParams
 from .integrator import (IntegratorConfig, NonFiniteState, StepBudgetExhausted, integrate,
                          sample_stride)
@@ -44,7 +44,7 @@ MAX_GRID_POINTS = 10**7
 DIVERGENCE_SCALE = 1.0
 
 
-@dataclass(frozen=True)
+@record
 class SweepSpec:
     """A family of scattering scenarios differing only in launch speed.
 
@@ -80,11 +80,11 @@ class SweepSpec:
 
     def scenario(self, v0: float) -> Scenario:
         """The scenario at launch speed v0; every other Scenario field is this spec's."""
-        return Scenario(v0=v0, **{f.name: getattr(self, f.name)
-                                  for f in fields(Scenario) if f.name != "v0"})
+        return Scenario(v0=v0, **{name: getattr(self, name)
+                                  for name in fields(Scenario) if name != "v0"})
 
 
-@dataclass(frozen=True)
+@record
 class ZoomRow:
     """A sweep record tagged with its refinement depth; interval is the parent
     grid pair it refines (None at depth 0)."""
@@ -218,7 +218,7 @@ def zoom(
     return rows
 
 
-@dataclass(frozen=True)
+@record
 class DivergenceReport:
     """Phase-space separation of two runs d(t) plus a finite-time exponent fit.
 

@@ -1,8 +1,10 @@
 """Command line contract: config resolution, exit codes, CSV schema, regeneration."""
 
 import argparse
+import contextlib
 import errno
 import importlib
+import io
 import math
 import mmap
 import shlex
@@ -395,6 +397,28 @@ class TestCsvSchema:
             capsys)
         assert code == 0
         assert out.startswith("# kinktrap-version")
+
+    def test_a_stdout_without_a_byte_stream_exits_one_before_the_run(
+            self, monkeypatch, capsys):
+        """A text-only stdout put in place in-process cannot take the CSV's
+        bytes: one error line, exit 1, and the run never starts."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_scattering ran")
+
+        monkeypatch.setattr(cli, "run_scattering", no_run)
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(["simulate", "--A", "0", "--t-max", "1", "--record-every", "100"])
+        err = capsys.readouterr().err
+        assert (code, text.getvalue()) == (1, "")
+        assert err.startswith("error: stdout has no byte stream") and err.count("\n") == 1
+
+    def test_linear_compare_prints_its_table_to_a_text_only_stdout(self):
+        """Without --out it writes no CSV, so such a stdout is enough."""
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main(["linear-compare", "--t-max", "120"]) == 0
+        assert text.getvalue().startswith("free equilibrium separation")
 
 
 @pytest.fixture

@@ -1,14 +1,16 @@
 """Forces, energies, and coordinate transforms of the bound-pair model."""
 
 import math
+import pickle
 import random
-from dataclasses import replace
 
 import pytest
 
+from kinktrap._record import fields, replace
 from kinktrap.dynamics import (
     DEFAULT_COINCIDENCE_FLOOR,
     MAX_EXPONENT,
+    CMState,
     CoincidentParticles,
     ModelParams,
     State,
@@ -19,7 +21,8 @@ from kinktrap.dynamics import (
     total_energy,
 )
 from kinktrap.integrator import IntegratorConfig, Scheme, integrate
-from kinktrap.scattering import Scenario, initial_state
+from kinktrap.scattering import Outcome, OutcomeRecord, Scenario, initial_state, run_scattering
+from kinktrap.sweep import SweepSpec
 
 
 def _random_params(rng, attractive_only=False):
@@ -83,6 +86,70 @@ class TestModelParams:
 
         assert power(MAX_EXPONENT) > 0.0
         assert power(MAX_EXPONENT + 1) == 0.0
+
+
+class TestRecords:
+    """The frozen-record behaviour every value class shares (kinktrap._record)."""
+
+    def test_fields_can_be_neither_assigned_nor_deleted(self):
+        p = ModelParams()
+        with pytest.raises(AttributeError):
+            p.k = 2.0
+        with pytest.raises(AttributeError):
+            p.extra = 1.0
+        with pytest.raises(AttributeError):
+            del p.k
+        assert p == ModelParams()
+
+    def test_equality_and_hash_go_by_class_and_field_values(self):
+        a = State(0.0, 1.0, 2.0, 3.0, 4.0)
+        assert a == State(0.0, 1.0, 2.0, 3.0, 4.0)
+        assert hash(a) == hash(State(0.0, 1.0, 2.0, 3.0, 4.0))
+        assert a != State(0.0, 1.0, 2.0, 3.0, 5.0)
+        # same field names and values, another class
+        assert a != CMState(0.0, 1.0, 2.0, 3.0, 4.0)
+        assert len({ModelParams(), ModelParams(), ModelParams(A=1.0)}) == 2
+
+    def test_repr_lists_the_fields_in_order(self):
+        assert fields(ModelParams) == ("k", "alpha", "n", "A", "beta")
+        assert repr(ModelParams(A=0.5)) == "ModelParams(k=1.0, alpha=1.0, n=2, A=0.5, beta=1.0)"
+        assert repr(CMState(0.0, 1.0, 2.0, 3.0, 4.0)) == \
+            "CMState(t=0.0, R=1.0, V=2.0, r=3.0, w=4.0)"
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {"kappa": 1.0}),                          # unknown
+        ((0.0, 1.0, 2.0, 3.0), {}),                    # missing
+        ((0.0, 1.0, 2.0, 3.0, 4.0), {"t": 0.0}),       # repeated
+        ((0.0, 1.0, 2.0, 3.0, 4.0, 5.0), {}),          # too many
+    ])
+    def test_bad_arguments_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            State(*args, **kwargs)
+
+    def test_replace_validates_again(self):
+        assert replace(ModelParams(), A=0.5) == ModelParams(A=0.5)
+        with pytest.raises(ValueError):
+            replace(ModelParams(), n=0)
+        with pytest.raises(TypeError):
+            replace(ModelParams(), kappa=1.0)
+
+    def test_sweep_records_survive_pickle(self):
+        """The Python fallback's fork pool pickles specs and records."""
+        spec = SweepSpec(params=ModelParams(A=1.5), v_min=0.1, v_max=0.2)
+        rec = run_scattering(spec.scenario(0.3), IntegratorConfig(), None)
+        error = OutcomeRecord(v0=0.1, outcome=Outcome.ERROR, v_final=math.nan,
+                              t_end=math.nan, energy_drift=math.nan, steps=3,
+                              error="StepBudgetExhausted")
+        for obj in (spec, rec):
+            assert pickle.loads(pickle.dumps(obj)) == obj
+        back = pickle.loads(pickle.dumps(error))
+        assert repr(back) == repr(error) and back.outcome is Outcome.ERROR
+
+    def test_scenario_takes_params_by_position(self):
+        """The positional call the benchmark's set-up probe makes."""
+        sc = Scenario(ModelParams(), v0=0.3, t_max=1.0)
+        assert (sc.params, sc.v0, sc.t_max, sc.launch_offset) == (ModelParams(), 0.3, 1.0, -10.0)
+        assert run_scattering(sc, IntegratorConfig()).outcome is Outcome.TRAPPED
 
 
 class TestEquilibriumSeparation:

@@ -6,7 +6,6 @@ from the module, so a regression in the formulas cannot hide behind itself.
 
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from kinktrap import (
     linearized_frequencies,
     measured_frequency,
 )
+from kinktrap._record import replace
 
 
 def _random_attractive(rng):

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -91,3 +93,23 @@ def test_the_package_needs_no_numpy():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+# Runs under python -S with src first on sys.path: imports the command line
+# and prints which of the named modules got loaded.
+STARTUP_IMPORTS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import kinktrap.cli
+print(sorted(name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules))
+"""
+
+
+def test_the_command_line_starts_without_dataclasses_inspect_or_numpy():
+    """Each of them costs every CLI process its import; dataclasses alone
+    brings inspect, ast, dis and tokenize."""
+    src = str(Path(kinktrap.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_IMPORTS, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
