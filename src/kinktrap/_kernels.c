@@ -1,6 +1,6 @@
 /* The Python reference of _kernels.py, operation for operation: the Verlet
- * and RK4 runners, derived_columns (the R, V, r, w and E columns of a
- * trajectory), divergence (twin runs' distance and exponent fit) and
+ * and RK4 runners, derived_columns (the wanted ones of a trajectory's R, V,
+ * r, w and E columns), divergence (twin runs' distance and exponent fit) and
  * format_rows (the CSV rows of float64 columns).
  *
  * Every expression keeps the order of its Python counterpart, and the
@@ -221,20 +221,27 @@ SIGNATURE(run_rk4)
 
 /* derived_columns: at each of len recorded states, cm_coordinates (R, V, r,
  * w) and pair_energy (E), whose Gaussian factors come from exp as in the
- * runners, into the five output columns. */
+ * runners, into the output columns.  A null output column is not wanted:
+ * its store is skipped, and E's two exp calls run only when E is wanted. */
 void derived_columns(const double *x1, const double *v1, const double *x2, const double *v2,
                      int64_t len, double k, double alpha, int64_t n, double A, double beta,
                      double *R, double *V, double *r, double *w, double *E)
 {
     const Model m = {k, alpha, A, beta, n};
     for (int64_t i = 0; i < len; i++) {
-        R[i] = 0.5 * (x1[i] + x2[i]);
-        V[i] = 0.5 * (v1[i] + v2[i]);
-        r[i] = 0.5 * (x2[i] - x1[i]);
-        w[i] = 0.5 * (v2[i] - v1[i]);
-        double g1 = exp(-beta * x1[i] * x1[i]);
-        double g2 = exp(-beta * x2[i] * x2[i]);
-        E[i] = pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2);
+        if (R)
+            R[i] = 0.5 * (x1[i] + x2[i]);
+        if (V)
+            V[i] = 0.5 * (v1[i] + v2[i]);
+        if (r)
+            r[i] = 0.5 * (x2[i] - x1[i]);
+        if (w)
+            w[i] = 0.5 * (v2[i] - v1[i]);
+        if (E) {
+            double g1 = exp(-beta * x1[i] * x1[i]);
+            double g2 = exp(-beta * x2[i] * x2[i]);
+            E[i] = pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2);
+        }
     }
 }
 

@@ -41,10 +41,13 @@ Each formula has one home:
   CM      cm_coordinates, the center-of-mass coordinates (R, V, r, w) of one
           state, used by dynamics.to_cm and by derived_columns.
   columns derived_columns, what a trajectory derives from its recorded
-          states: cm_coordinates and pair_energy of each state, in one pass
-          (integrator.Trajectory's R, V, r, w and E).  In C its loop spells
-          out cm_coordinates; a parity test pins it to the Python loop bit
-          for bit.
+          states: the columns it is asked for among DERIVED (R, V, r, w and
+          E), from cm_coordinates and pair_energy of each state, and no
+          other (integrator.Trajectory asks for one column on its first
+          read).  In C its loop spells out cm_coordinates, and a null output
+          column skips that store, and for E the two exp calls; a parity
+          test pins it to the Python loop bit for bit for every set of
+          wanted columns.
   twins   divergence, what sweep.sensitivity derives from two runs: their
           distance at each sample, where it first passes 1 and its fit
           window, and the least-squares slope of log d over that window,
@@ -70,7 +73,8 @@ and C gets nothing that is not aligned and C-contiguous: the runners' five
 must also be writable and of one length, derived_columns's four state
 columns and divergence's nine columns of one length, and format_rows's
 columns long enough.  Both sides of derived_columns and divergence return
-new read-only buffers.  Nothing here imports numpy.
+new read-only buffers, derived_columns one per wanted column.  Nothing here
+imports numpy.
 
 Division: the runners take every force and energy at a separation >= floor,
 so floor ** (n + 2) > 0 keeps the repulsion's divisor nonzero; integrate's
@@ -90,11 +94,8 @@ import functools
 import math
 import mmap
 import os
-import shutil
 import sys
 import zlib
-from pathlib import Path
-from typing import Optional
 
 # Always False: nothing uses numba.  Kept because perfbench/record_reference.py
 # reads it.
@@ -140,8 +141,8 @@ def float_buffers(count, rows):
     """count writable float64 buffers of rows entries each, as memoryviews
     over one anonymous private mapping: a page takes memory only once a row
     on it is written, so sizing for a bound costs nothing up front.  No rows
-    gives zero-length buffers."""
-    if rows == 0:
+    gives zero-length buffers, and no count none."""
+    if count * rows == 0:
         return [memoryview(bytearray()).cast("d")] * count
     whole = memoryview(mmap.mmap(-1, count * rows * 8, flags=mmap.MAP_PRIVATE)).cast("d")
     return [whole[i * rows:(i + 1) * rows] for i in range(count)]
@@ -153,17 +154,35 @@ def cm_coordinates(x1, v1, x2, v2):
     return 0.5 * (x1 + x2), 0.5 * (v1 + v2), 0.5 * (x2 - x1), 0.5 * (v2 - v1)
 
 
-def derived_columns(x1, v1, x2, v2, k, alpha, n, A, beta):
-    """(R, V, r, w, E) at each state of a recorded trajectory, as five
-    read-only float64 buffers: cm_coordinates and pair_energy of the state,
-    whose Gaussian factors come from math.exp, as in the runners."""
-    out = float_buffers(5, len(x1))
-    R, V, r, w, E = out
+# The columns derived_columns can derive, in the order C takes them.
+DERIVED = ("R", "V", "r", "w", "E")
+
+
+def _derived_buffers(wanted, rows) -> dict:
+    """{name: a new float64 buffer of rows entries} for the names in wanted,
+    in its order; ValueError unless they are distinct names of DERIVED."""
+    wanted = tuple(wanted)
+    if len(set(wanted)) != len(wanted) or not set(wanted) <= set(DERIVED):
+        raise ValueError(f"wanted must be distinct names among {DERIVED}, got {wanted!r}")
+    return dict(zip(wanted, float_buffers(len(wanted), rows)))
+
+
+def derived_columns(x1, v1, x2, v2, k, alpha, n, A, beta, wanted):
+    """The columns named in wanted, among DERIVED, at each state of a
+    recorded trajectory, as read-only float64 buffers in wanted's order:
+    (R, V, r, w) are cm_coordinates of the state and E is its pair_energy,
+    whose Gaussian factors come from math.exp, as in the runners.  A column
+    not wanted is neither stored nor, for E, computed."""
+    out = _derived_buffers(wanted, len(x1))
+    *cm, E = (out.get(name) for name in DERIVED)
     for i, (a, va, b, vb) in enumerate(zip(x1, v1, x2, v2, strict=True)):
-        R[i], V[i], r[i], w[i] = cm_coordinates(a, va, b, vb)
-        E[i] = pair_energy(a - b, va, vb, math.exp(-beta * a * a), math.exp(-beta * b * b),
-                           k, alpha, n, A)
-    return tuple(column.toreadonly() for column in out)
+        for column, value in zip(cm, cm_coordinates(a, va, b, vb)):
+            if column is not None:
+                column[i] = value
+        if E is not None:
+            E[i] = pair_energy(a - b, va, vb, math.exp(-beta * a * a),
+                               math.exp(-beta * b * b), k, alpha, n, A)
+    return tuple(column.toreadonly() for column in out.values())
 
 
 def divergence(t, a, b, seed_delta, scale):
@@ -357,7 +376,7 @@ def _run_rk4(
     return done(status, steps, x1, v1, x2, v2)
 
 
-_SOURCE = Path(__file__).with_name("_kernels.c")
+_SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _D, _I = ctypes.c_double, ctypes.c_int64
 _ARGTYPES = (
@@ -367,40 +386,44 @@ _ARGTYPES = (
 )
 
 
-def _load(source: Path, cache_dir: Path) -> Optional[ctypes.CDLL]:
+def _load(source: str, cache_dir: str) -> ctypes.CDLL | None:
     """Build source with gcc into cache_dir, unless a build of the same
     source, flags and platform is there, and load it.  On failure print one
     line to stderr and return None."""
     try:
-        key = zlib.crc32(" ".join((*_FLAGS, sys.platform, os.uname().machine)).encode()
-                         + source.read_bytes())
-        lib = cache_dir / f"{source.stem}-{key:08x}.so"
-        if not lib.exists():
+        with open(source, "rb") as fh:
+            code = fh.read()
+        key = zlib.crc32(" ".join((*_FLAGS, sys.platform, os.uname().machine)).encode() + code)
+        stem = os.path.splitext(os.path.basename(source))[0]
+        lib = os.path.join(cache_dir, f"{stem}-{key:08x}.so")
+        if not os.path.exists(lib):
             _build(source, lib)
-        return ctypes.CDLL(str(lib))
+        return ctypes.CDLL(lib)
     except OSError as exc:
         print(f"kinktrap: no C kernel ({exc}); running the Python reference kernels",
               file=sys.stderr)
         return None
 
 
-def _build(source: Path, lib: Path) -> None:
-    import subprocess  # only a first import builds
+def _build(source: str, lib: str) -> None:
+    import shutil  # only a first import builds
+    import subprocess
 
     gcc = shutil.which("gcc")
     if gcc is None:
         raise OSError("gcc not found")
-    lib.parent.mkdir(exist_ok=True)
-    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    os.makedirs(os.path.dirname(lib), exist_ok=True)
+    tmp = f"{lib}.{os.getpid()}.tmp"
     try:
-        proc = subprocess.run([gcc, *_FLAGS, "-o", str(tmp), str(source), "-lm"],
+        proc = subprocess.run([gcc, *_FLAGS, "-o", tmp, source, "-lm"],
                               capture_output=True, text=True)
         if proc.returncode != 0:
             lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
             raise OSError(f"gcc failed: {lines[0]}")
         os.replace(tmp, lib)
     finally:
-        tmp.unlink(missing_ok=True)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 class _PyBuffer(ctypes.Structure):
@@ -486,12 +509,14 @@ def _c_derived_columns(fn):
     fn.argtypes = [ctypes.c_void_p] * 4 + [_I, _D, _D, _I, _D, _D] + [ctypes.c_void_p] * 5
     fn.restype = None
 
-    def derived_columns(x1, v1, x2, v2, k, alpha, n, A, beta):
+    def derived_columns(x1, v1, x2, v2, k, alpha, n, A, beta, wanted):
         states = float64_views((x1, v1, x2, v2), "states")
         rows = _one_length(states, "states")
-        out = float_buffers(5, rows)
-        fn(*map(_address, states), rows, k, alpha, n, A, beta, *map(_address, out))
-        return tuple(column.toreadonly() for column in out)
+        out = _derived_buffers(wanted, rows)
+        # a null pointer tells C that a column is not wanted
+        fn(*map(_address, states), rows, k, alpha, n, A, beta,
+           *(_address(out[name]) if name in out else None for name in DERIVED))
+        return tuple(column.toreadonly() for column in out.values())
 
     return derived_columns
 
@@ -575,7 +600,7 @@ def _bind(wrapper, reference):
     return wrapper
 
 
-_LIB = _load(_SOURCE, _SOURCE.parent / "__pycache__")
+_LIB = _load(_SOURCE, os.path.join(os.path.dirname(_SOURCE), "__pycache__"))
 if _LIB is None:
     BACKEND = "python"
 else:

@@ -29,9 +29,9 @@ import errno
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
 
 from . import __version__, _kernels
 from .dynamics import (
@@ -75,7 +75,7 @@ def _conv_int(key: str, raw: str) -> int:
         raise ConfigError(f"config key {key!r}: expected an integer, got {raw!r}") from None
 
 
-def _conv_optional_float(key: str, raw: str) -> Optional[float]:
+def _conv_optional_float(key: str, raw: str) -> float | None:
     if raw.lower() in ("none", ""):
         return None
     return _conv_float(key, raw)
@@ -92,17 +92,15 @@ _SCHEMES = [scheme.value for scheme in Scheme]
 _KINDS = {
     "float": ({"type": float}, _conv_float),
     "int": ({"type": int}, _conv_int),
-    "Optional[float]": ({"type": float}, _conv_optional_float),
+    "float | None": ({"type": float}, _conv_optional_float),
     "Scheme": ({"choices": _SCHEMES}, _conv_text),
     "str": ({}, _conv_text),
 }
 
 
-class _Setting(NamedTuple):
-    default: object
-    flag: dict
-    convert: Callable[[str, str], object]
-    help: str
+# A setting's default, the add_argument keywords of its flag, its config-file
+# converter convert(key, raw) and its help text.
+_Setting = namedtuple("_Setting", ["default", "flag", "convert", "help"])
 
 
 def _setting(default, kind: str, help: str) -> _Setting:
@@ -276,7 +274,7 @@ def _echo_command(command: str, settings: dict, keys: list) -> str:
     return " ".join(parts)
 
 
-def _check_out(path: Optional[str], command: str) -> None:
+def _check_out(path: str | None, command: str) -> None:
     """Raise, before any work, what writing the CSV would raise.  With no
     path the CSV goes to stdout's byte stream, so a stdout without one (a
     text stream such as io.StringIO put in its place in-process) raises
@@ -297,13 +295,20 @@ def _check_out(path: Optional[str], command: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-# Body rows formatted and written per chunk: the output is streamed, never
-# held whole.
-_CHUNK_ROWS = 8192
+# The text of one chunk of body rows is at most this many bytes: the output
+# is streamed, never held whole.  Each format_rows call checks and addresses
+# every column again, so much smaller chunks cost time.
+_CHUNK_BYTES = 512 * 1024
+
+
+def _chunk_rows(ncols: int) -> int:
+    """The rows of a chunk of ncols columns whose longest possible text,
+    _kernels._CELL_BYTES a cell, fits in _CHUNK_BYTES; at least one."""
+    return max(1, _CHUNK_BYTES // (_kernels._CELL_BYTES * ncols))
 
 
 def _emit_csv(
-    out: Optional[str],
+    out: str | None,
     command: str,
     settings: dict,
     echo_keys: list,
@@ -314,7 +319,8 @@ def _emit_csv(
     """Write the metadata, the header and a body given as equal-length
     columns (buffers, lists or tuples), one line per row, as bytes to one
     binary sink: the file out, or stdout's byte stream after what is
-    pending on stdout's text layer.  A body of aligned, C-contiguous 1-D
+    pending on stdout's text layer.  The body goes in chunks of
+    _chunk_rows(len(columns)) rows.  A body of aligned, C-contiguous 1-D
     float64 buffers only (trajectory columns, numpy arrays) is written by
     _kernels.format_rows, whose bytes go to the sink as they are; any other
     body is formatted cell by cell through _fmt and encoded per chunk.  Both
@@ -339,10 +345,11 @@ def _emit_csv(
     else:
         sys.stdout.flush()
         sink = nullcontext(sys.stdout.buffer)
+    chunk = _chunk_rows(len(columns))
     with sink as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-        for start in range(0, rows, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, rows)
+        for start in range(0, rows, chunk):
+            stop = min(start + chunk, rows)
             if floats:
                 fh.write(_kernels.format_rows(columns, start, stop))
                 continue

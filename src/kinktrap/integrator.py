@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cached_property
-from typing import Optional
 
 from . import _kernels
 from ._record import record
@@ -84,6 +83,18 @@ class IntegratorConfig:
                              f"got {self.max_steps!r}")
 
 
+def _on_demand(name: str) -> cached_property:
+    """A Trajectory's derived column name, computed alone on its first read
+    and then kept."""
+    def column(self) -> memoryview:
+        p = self.params
+        (derived,) = _kernels.derived_columns(self.x1, self.v1, self.x2, self.v2,
+                                              p.k, p.alpha, p.n, p.A, p.beta, (name,))
+        return derived
+
+    return cached_property(column)
+
+
 @record
 class Trajectory:
     """Sampled states of a run under params: the initial point, every
@@ -93,9 +104,9 @@ class Trajectory:
     run's recording, so arithmetic on one raises TypeError instead of
     concatenating; np.asarray(column) is a numpy view of the same memory,
     without a copy.  The derived columns, R, V, r and w (the center-of-mass
-    coordinates) and E (the energy), are buffers of the same kind, filled
-    together in one pass by _kernels.derived_columns the first time any of
-    them is read.
+    coordinates) and E (the energy), are buffers of the same kind: the first
+    read of one has _kernels.derived_columns compute that column alone, and
+    the trajectory keeps it, so a column no caller reads takes no memory.
     """
 
     t: memoryview
@@ -108,31 +119,11 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    @cached_property
-    def _derived(self) -> tuple:
-        p = self.params
-        return _kernels.derived_columns(self.x1, self.v1, self.x2, self.v2,
-                                        p.k, p.alpha, p.n, p.A, p.beta)
-
-    @property
-    def R(self) -> memoryview:
-        return self._derived[0]
-
-    @property
-    def V(self) -> memoryview:
-        return self._derived[1]
-
-    @property
-    def r(self) -> memoryview:
-        return self._derived[2]
-
-    @property
-    def w(self) -> memoryview:
-        return self._derived[3]
-
-    @property
-    def E(self) -> memoryview:
-        return self._derived[4]
+    R = _on_demand("R")
+    V = _on_demand("V")
+    r = _on_demand("r")
+    w = _on_demand("w")
+    E = _on_demand("E")
 
 
 @record
@@ -145,7 +136,7 @@ class IntegrationResult:
     reason: StopReason
     steps: int
     max_energy_drift: float
-    trajectory: Optional[Trajectory]
+    trajectory: Trajectory | None
 
 
 def _steps_in(span: float, dt: float) -> float:
@@ -177,8 +168,8 @@ def integrate(
     cfg: IntegratorConfig,
     t_max: float,
     *,
-    exit_radius: Optional[float] = None,
-    record_every: Optional[int] = None,
+    exit_radius: float | None = None,
+    record_every: int | None = None,
 ) -> IntegrationResult:
     """Run fixed steps until state.t reaches the absolute time t_max, or
     earlier once the center of mass is at |R| >= exit_radius moving outward
@@ -193,7 +184,8 @@ def integrate(
     record_every=m keeps every m-th step in the returned trajectory (plus the
     initial and final points), whose columns are read-only float64
     memoryviews over the one mapping the run recorded into (see Trajectory);
-    note m=1 on a long run stores five float64 columns of one entry per step.
+    note m=1 on a long run stores five float64 columns of one entry per step,
+    and each derived column that is read one more.
 
     Results are bitwise deterministic for identical inputs and configuration.
     """

@@ -16,7 +16,6 @@ both readings.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from . import _kernels
 from ._record import record
@@ -58,7 +57,7 @@ def _well_curvature(params: ModelParams, r_eq: float) -> float:
     return 2.0 * params.A * params.beta * math.exp(-params.beta * r_eq * r_eq)
 
 
-def linearized_frequencies(params: ModelParams, r_eq: Optional[float] = None) -> LinearizedParams:
+def linearized_frequencies(params: ModelParams, r_eq: float | None = None) -> LinearizedParams:
     """Closed-form frequencies omega_R = sqrt(2 A beta e^(-beta r_eq^2)) and
     omega_eps = sqrt(2k + 2 A beta e^(-beta r_eq^2)), and the static shift of
     the stretch center inside the well, delta = -r_eq / (1 + (k/(A beta))

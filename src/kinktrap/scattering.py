@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Optional
 
 from ._record import record
 from .dynamics import CMState, ModelParams, State, equilibrium_separation, from_cm
@@ -39,7 +38,7 @@ class Scenario:
     params: ModelParams
     v0: float
     launch_offset: float = -10.0
-    separation: Optional[float] = None
+    separation: float | None = None
     t_max: float = 5000.0
     exit_radius: float = 10.0
 
@@ -89,8 +88,8 @@ class OutcomeRecord:
     energy_drift: float
     steps: int
     error: str = ""
-    final_state: Optional[State] = None
-    trajectory: Optional[Trajectory] = None
+    final_state: State | None = None
+    trajectory: Trajectory | None = None
 
 
 def initial_state(sc: Scenario) -> State:
@@ -116,7 +115,7 @@ def _check_exit_radius(sc: Scenario) -> None:
 def run_scattering(
     sc: Scenario,
     cfg: IntegratorConfig,
-    record_every: Optional[int] = None,
+    record_every: int | None = None,
 ) -> OutcomeRecord:
     """Integrate one scenario to classification.
 

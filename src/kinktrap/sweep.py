@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 from functools import partial
-from typing import Optional
 
 from . import _kernels
 from ._record import fields, record, replace
@@ -57,7 +56,7 @@ class SweepSpec:
     v_max: float = 0.30
     dv: float = 0.001
     launch_offset: float = Scenario.launch_offset
-    separation: Optional[float] = Scenario.separation
+    separation: float | None = Scenario.separation
     t_max: float = Scenario.t_max
     exit_radius: float = Scenario.exit_radius
     cfg: IntegratorConfig = IntegratorConfig()
@@ -90,7 +89,7 @@ class ZoomRow:
     grid pair it refines (None at depth 0)."""
 
     depth: int
-    interval: Optional[tuple[float, float]]
+    interval: tuple[float, float] | None
     record: OutcomeRecord
 
 
@@ -235,9 +234,9 @@ class DivergenceReport:
     times: memoryview
     distances: memoryview
     seed_delta: float
-    lambda_: Optional[float]
-    window: Optional[tuple[float, float]]
-    t_first_unit: Optional[float]
+    lambda_: float | None
+    window: tuple[float, float] | None
+    t_first_unit: float | None
     sample_interval: float
 
     @property

@@ -16,9 +16,10 @@ import pytest
 
 from kinktrap import Outcome, __version__, _kernels, cli
 from kinktrap.cli import (
-    _CHUNK_ROWS,
+    _CHUNK_BYTES,
     _COMMANDS,
     ConfigError,
+    _chunk_rows,
     _emit_csv,
     _fmt,
     build_parser,
@@ -437,6 +438,14 @@ def format_calls(monkeypatch):
     return calls
 
 
+def _about_one_chunk(chunk):
+    """Body row counts about one chunk of chunk rows."""
+    return [0, 1, chunk - 1, chunk, chunk + 1]
+
+
+ABOUT_ONE_CHUNK = ["empty", "one", "chunk-1", "chunk", "chunk+1"]
+
+
 class TestCsvWriter:
     """The writer streams the body in chunks, a body of contiguous float64
     arrays only through _kernels.format_rows and any other cell by cell; its
@@ -477,16 +486,18 @@ class TestCsvWriter:
     def test_float_bodies_are_written_by_format_rows(self, tmp_path, format_calls):
         """Contiguous float64 arrays only, over two chunks: format_rows
         writes each chunk, in C where gcc built it."""
-        rows = _CHUNK_ROWS + 5
+        chunk = _chunk_rows(4)
+        rows = chunk + 5
         columns = tuple(np.ascontiguousarray(c) for c in self.float_columns(rows))
         written, expected = self.written_and_expected(tmp_path, columns)
         assert written == expected
-        assert format_calls == [(0, _CHUNK_ROWS), (_CHUNK_ROWS, rows)]
+        assert format_calls == [(0, chunk), (chunk, rows)]
 
     def test_strided_float_columns_are_written_cell_by_cell(self, tmp_path, format_calls):
         """A reversed and a strided float64 view among the columns: the body
         goes through _fmt, with the bytes format_rows gives the same values."""
-        rows = _CHUNK_ROWS + 5
+        chunk = _chunk_rows(4)
+        rows = chunk + 5
         columns = self.float_columns(rows)
         assert not (columns[1].flags.c_contiguous or columns[2].flags.c_contiguous)
         written, expected = self.written_and_expected(tmp_path, columns)
@@ -494,7 +505,24 @@ class TestCsvWriter:
         assert format_calls == []
         contiguous = tuple(np.ascontiguousarray(c) for c in columns)
         assert written == self.written_and_expected(tmp_path, contiguous)[0]
-        assert format_calls == [(0, _CHUNK_ROWS), (_CHUNK_ROWS, rows)]
+        assert format_calls == [(0, chunk), (chunk, rows)]
+
+    @pytest.mark.parametrize("ncols", [2, 8])
+    def test_no_chunk_can_outgrow_the_text_budget(self, tmp_path, format_calls, ncols):
+        """Every format_rows call gets as many rows as the longest possible
+        text of a row fits in _CHUNK_BYTES, and no more, except the last;
+        the calls cover the body once, in order."""
+        row_bytes = _kernels._CELL_BYTES * ncols
+        rows = 2 * (_CHUNK_BYTES // row_bytes) + 3
+        columns = tuple(np.random.default_rng(ncols).standard_normal((ncols, rows)))
+        written, expected = self.written_and_expected(tmp_path, columns)
+        assert written == expected
+        starts, stops = zip(*format_calls)
+        assert starts == (0, *stops[:-1]) and stops[-1] == rows
+        for start, stop in format_calls:
+            assert (stop - start) * row_bytes <= _CHUNK_BYTES
+        for start, stop in format_calls[:-1]:
+            assert (stop - start + 1) * row_bytes > _CHUNK_BYTES
 
     def test_columns_that_are_not_float_arrays(self, tmp_path, format_calls):
         columns = (
@@ -509,19 +537,38 @@ class TestCsvWriter:
         assert b"\n0.1,0,Transmitted,none,omega_cm\n" in written
         assert format_calls == []
 
-    @pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1],
-                             ids=["empty", "one", "chunk-1", "chunk", "chunk+1"])
-    def test_chunk_boundaries(self, tmp_path, rows):
+    @staticmethod
+    def through_stdout(capsys, columns):
+        """What _emit_csv writes to stdout for the body columns of
+        written_and_expected."""
+        header = [f"c{i}" for i in range(len(columns))]
+        _emit_csv(None, "simulate", {"v0": 0.1}, ["v0"], {"rows": len(columns[0])},
+                  header, columns)
+        return capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("rows", _about_one_chunk(_chunk_rows(3)), ids=ABOUT_ONE_CHUNK)
+    def test_chunk_boundaries(self, tmp_path, capsys, rows):
         rng = np.random.default_rng(rows)
         columns = (list(range(rows)), rng.standard_normal(rows),
                    rng.standard_normal(rows) * 1e-300)
         written, expected = self.written_and_expected(tmp_path, columns)
         assert written == expected
         assert written.count(b"\n") == 5 + rows
+        assert self.through_stdout(capsys, columns) == written
+
+    @pytest.mark.parametrize("rows", _about_one_chunk(_chunk_rows(8)), ids=ABOUT_ONE_CHUNK)
+    def test_float_chunk_boundaries(self, tmp_path, capsys, format_calls, rows):
+        """Eight float64 columns, simulate's width, through --out and
+        through stdout: the same bytes, _fmt's, in one or two chunks."""
+        columns = tuple(np.random.default_rng(rows).standard_normal((8, rows)))
+        written, expected = self.written_and_expected(tmp_path, columns)
+        assert written == expected
+        assert self.through_stdout(capsys, columns) == written
+        assert len(format_calls) == 2 * -(-rows // _chunk_rows(8))
 
     # Per run: its arguments and a line its CSV holds.  simulate's body is
-    # three chunks of format_rows bytes, sensitivity's is format_rows bytes
-    # under metadata that reads none, and the sweep's goes through _fmt.
+    # more than two chunks of format_rows bytes, sensitivity's is format_rows
+    # bytes under metadata that reads none, and the sweep's goes through _fmt.
     STDOUT_RUNS = {
         "simulate": (["simulate", "--A", "0", "--t-max", "20", "--record-every", "1"],
                      "# steps = 20000"),
@@ -541,7 +588,7 @@ class TestCsvWriter:
         assert code == 0
         assert line in text.splitlines()
         if name == "simulate":
-            assert len(csv_body(text)[1]) > 2 * _CHUNK_ROWS
+            assert len(csv_body(text)[1]) > 2 * _chunk_rows(8)
         assert text.encode() == out.read_bytes()
 
     def test_a_failed_run_leaves_no_file(self, tmp_path, capsys):

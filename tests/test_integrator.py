@@ -292,6 +292,27 @@ class TestRecording:
         assert np.array_equal(np.asarray(traj.V), 0.5 * (v1 + v2))
         assert np.array_equal(np.asarray(traj.w), 0.5 * (v2 - v1))
 
+    def test_reading_a_derived_column_derives_it_alone(self, monkeypatch):
+        """The first read of R asks derived_columns for R alone and the
+        trajectory keeps it; no other derived column is computed or held
+        until it is read."""
+        calls = []
+        derive = _kernels.derived_columns
+
+        def spy(*args):
+            calls.append(args[-1])
+            return derive(*args)
+
+        monkeypatch.setattr(_kernels, "derived_columns", spy)
+        traj = integrate(_launch(0.2), ModelParams(), IntegratorConfig(), 2.0,
+                         record_every=100).trajectory
+        assert traj.R is traj.R
+        assert calls == [("R",)]
+        assert [name for name in _kernels.DERIVED if name in vars(traj)] == ["R"]
+        assert traj.E is traj.E
+        assert calls == [("R",), ("E",)]
+        assert [name for name in _kernels.DERIVED if name in vars(traj)] == ["R", "E"]
+
     def test_energy_column_is_the_total_energy_of_each_state(self):
         """E is total_energy of each recorded state under the run's model,
         here one whose five constants all differ from the defaults."""

@@ -13,6 +13,7 @@ with repr.
 import ctypes
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -338,14 +339,14 @@ def test_format_rows_rejects_a_column_c_cannot_read(c_backend, bad):
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5, 1e308]
 
 
-def _derived_trials():
-    """(trial, n, C columns, reference columns) of derived_columns for random
-    models and states, among them exact contacts, where both sides give the
-    IEEE quotient of the repulsion (inf), and n = 0, each with every pairing
-    of the special values as positions and as velocities appended."""
+def _derived_inputs(trials=30):
+    """(trial, states, model) for derived_columns: random models and states,
+    among them exact contacts, where both sides give the IEEE quotient of the
+    repulsion (inf), and n = 0, each with every pairing of the special values
+    as positions and as velocities appended."""
     rng = np.random.default_rng(7)
     pairs = np.array([(a, b) for a in SPECIALS for b in SPECIALS]).T
-    for trial in range(30):
+    for trial in range(trials):
         k, alpha, A, beta = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), \
             rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.0)
         n = int(rng.integers(0, 5))
@@ -354,17 +355,31 @@ def _derived_trials():
         x2[:10] = x1[:10]
         states = [memoryview(np.concatenate((c, special))) for c, special in
                   zip((x1, v1, x2, v2), (pairs[0], pairs[1], pairs[1], pairs[0]))]
-        got = _kernels.derived_columns(*states, k, alpha, n, A, beta)
-        expected = _kernels.derived_columns.py_func(*states, k, alpha, n, A, beta)
-        assert len(got) == len(expected) == 5
-        for a in got:
+        yield trial, states, (k, alpha, n, A, beta)
+
+
+def _derived_both(states, model, wanted):
+    """derived_columns and its reference on the same input, each result
+    checked to be one read-only float64 buffer per wanted column."""
+    results = [fn(*states, *model, wanted)
+               for fn in (_kernels.derived_columns, _kernels.derived_columns.py_func)]
+    for columns in results:
+        assert len(columns) == len(wanted)
+        for a in columns:
             assert a.readonly and a.format == "d" and len(a) == len(states[0])
-        yield trial, n, got, expected
+    return results
+
+
+def _derived_trials():
+    """(trial, n, C columns, reference columns) of all five derived columns
+    for the inputs of _derived_inputs."""
+    for trial, states, model in _derived_inputs():
+        got, expected = _derived_both(states, model, _kernels.DERIVED)
+        yield trial, model[2], got, expected
 
 
 def _empty_derived_columns():
-    return [fn(*[np.empty(0)] * 4, 1.0, 1.0, 2, 2.0, 1.0)
-            for fn in (_kernels.derived_columns, _kernels.derived_columns.py_func)]
+    return _derived_both([np.empty(0)] * 4, (1.0, 1.0, 2, 2.0, 1.0), _kernels.DERIVED)
 
 
 def test_energy_column_matches_the_reference_bit_for_bit(c_backend):
@@ -383,6 +398,36 @@ def test_cm_columns_match_the_reference_bit_for_bit(c_backend):
             assert a.tobytes() == b.tobytes(), (trial, n)
     for columns in _empty_derived_columns():
         assert [len(c) for c in columns[:4]] == [0, 0, 0, 0]
+
+
+# Every subset of the derived columns, each in DERIVED's order and reversed.
+WANTED = [order for size in range(len(_kernels.DERIVED) + 1)
+          for subset in itertools.combinations(_kernels.DERIVED, size)
+          for order in dict.fromkeys((subset, subset[::-1]))]
+
+
+def test_every_set_of_wanted_columns_matches_the_reference_bit_for_bit(c_backend):
+    """Each wanted column, on both sides, has the bytes of the same column
+    derived with all five, in the order asked for; the empty set gives no
+    column, and no states give empty columns."""
+    for trial, states, model in _derived_inputs(trials=4):
+        every = dict(zip(_kernels.DERIVED, _derived_both(states, model, _kernels.DERIVED)[0]))
+        for wanted in WANTED:
+            for columns in _derived_both(states, model, wanted):
+                assert [c.tobytes() for c in columns] == \
+                    [every[name].tobytes() for name in wanted], (trial, wanted)
+    for wanted in WANTED:
+        for columns in _derived_both([np.empty(0)] * 4, (1.0, 1.0, 2, 2.0, 1.0), wanted):
+            assert [len(c) for c in columns] == [0] * len(wanted)
+
+
+@pytest.mark.parametrize("wanted", [("R", "R"), ("x1",), ("E", "e")],
+                         ids=["repeated", "recorded", "unknown"])
+def test_a_wanted_column_that_is_not_derived_is_rejected(wanted):
+    states = [np.zeros(4)] * 4
+    for fn in (_kernels.derived_columns, _kernels.derived_columns.py_func):
+        with pytest.raises(ValueError, match="distinct names"):
+            fn(*states, 1.0, 1.0, 2, 2.0, 1.0, wanted)
 
 
 @pytest.mark.parametrize("bad", [
@@ -538,7 +583,7 @@ def test_a_failed_build_loads_nothing(tmp_path, capsys):
     broken = tmp_path / "broken.c"
     broken.write_text("int run_verlet(void) { return }\n")
     cache = tmp_path / "cache"
-    assert _kernels._load(broken, cache) is None
+    assert _kernels._load(str(broken), str(cache)) is None
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Python reference" in err
     # no library and no half-written temporary file is left behind
@@ -547,15 +592,15 @@ def test_a_failed_build_loads_nothing(tmp_path, capsys):
 
 def test_the_build_is_cached_under_a_key_of_the_source(c_backend, tmp_path):
     source = tmp_path / "k.c"
-    source.write_bytes(_kernels._SOURCE.read_bytes())
+    source.write_bytes(Path(_kernels._SOURCE).read_bytes())
     cache = tmp_path / "cache"
-    assert _kernels._load(source, cache) is not None
+    assert _kernels._load(str(source), str(cache)) is not None
     [lib] = cache.iterdir()
     built = lib.stat().st_mtime_ns
-    assert _kernels._load(source, cache) is not None
+    assert _kernels._load(str(source), str(cache)) is not None
     assert list(cache.iterdir()) == [lib] and lib.stat().st_mtime_ns == built
     source.write_text(source.read_text() + "/* edited */\n")
-    assert _kernels._load(source, cache) is not None
+    assert _kernels._load(str(source), str(cache)) is not None
     assert len(list(cache.iterdir())) == 2
 
 
@@ -567,7 +612,7 @@ def test_the_source_compiles_without_a_warning(tmp_path):
         pytest.skip("no gcc")
     proc = subprocess.run(
         [gcc, *_kernels._FLAGS, "-Wall", "-Wextra", "-Wfloat-equal", "-Werror",
-         "-o", str(tmp_path / "k.so"), str(_kernels._SOURCE), "-lm"],
+         "-o", str(tmp_path / "k.so"), _kernels._SOURCE, "-lm"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

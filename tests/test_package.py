@@ -101,13 +101,16 @@ STARTUP_IMPORTS = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import kinktrap.cli
-print(sorted(name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules))
+print(sorted(name for name in ("dataclasses", "inspect", "numpy", "typing", "pathlib", "shutil")
+             if name in sys.modules))
 """
 
 
 def test_the_command_line_starts_without_dataclasses_inspect_or_numpy():
     """Each of them costs every CLI process its import; dataclasses alone
-    brings inspect, ast, dis and tokenize."""
+    brings inspect, ast, dis and tokenize.  typing, pathlib and shutil too,
+    where site does not import them first: annotations stay text, the
+    kernel library is found with os.path, and only a build imports shutil."""
     src = str(Path(kinktrap.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_IMPORTS, src],
                           capture_output=True, text=True, timeout=120)
