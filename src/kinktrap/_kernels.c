@@ -1,12 +1,11 @@
 /* The Python reference of _kernels.py, operation for operation: the Verlet
- * and RK4 runners, derived_columns (the wanted ones of a trajectory's R, V,
- * r, w and E columns), divergence (twin runs' distance and exponent fit) and
- * format_rows (the CSV rows of float64 columns).
+ * and RK4 runners, derived_column (one of a trajectory's R, V, r, w and E
+ * columns) and format_rows (the CSV rows of float64 columns).
  *
  * Every expression keeps the order of its Python counterpart, and the
  * library is built with -O2 -ffp-contract=off (no fused multiply-add, no
  * reassociation), so each result equals the Python reference bit for bit.
- * exp, log and sqrt are libm's, the functions that Python's math module calls.
+ * exp is libm's, the function that Python's math.exp calls.
  *
  * accel, pair_energy and after_step are static inline so that gcc -O2
  * inlines them into each runner's loop: a step then keeps the accelerations,
@@ -24,7 +23,7 @@
  * groups of Ryu's d2s; only cells near the end of the buffer are formatted
  * aside first, so that nothing is written past its capacity.
  *
- * The five functions without static are the library's whole interface:
+ * The four functions without static are the library's whole interface:
  * _kernels.py binds each of them, and nothing else.
  */
 
@@ -219,92 +218,35 @@ SIGNATURE(run_rk4)
     RETURN(status, steps, x1, v1, x2, v2);
 }
 
-/* derived_columns: at each of len recorded states, cm_coordinates (R, V, r,
- * w) and pair_energy (E), whose Gaussian factors come from exp as in the
- * runners, into the output columns.  A null output column is not wanted:
- * its store is skipped, and E's two exp calls run only when E is wanted. */
-void derived_columns(const double *x1, const double *v1, const double *x2, const double *v2,
-                     int64_t len, double k, double alpha, int64_t n, double A, double beta,
-                     double *R, double *V, double *r, double *w, double *E)
+/* derived_column: at each of len recorded states, the column DERIVED[which]
+ * into out: R, V, r or w (cm_coordinates) for which 0 to 3, and for 4 E
+ * (pair_energy), whose Gaussian factors come from exp as in the runners. */
+void derived_column(const double *x1, const double *v1, const double *x2, const double *v2,
+                    int64_t len, double k, double alpha, int64_t n, double A, double beta,
+                    int64_t which, double *out)
 {
     const Model m = {k, alpha, A, beta, n};
     for (int64_t i = 0; i < len; i++) {
-        if (R)
-            R[i] = 0.5 * (x1[i] + x2[i]);
-        if (V)
-            V[i] = 0.5 * (v1[i] + v2[i]);
-        if (r)
-            r[i] = 0.5 * (x2[i] - x1[i]);
-        if (w)
-            w[i] = 0.5 * (v2[i] - v1[i]);
-        if (E) {
+        switch (which) {
+        case 0:
+            out[i] = 0.5 * (x1[i] + x2[i]);
+            break;
+        case 1:
+            out[i] = 0.5 * (v1[i] + v2[i]);
+            break;
+        case 2:
+            out[i] = 0.5 * (x2[i] - x1[i]);
+            break;
+        case 3:
+            out[i] = 0.5 * (v2[i] - v1[i]);
+            break;
+        default: {
             double g1 = exp(-beta * x1[i] * x1[i]);
             double g2 = exp(-beta * x2[i] * x2[i]);
-            E[i] = pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2);
+            out[i] = pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2);
+        }
         }
     }
-}
-
-/* divergence: at each of len samples, the distance d of twin runs a and b,
- * each given as its (x1, x2, v1, v2) columns: sqrt of the squared
- * differences summed in that order.  idx receives the first sample with
- * d > 1, or -1, and then the fit window: from the first sample with
- * d > 10 seed_delta to the first with d > scale / 100, when seed_delta > 0,
- * the peak of d exceeds 100 seed_delta and the end follows the start.
- * Returns 1 with *slope, the least-squares slope of log d against t over the
- * window's samples with d > 0 (mean-centred, in two passes), when those
- * samples span time; else 0 with the window's idx at -1. */
-int divergence(const double *t, const double *const *a, const double *const *b,
-               int64_t len, double seed_delta, double scale, double *d,
-               int64_t *idx, double *slope)
-{
-    int64_t unit = -1, lo = -1, hi = -1;
-    double peak = 0.0;
-    for (int64_t i = 0; i < len; i++) {
-        double e1 = a[0][i] - b[0][i];
-        double e2 = a[1][i] - b[1][i];
-        double e3 = a[2][i] - b[2][i];
-        double e4 = a[3][i] - b[3][i];
-        double di = sqrt(e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4);
-        d[i] = di;
-        if (unit < 0 && di > 1.0)
-            unit = i;
-        if (lo < 0 && di > 10.0 * seed_delta)
-            lo = i;
-        if (hi < 0 && di > 0.01 * scale)
-            hi = i;
-        if (di > peak)
-            peak = di;
-    }
-    idx[0] = unit;
-    idx[1] = idx[2] = -1;
-    if (!(seed_delta > 0.0 && peak > 100.0 * seed_delta && lo >= 0 && hi > lo))
-        return 0;
-    int64_t count = 0;
-    double sum_t = 0.0, sum_y = 0.0;
-    for (int64_t i = lo; i <= hi; i++) {
-        if (d[i] > 0.0) {
-            count++;
-            sum_t += t[i];
-            sum_y += log(d[i]);
-        }
-    }
-    double mean_t = sum_t / (double)count;
-    double mean_y = sum_y / (double)count;
-    double sxx = 0.0, sxy = 0.0;
-    for (int64_t i = lo; i <= hi; i++) {
-        if (d[i] > 0.0) {
-            double u = t[i] - mean_t;
-            sxx += u * u;
-            sxy += u * (log(d[i]) - mean_y);
-        }
-    }
-    if (!(sxx > 0.0))
-        return 0;
-    idx[1] = lo;
-    idx[2] = hi;
-    *slope = sxy / sxx;
-    return 1;
 }
 
 /* The integer helpers of shortest, below. */

@@ -2,9 +2,9 @@
 
 The Python functions below are the reference.  `_kernels.c` mirrors them
 operation for operation; it is built once with the system gcc and loaded
-through ctypes, and then `_run_verlet`, `_run_rk4`, `derived_columns`,
-`divergence` and `format_rows` are thin wrappers around its five exported
-functions that keep the Python function as `py_func`.  BACKEND names the
+through ctypes, and then `_run_verlet`, `_run_rk4`, `derived_column` and
+`format_rows` are thin wrappers around its four exported functions that keep
+the Python function as `py_func`.  BACKEND names the
 implementation in use: "c" or "python".  The C functions are reentrant:
 their only statics are const tables, and every result goes to buffers the
 caller passes in.
@@ -14,9 +14,8 @@ ctypes releases the GIL for each call, so threads run them in parallel
   build   gcc -O2 -ffp-contract=off -fPIC -shared -lm.  -ffp-contract=off
           keeps gcc from fusing a multiply and an add into one FMA, which
           rounds once instead of twice; -ffast-math and -march=native are
-          left out for the same reason.  exp, log and sqrt are libm's, which
-          is what math.exp, math.log and math.sqrt call, so the C results
-          equal the reference bit for bit.
+          left out for the same reason.  exp is libm's, which is what
+          math.exp calls, so the C results equal the reference bit for bit.
           Tier-1 tests compare them on random input.
   cache   __pycache__/ next to this file, under a name keyed by a CRC-32 of
           the C source, the flags and the platform.  The build writes a
@@ -34,24 +33,18 @@ Each formula has one home:
           linearized.in_well_equilibrium_separation bisects it.
   step    _run_verlet and _run_rk4, which take the same 21 arguments and
           return the same 8-tuple as their C wrappers.
-  energy  pair_energy, used by dynamics.total_energy, by derived_columns and
+  energy  pair_energy, used by dynamics.total_energy, by derived_column and
           by the tail.  In C it is the static pair_energy, which after_step
-          and derived_columns call; parity tests pin both to the Python
+          and derived_column call; parity tests pin both to the Python
           energy bit for bit.
   CM      cm_coordinates, the center-of-mass coordinates (R, V, r, w) of one
-          state, used by dynamics.to_cm and by derived_columns.
-  columns derived_columns, what a trajectory derives from its recorded
-          states: the columns it is asked for among DERIVED (R, V, r, w and
-          E), from cm_coordinates and pair_energy of each state, and no
-          other (integrator.Trajectory asks for one column on its first
-          read).  In C its loop spells out cm_coordinates, and a null output
-          column skips that store, and for E the two exp calls; a parity
-          test pins it to the Python loop bit for bit for every set of
-          wanted columns.
-  twins   divergence, what sweep.sensitivity derives from two runs: their
-          distance at each sample, where it first passes 1 and its fit
-          window, and the least-squares slope of log d over that window,
-          all in one pass over the samples and two over the window.
+          state, used by dynamics.to_cm and by derived_column.
+  column  derived_column, what a trajectory derives from its recorded
+          states: one named column of DERIVED (R, V, r, w or E), from
+          cm_coordinates or pair_energy of each state (integrator.Trajectory
+          asks for a column on its first read).  In C its loop spells out
+          the coordinate that C's which index names; a parity test pins
+          each of the five to the Python loop bit for bit.
   tail    _tail, the bookkeeping both runners do after a completed step:
           the drift peak, the recording test and the exit test.  after_step
           and done in _kernels.c mirror its two closures.
@@ -70,11 +63,9 @@ with the buffer protocol and memoryview format 'd': a numpy array, or a
 memoryview over an anonymous mmap (float_buffers; integrate records into
 five of them).  float64_views checks each one before C sees its address,
 and C gets nothing that is not aligned and C-contiguous: the runners' five
-must also be writable and of one length, derived_columns's four state
-columns and divergence's nine columns of one length, and format_rows's
-columns long enough.  Both sides of derived_columns and divergence return
-new read-only buffers, derived_columns one per wanted column.  Nothing here
-imports numpy.
+must also be writable and of one length, derived_column's four state
+columns of one length, and format_rows's columns long enough.  Both sides of
+derived_column return a new read-only buffer.  Nothing here imports numpy.
 
 Division: the runners take every force and energy at a separation >= floor,
 so floor ** (n + 2) > 0 keeps the repulsion's divisor nonzero; integrate's
@@ -129,7 +120,7 @@ def pair_energy(dx, v1, v2, g1, g2, k, alpha, n, A):
     p = 1.0
     for _ in range(n):
         p *= sep
-    # p is zero only at an exact contact, which derived_columns's input may
+    # p is zero only at an exact contact, which derived_column's input may
     # hold: Python raises there, and alpha * inf is C's alpha / +0.0
     repulsion = alpha / p if p else alpha * math.inf
     # the well terms are paired before the grand total so particle exchange
@@ -154,82 +145,31 @@ def cm_coordinates(x1, v1, x2, v2):
     return 0.5 * (x1 + x2), 0.5 * (v1 + v2), 0.5 * (x2 - x1), 0.5 * (v2 - v1)
 
 
-# The columns derived_columns can derive, in the order C takes them.
+# The columns derived_column can derive, in the order of C's which index.
 DERIVED = ("R", "V", "r", "w", "E")
 
 
-def _derived_buffers(wanted, rows) -> dict:
-    """{name: a new float64 buffer of rows entries} for the names in wanted,
-    in its order; ValueError unless they are distinct names of DERIVED."""
-    wanted = tuple(wanted)
-    if len(set(wanted)) != len(wanted) or not set(wanted) <= set(DERIVED):
-        raise ValueError(f"wanted must be distinct names among {DERIVED}, got {wanted!r}")
-    return dict(zip(wanted, float_buffers(len(wanted), rows)))
+def _which(name) -> int:
+    """name's index in DERIVED; ValueError for any other name."""
+    if name not in DERIVED:
+        raise ValueError(f"name must be one of {DERIVED}, got {name!r}")
+    return DERIVED.index(name)
 
 
-def derived_columns(x1, v1, x2, v2, k, alpha, n, A, beta, wanted):
-    """The columns named in wanted, among DERIVED, at each state of a
-    recorded trajectory, as read-only float64 buffers in wanted's order:
-    (R, V, r, w) are cm_coordinates of the state and E is its pair_energy,
-    whose Gaussian factors come from math.exp, as in the runners.  A column
-    not wanted is neither stored nor, for E, computed."""
-    out = _derived_buffers(wanted, len(x1))
-    *cm, E = (out.get(name) for name in DERIVED)
+def derived_column(x1, v1, x2, v2, k, alpha, n, A, beta, name):
+    """The column name, among DERIVED, at each state of a recorded
+    trajectory, as a new read-only float64 buffer: R, V, r and w are
+    cm_coordinates of the state and E is its pair_energy, whose Gaussian
+    factors come from math.exp, as in the runners."""
+    which = _which(name)
+    (out,) = float_buffers(1, len(x1))
     for i, (a, va, b, vb) in enumerate(zip(x1, v1, x2, v2, strict=True)):
-        for column, value in zip(cm, cm_coordinates(a, va, b, vb)):
-            if column is not None:
-                column[i] = value
-        if E is not None:
-            E[i] = pair_energy(a - b, va, vb, math.exp(-beta * a * a),
-                               math.exp(-beta * b * b), k, alpha, n, A)
-    return tuple(column.toreadonly() for column in out.values())
-
-
-def divergence(t, a, b, seed_delta, scale):
-    """The distance d of twin runs a and b, each given as its (x1, x2, v1,
-    v2) columns sampled at times t, and the finite-time exponent fit of
-    sweep.sensitivity: one pass over the samples, then two over the window.
-
-    d is the square root of the squared differences summed in the order x1,
-    x2, v1, v2.  The fit window runs from the first sample with
-    d > 10*seed_delta to the first with d > 0.01*scale; it forms only when
-    seed_delta > 0, the peak of d exceeds 100*seed_delta and the end follows
-    the start.  The slope is that of the least-squares line through
-    (t, log d) over the window's samples with d > 0, mean-centred in two
-    passes, and is fitted only when those samples span time.  Returns
-    (d, unit, fit): d a read-only float64 buffer, unit the index of the
-    first sample with d > 1 or None, fit (lo, hi, slope) or None.
-    """
-    (d,) = float_buffers(1, len(t))
-    unit = lo = hi = -1
-    peak = 0.0
-    for i, (_, p1, p2, p3, p4, q1, q2, q3, q4) in enumerate(zip(t, *a, *b, strict=True)):
-        e1, e2, e3, e4 = p1 - q1, p2 - q2, p3 - q3, p4 - q4
-        d[i] = di = math.sqrt(e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4)
-        if unit < 0 and di > 1.0:
-            unit = i
-        if lo < 0 and di > 10.0 * seed_delta:
-            lo = i
-        if hi < 0 and di > 0.01 * scale:
-            hi = i
-        if di > peak:
-            peak = di
-    fit = None
-    if seed_delta > 0.0 and peak > 100.0 * seed_delta and lo >= 0 and hi > lo:
-        window = [i for i in range(lo, hi + 1) if d[i] > 0.0]
-        sum_t = sum_y = 0.0
-        for i in window:
-            sum_t += t[i]
-            sum_y += math.log(d[i])
-        mean_t, mean_y = sum_t / len(window), sum_y / len(window)
-        sxx = sxy = 0.0
-        for i in window:
-            u = t[i] - mean_t
-            sxx += u * u
-            sxy += u * (math.log(d[i]) - mean_y)
-        if sxx > 0.0:
-            fit = (lo, hi, sxy / sxx)
-    return d.toreadonly(), (unit if unit >= 0 else None), fit
+        if which < 4:
+            out[i] = cm_coordinates(a, va, b, vb)[which]
+        else:
+            out[i] = pair_energy(a - b, va, vb, math.exp(-beta * a * a),
+                                 math.exp(-beta * b * b), k, alpha, n, A)
+    return out.toreadonly()
 
 
 def format_rows(columns, start, stop):
@@ -504,43 +444,19 @@ def _c_runner(fn):
     return run
 
 
-def _c_derived_columns(fn):
-    """A ctypes wrapper of fn with derived_columns's arguments and return."""
-    fn.argtypes = [ctypes.c_void_p] * 4 + [_I, _D, _D, _I, _D, _D] + [ctypes.c_void_p] * 5
+def _c_derived_column(fn):
+    """A ctypes wrapper of fn with derived_column's arguments and return."""
+    fn.argtypes = [ctypes.c_void_p] * 4 + [_I, _D, _D, _I, _D, _D, _I, ctypes.c_void_p]
     fn.restype = None
 
-    def derived_columns(x1, v1, x2, v2, k, alpha, n, A, beta, wanted):
+    def derived_column(x1, v1, x2, v2, k, alpha, n, A, beta, name):
+        which = _which(name)
         states = float64_views((x1, v1, x2, v2), "states")
-        rows = _one_length(states, "states")
-        out = _derived_buffers(wanted, rows)
-        # a null pointer tells C that a column is not wanted
-        fn(*map(_address, states), rows, k, alpha, n, A, beta,
-           *(_address(out[name]) if name in out else None for name in DERIVED))
-        return tuple(column.toreadonly() for column in out.values())
+        (out,) = float_buffers(1, _one_length(states, "states"))
+        fn(*map(_address, states), len(out), k, alpha, n, A, beta, which, _address(out))
+        return out.toreadonly()
 
-    return derived_columns
-
-
-def _c_divergence(fn):
-    """A ctypes wrapper of fn with divergence's arguments and return."""
-    fn.argtypes = [ctypes.c_void_p] * 3 + [_I, _D, _D, ctypes.c_void_p,
-                                           ctypes.POINTER(_I), ctypes.POINTER(_D)]
-    fn.restype = ctypes.c_int
-
-    def divergence(t, a, b, seed_delta, scale):
-        if not len(a) == len(b) == 4:
-            raise ValueError("each run must be given as its 4 columns (x1, x2, v1, v2)")
-        views = float64_views((t, *a, *b), "columns")
-        rows = _one_length(views, "columns")
-        (d,) = float_buffers(1, rows)
-        runs = [(ctypes.c_void_p * 4)(*map(_address, run)) for run in (views[1:5], views[5:])]
-        idx = (_I * 3)()
-        slope = _D()
-        fitted = fn(_address(views[0]), *runs, rows, seed_delta, scale, _address(d), idx, slope)
-        fit = (idx[1], idx[2], slope.value) if fitted else None
-        return d.toreadonly(), (idx[0] if idx[0] >= 0 else None), fit
-
-    return divergence
+    return derived_column
 
 
 # The longest repr of a float64 ("-2.2250738585072014e-308") is 24 bytes; a
@@ -607,6 +523,5 @@ else:
     BACKEND = "c"
     _run_verlet = _bind(_c_runner(_LIB.run_verlet), _run_verlet)
     _run_rk4 = _bind(_c_runner(_LIB.run_rk4), _run_rk4)
-    derived_columns = _bind(_c_derived_columns(_LIB.derived_columns), derived_columns)
-    divergence = _bind(_c_divergence(_LIB.divergence), divergence)
+    derived_column = _bind(_c_derived_column(_LIB.derived_column), derived_column)
     format_rows = _bind(_c_format_rows(_LIB.format_rows), format_rows)

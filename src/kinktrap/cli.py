@@ -478,6 +478,7 @@ def _cmd_linear_compare(res: dict) -> int:
             print("error: the pair escaped the well during the probe run",
                   file=sys.stderr)
             return 2
+        del traj_cm  # its columns would stay resident through the second probe
         omega_rel, _ = measured_frequency(
             params, CMState(t=0.0, R=0.0, V=0.0, r=0.5 * (s_in + 0.01), w=0.0),
             cfg, t_max, use_cm_coordinate=False)

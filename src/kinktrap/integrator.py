@@ -88,9 +88,8 @@ def _on_demand(name: str) -> cached_property:
     and then kept."""
     def column(self) -> memoryview:
         p = self.params
-        (derived,) = _kernels.derived_columns(self.x1, self.v1, self.x2, self.v2,
-                                              p.k, p.alpha, p.n, p.A, p.beta, (name,))
-        return derived
+        return _kernels.derived_column(self.x1, self.v1, self.x2, self.v2,
+                                       p.k, p.alpha, p.n, p.A, p.beta, name)
 
     return cached_property(column)
 
@@ -105,7 +104,7 @@ class Trajectory:
     concatenating; np.asarray(column) is a numpy view of the same memory,
     without a copy.  The derived columns, R, V, r and w (the center-of-mass
     coordinates) and E (the energy), are buffers of the same kind: the first
-    read of one has _kernels.derived_columns compute that column alone, and
+    read of one has _kernels.derived_column compute that column alone, and
     the trajectory keeps it, so a column no caller reads takes no memory.
     """
 

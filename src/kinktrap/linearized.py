@@ -97,10 +97,11 @@ def dominant_frequency(ts, xs) -> float:
     views = _kernels.float64_views((ts, xs), "ts and xs")
     if _kernels._one_length(views, "ts and xs") < 2:
         raise InsufficientOscillations(0)
-    ts, xs = (view.tolist() for view in views)
+    # the views are iterated as they are: a list of Python floats per column
+    # would cost more memory than the columns themselves
+    ts, xs = views
     mean = math.fsum(xs) / len(xs)
-    d = [x - mean for x in xs]
-    amp = max(map(abs, d))
+    amp = max(abs(x - mean) for x in xs)
     if amp == 0.0:
         raise InsufficientOscillations(0)
     band = 0.05 * amp
@@ -108,13 +109,14 @@ def dominant_frequency(ts, xs) -> float:
     crossings: list[float] = []
     armed = 0  # sign of the band last left
     last_zero_t = None
-    for i in range(1, len(d)):
-        a, b = d[i - 1], d[i]
+    t_prev, a = ts[0], xs[0] - mean
+    for t, x in zip(ts[1:], xs[1:]):
+        b = x - mean
         if (a > 0.0 and b <= 0.0) or (a >= 0.0 and b < 0.0) or (a < 0.0 and b >= 0.0) or (a <= 0.0 and b > 0.0):
             if b != a:
-                last_zero_t = ts[i - 1] + (ts[i] - ts[i - 1]) * (0.0 - a) / (b - a)
+                last_zero_t = t_prev + (t - t_prev) * (0.0 - a) / (b - a)
             else:
-                last_zero_t = ts[i - 1]
+                last_zero_t = t_prev
         if b > band:
             if armed == -1 and last_zero_t is not None:
                 crossings.append(last_zero_t)
@@ -123,6 +125,7 @@ def dominant_frequency(ts, xs) -> float:
             if armed == 1 and last_zero_t is not None:
                 crossings.append(last_zero_t)
             armed = -1
+        t_prev, a = t, b
     if len(crossings) < 4:
         raise InsufficientOscillations(len(crossings))
     half_periods = [b - a for a, b in zip(crossings, crossings[1:])]

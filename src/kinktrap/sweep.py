@@ -227,8 +227,8 @@ class DivergenceReport:
     the least-squares slope of ln d(t) between the first sample with
     d > 10*seed_delta and the first with d > 0.01*scale; when either bound is
     never reached, or d never grows a hundredfold, lambda_ is None and the
-    motion is flagged degenerate (non-chaotic).  _kernels.divergence computes
-    d, the bounds and the slope.
+    motion is flagged degenerate (non-chaotic).  divergence computes d, the
+    bounds and the slope.
     """
 
     times: memoryview
@@ -255,6 +255,54 @@ class DivergenceReport:
         return DIVERGENCE_SCALE
 
 
+def divergence(t, a, b, seed_delta):
+    """The distance d of twin runs a and b, each given as its (x1, x2, v1,
+    v2) columns sampled at times t, and the finite-time exponent fit of
+    sensitivity: one pass over the samples, then two over the window.
+
+    d is the square root of the squared differences summed in the order x1,
+    x2, v1, v2.  The fit window runs from the first sample with
+    d > 10*seed_delta to the first with d > 0.01*DIVERGENCE_SCALE; it forms
+    only when seed_delta > 0, the peak of d exceeds 100*seed_delta and the
+    end follows the start.  The slope is that of the least-squares line
+    through (t, log d) over the window's samples with d > 0, mean-centred in
+    two passes, and is fitted only when those samples span time.  Columns of
+    unequal length raise ValueError.  Returns (d, unit, fit): d a read-only
+    float64 buffer, unit the index of the first sample with d > 1 or None,
+    fit (lo, hi, slope) or None.
+    """
+    (d,) = _kernels.float_buffers(1, len(t))
+    unit = lo = hi = -1
+    peak = 0.0
+    for i, (_, p1, p2, p3, p4, q1, q2, q3, q4) in enumerate(zip(t, *a, *b, strict=True)):
+        e1, e2, e3, e4 = p1 - q1, p2 - q2, p3 - q3, p4 - q4
+        d[i] = di = math.sqrt(e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4)
+        if unit < 0 and di > 1.0:
+            unit = i
+        if lo < 0 and di > 10.0 * seed_delta:
+            lo = i
+        if hi < 0 and di > 0.01 * DIVERGENCE_SCALE:
+            hi = i
+        if di > peak:
+            peak = di
+    fit = None
+    if seed_delta > 0.0 and peak > 100.0 * seed_delta and lo >= 0 and hi > lo:
+        window = [i for i in range(lo, hi + 1) if d[i] > 0.0]
+        sum_t = sum_y = 0.0
+        for i in window:
+            sum_t += t[i]
+            sum_y += math.log(d[i])
+        mean_t, mean_y = sum_t / len(window), sum_y / len(window)
+        sxx = sxy = 0.0
+        for i in window:
+            u = t[i] - mean_t
+            sxx += u * u
+            sxy += u * (math.log(d[i]) - mean_y)
+        if sxx > 0.0:
+            fit = (lo, hi, sxy / sxx)
+    return d.toreadonly(), (unit if unit >= 0 else None), fit
+
+
 def sensitivity(
     sc: Scenario,
     cfg: IntegratorConfig,
@@ -278,9 +326,8 @@ def sensitivity(
     ta = integrate(state_a, sc.params, cfg, sc.t_max, record_every=stride).trajectory
     tb = integrate(state_b, sc.params, cfg, sc.t_max, record_every=stride).trajectory
 
-    d, unit, fit = _kernels.divergence(ta.t, (ta.x1, ta.x2, ta.v1, ta.v2),
-                                       (tb.x1, tb.x2, tb.v1, tb.v2), seed_delta,
-                                       DIVERGENCE_SCALE)
+    d, unit, fit = divergence(ta.t, (ta.x1, ta.x2, ta.v1, ta.v2),
+                              (tb.x1, tb.x2, tb.v1, tb.v2), seed_delta)
     lam = window = None
     if fit is not None:
         lo, hi, lam = fit

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import errno
+import hashlib
 import importlib
 import io
 import math
@@ -10,6 +11,7 @@ import mmap
 import shlex
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -806,6 +808,28 @@ class TestSensitivityOutput:
         assert 0.01 < lam < 0.2
         assert float(meta_value(text, "window_start")) < float(meta_value(text, "window_end"))
 
+    @pytest.mark.parametrize("v0, fit, sha256", [
+        ("0.056", ["0.04627496181586281", "7.0", "210.0", "239.0"],
+         "839e2ce52a7af5350b858b7799c49bddc29cca04ef49c355d4e96731c247d3a3"),
+        ("0.0559995", ["0.05048537387510042", "7.0", "216.0", "234.0"],
+         "01f3dddf722507b49477f570867990556d7d3c984c8551cfcc074d778cf9c25b"),
+    ], ids=["0.056", "0.0559995"])
+    def test_a_chaotic_run_keeps_its_exponent_window_and_distances(
+            self, v0, fit, sha256, tmp_path, capsys):
+        """Two trapped launches to t_max = 1000: the fitted exponent, its
+        window and the first unit distance, to the last digit, and the
+        sha256 of the text from the t,d header to the end of the file."""
+        out = tmp_path / "pinned.csv"
+        code, _, _ = run_cli(
+            ["sensitivity", "--v0", v0, "--t-max", "1000", "--out", str(out)], capsys)
+        assert code == 0
+        text = out.read_text()
+        assert [meta_value(text, key) for key in
+                ("lambda", "window_start", "window_end", "t_first_unit")] == fit
+        body = out.read_bytes()
+        body = body[body.index(b"\nt,d\n") + 1:]
+        assert hashlib.sha256(body).hexdigest() == sha256
+
 
 class TestLinearCompareOutput:
     def test_table_and_csv(self, tmp_path, capsys):
@@ -826,6 +850,24 @@ class TestLinearCompareOutput:
         centers = rows[2].split(",")
         assert float(centers[2]) == pytest.approx(0.800148253899938, abs=1e-9)
         assert float(centers[3]) == pytest.approx(0.24730046779071785, abs=1e-9)
+
+    def test_the_first_probe_is_released_before_the_second_runs(self, monkeypatch, capsys):
+        """The first probe's trajectory, five recorded columns and R, is
+        freed once its escape check is done, so it does not stay resident
+        through the second probe run."""
+        probes, alive = [], []
+        measure = cli.measured_frequency
+
+        def spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in probes])
+            omega, traj = measure(*args, **kwargs)
+            probes.append(weakref.ref(traj))
+            return omega, traj
+
+        monkeypatch.setattr(cli, "measured_frequency", spy)
+        code, _, _ = run_cli(["linear-compare", "--t-max", "120"], capsys)
+        assert code == 0
+        assert alive == [[], [False]]
 
 
 class TestModuleEntryPoint:

@@ -293,24 +293,24 @@ class TestRecording:
         assert np.array_equal(np.asarray(traj.w), 0.5 * (v2 - v1))
 
     def test_reading_a_derived_column_derives_it_alone(self, monkeypatch):
-        """The first read of R asks derived_columns for R alone and the
-        trajectory keeps it; no other derived column is computed or held
-        until it is read."""
+        """The first read of R asks derived_column for R and the trajectory
+        keeps it; no other derived column is computed or held until it is
+        read."""
         calls = []
-        derive = _kernels.derived_columns
+        derive = _kernels.derived_column
 
         def spy(*args):
             calls.append(args[-1])
             return derive(*args)
 
-        monkeypatch.setattr(_kernels, "derived_columns", spy)
+        monkeypatch.setattr(_kernels, "derived_column", spy)
         traj = integrate(_launch(0.2), ModelParams(), IntegratorConfig(), 2.0,
                          record_every=100).trajectory
         assert traj.R is traj.R
-        assert calls == [("R",)]
+        assert calls == ["R"]
         assert [name for name in _kernels.DERIVED if name in vars(traj)] == ["R"]
         assert traj.E is traj.E
-        assert calls == [("R",), ("E",)]
+        assert calls == ["R", "E"]
         assert [name for name in _kernels.DERIVED if name in vars(traj)] == ["R", "E"]
 
     def test_energy_column_is_the_total_energy_of_each_state(self):

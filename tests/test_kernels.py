@@ -1,19 +1,19 @@
 """The C kernels against their Python reference, bit for bit.
 
-`_kernels._run_verlet`, `_run_rk4`, `derived_columns`, `divergence` and
-`format_rows` call the C copy in `_kernels.c` whenever gcc can build it;
-`py_func` is the Python function it mirrors.  Every runner comparison is of
-the whole return tuple, floats as hex, and of the bytes of the five
-recording buffers, which both sides receive filled with the same sentinel so
-that a write past nrec shows too.  The derived columns and the twin
-distances are compared as bytes, the exponent fit as hex, and the CSV text
-with repr.
+`_kernels._run_verlet`, `_run_rk4`, `derived_column` and `format_rows`
+call the C copy in `_kernels.c` whenever gcc can build it; `py_func` is the
+Python function it mirrors.  Every runner comparison is of the whole return
+tuple, floats as hex, and of the bytes of the five recording buffers, which
+both sides receive filled with the same sentinel so that a write past nrec
+shows too.  The derived columns are compared as bytes and the CSV text with
+repr.  The twin-run pass of sweep.sensitivity, divergence, has no C copy;
+its distances are compared as bytes with numpy's and its exponent fit with
+np.polyfit's.
 """
 
 import ctypes
 import hashlib
 import inspect
-import itertools
 import json
 import math
 import os
@@ -29,7 +29,7 @@ import pytest
 
 from kinktrap import IntegratorConfig, ModelParams, Scenario, _kernels, cli, integrator
 from kinktrap.scattering import initial_state
-from kinktrap.sweep import DIVERGENCE_SCALE, sensitivity
+from kinktrap.sweep import DIVERGENCE_SCALE, divergence, sensitivity
 
 RUNNERS = {"verlet": "_run_verlet", "rk4": "_run_rk4"}
 STRIDES = (0, 1, 7, 100)
@@ -340,7 +340,7 @@ SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5, 1e308]
 
 
 def _derived_inputs(trials=30):
-    """(trial, states, model) for derived_columns: random models and states,
+    """(trial, states, model) for derived_column: random models and states,
     among them exact contacts, where both sides give the IEEE quotient of the
     repulsion (inf), and n = 0, each with every pairing of the special values
     as positions and as velocities appended."""
@@ -358,76 +358,46 @@ def _derived_inputs(trials=30):
         yield trial, states, (k, alpha, n, A, beta)
 
 
-def _derived_both(states, model, wanted):
-    """derived_columns and its reference on the same input, each result
-    checked to be one read-only float64 buffer per wanted column."""
-    results = [fn(*states, *model, wanted)
-               for fn in (_kernels.derived_columns, _kernels.derived_columns.py_func)]
-    for columns in results:
-        assert len(columns) == len(wanted)
-        for a in columns:
-            assert a.readonly and a.format == "d" and len(a) == len(states[0])
+def _derived_both(states, model, name):
+    """derived_column and its reference on the same input, each result
+    checked to be a read-only float64 buffer of one entry per state."""
+    results = [fn(*states, *model, name)
+               for fn in (_kernels.derived_column, _kernels.derived_column.py_func)]
+    for column in results:
+        assert column.readonly and column.format == "d" and len(column) == len(states[0])
     return results
 
 
-def _derived_trials():
-    """(trial, n, C columns, reference columns) of all five derived columns
-    for the inputs of _derived_inputs."""
+def _derived_trials(names):
+    """(trial, n, name, C column, reference column) for each of names on the
+    inputs of _derived_inputs, and on no states at all."""
     for trial, states, model in _derived_inputs():
-        got, expected = _derived_both(states, model, _kernels.DERIVED)
-        yield trial, model[2], got, expected
-
-
-def _empty_derived_columns():
-    return _derived_both([np.empty(0)] * 4, (1.0, 1.0, 2, 2.0, 1.0), _kernels.DERIVED)
+        for name in names:
+            yield (trial, model[2], name, *_derived_both(states, model, name))
+    for name in names:
+        yield ("empty", 2, name, *_derived_both([np.empty(0)] * 4, (1.0, 1.0, 2, 2.0, 1.0), name))
 
 
 def test_energy_column_matches_the_reference_bit_for_bit(c_backend):
-    """The E column of derived_columns: random models and states, exact
+    """The E column of derived_column: random models and states, exact
     contacts, n = 0, the special values, and no states at all."""
-    for trial, n, got, expected in _derived_trials():
-        assert got[4].tobytes() == expected[4].tobytes(), (trial, n)
-    assert [len(columns[4]) for columns in _empty_derived_columns()] == [0, 0]
+    for trial, n, name, got, expected in _derived_trials(["E"]):
+        assert got.tobytes() == expected.tobytes(), (trial, n)
 
 
 def test_cm_columns_match_the_reference_bit_for_bit(c_backend):
-    """The R, V, r and w columns of derived_columns: random states, every
+    """The R, V, r and w columns of derived_column: random states, every
     pairing of the special values, and no states at all."""
-    for trial, n, got, expected in _derived_trials():
-        for a, b in zip(got[:4], expected[:4]):
-            assert a.tobytes() == b.tobytes(), (trial, n)
-    for columns in _empty_derived_columns():
-        assert [len(c) for c in columns[:4]] == [0, 0, 0, 0]
+    for trial, n, name, got, expected in _derived_trials(["R", "V", "r", "w"]):
+        assert got.tobytes() == expected.tobytes(), (trial, n, name)
 
 
-# Every subset of the derived columns, each in DERIVED's order and reversed.
-WANTED = [order for size in range(len(_kernels.DERIVED) + 1)
-          for subset in itertools.combinations(_kernels.DERIVED, size)
-          for order in dict.fromkeys((subset, subset[::-1]))]
-
-
-def test_every_set_of_wanted_columns_matches_the_reference_bit_for_bit(c_backend):
-    """Each wanted column, on both sides, has the bytes of the same column
-    derived with all five, in the order asked for; the empty set gives no
-    column, and no states give empty columns."""
-    for trial, states, model in _derived_inputs(trials=4):
-        every = dict(zip(_kernels.DERIVED, _derived_both(states, model, _kernels.DERIVED)[0]))
-        for wanted in WANTED:
-            for columns in _derived_both(states, model, wanted):
-                assert [c.tobytes() for c in columns] == \
-                    [every[name].tobytes() for name in wanted], (trial, wanted)
-    for wanted in WANTED:
-        for columns in _derived_both([np.empty(0)] * 4, (1.0, 1.0, 2, 2.0, 1.0), wanted):
-            assert [len(c) for c in columns] == [0] * len(wanted)
-
-
-@pytest.mark.parametrize("wanted", [("R", "R"), ("x1",), ("E", "e")],
-                         ids=["repeated", "recorded", "unknown"])
-def test_a_wanted_column_that_is_not_derived_is_rejected(wanted):
+@pytest.mark.parametrize("name", ["t", "e", ("R",)], ids=["recorded", "unknown", "tuple"])
+def test_a_wanted_column_that_is_not_derived_is_rejected(name):
     states = [np.zeros(4)] * 4
-    for fn in (_kernels.derived_columns, _kernels.derived_columns.py_func):
-        with pytest.raises(ValueError, match="distinct names"):
-            fn(*states, 1.0, 1.0, 2, 2.0, 1.0, wanted)
+    for fn in (_kernels.derived_column, _kernels.derived_column.py_func):
+        with pytest.raises(ValueError, match="must be one of"):
+            fn(*states, 1.0, 1.0, 2, 2.0, 1.0, name)
 
 
 @pytest.mark.parametrize("bad", [
@@ -450,92 +420,51 @@ def test_a_state_column_c_cannot_read_is_rejected(c_backend, column, bad):
         getattr(traj, column)
 
 
-def _divergence_both(t, a, b, seed_delta, scale):
-    """divergence and its reference on the same columns, as memoryviews (so
-    that the reference computes with Python floats), each result as (bytes
-    of d, unit, fit with the slope as hex)."""
+def _divergence(t, a, b, seed_delta):
+    """sweep.divergence on the columns as memoryviews, so that it computes
+    with Python floats as it does on trajectory columns; the result as
+    (bytes of d, unit, fit with the slope as hex)."""
     t, a, b = memoryview(t), [memoryview(c) for c in a], [memoryview(c) for c in b]
-    results = []
-    for fn in (_kernels.divergence, _kernels.divergence.py_func):
-        d, unit, fit = fn(t, a, b, seed_delta, scale)
-        assert d.readonly and d.format == "d" and len(d) == len(t)
-        results.append((d.tobytes(), unit, fit and (fit[0], fit[1], fit[2].hex())))
-    return results
+    d, unit, fit = divergence(t, a, b, seed_delta)
+    assert d.readonly and d.format == "d" and len(d) == len(t)
+    return d.tobytes(), unit, fit and (fit[0], fit[1], fit[2].hex())
 
 
-def _twins(rng, rows, rate=0.05, seed_delta=1e-9):
-    """Increasing sample times and two runs' (x1, x2, v1, v2) columns whose
-    distance grows from about seed_delta at the given rate, with noise."""
-    t = np.cumsum(rng.uniform(0.1, 2.0, rows))
-    a = rng.uniform(-5.0, 5.0, (4, rows))
-    growth = seed_delta * np.exp(rate * (t - t[0])) * rng.uniform(0.5, 2.0, rows)
-    b = a + growth * rng.standard_normal((4, rows))
-    return t, a, b
-
-
-def test_divergence_matches_the_reference_bit_for_bit(c_backend):
-    """Random twin columns under random seed deltas and scales, some with
-    exact zeros, nan and inf among the differences and repeated sample
-    times: the same d bytes, the same first unit sample and the same fit."""
-    rng = np.random.default_rng(11)
-    fitted = 0
-    for trial in range(60):
-        rows = int(rng.integers(1, 3000))
-        t, a, b = _twins(rng, rows, rate=rng.uniform(0.0, 0.1),
-                         seed_delta=10.0 ** rng.uniform(-12, -3))
-        if trial % 4 == 1:
-            b[:, rng.integers(0, rows, rows // 10)] = a[:, rng.integers(0, rows, rows // 10)]
-            b[rng.integers(0, 4, 5), rng.integers(0, rows, 5)] = rng.choice(SPECIALS, 5)
-        if trial % 4 == 2:
-            t = np.floor(t / 20.0)
-        seed_delta = float(rng.choice([0.0, 1e-9, 1e-6, 10.0 ** rng.uniform(-12, -2)]))
-        scale = float(rng.choice([DIVERGENCE_SCALE, 0.5, 1e3, 0.0, -1.0]))
-        got, expected = _divergence_both(t, a, b, seed_delta, scale)
-        assert got == expected, trial
-        fitted += got[2] is not None
-    assert fitted >= 10
-
-
-def test_identical_twins_give_zero_distance_and_no_fit(c_backend):
-    t, a, _ = _twins(np.random.default_rng(12), 500)
+def test_identical_twins_give_zero_distance_and_no_fit():
+    rng = np.random.default_rng(12)
+    t = np.cumsum(rng.uniform(0.1, 2.0, 500))
+    a = rng.uniform(-5.0, 5.0, (4, 500))
     for seed_delta in (0.0, 1e-9):
-        got, expected = _divergence_both(t, a, a.copy(), seed_delta, DIVERGENCE_SCALE)
-        assert got == expected == (np.zeros(500).tobytes(), None, None)
+        assert _divergence(t, a, a.copy(), seed_delta) == (np.zeros(500).tobytes(), None, None)
 
 
-def test_a_window_fits_through_its_positive_samples_only(c_backend):
+def test_a_window_fits_through_its_positive_samples_only():
     """Both ends of a window are positive (d > 10*seed_delta and
-    d > 0.01*scale), so it always holds two positive samples; zeros and nan
-    inside it are left out of the fit, a window without a time span fits
-    nothing, and a scale <= 0 forms no window at all."""
+    d > 0.01*DIVERGENCE_SCALE), so it always holds two positive samples;
+    zeros and nan inside it are left out of the fit, and a window without a
+    time span fits nothing."""
     t = np.arange(6.0)
     a = np.zeros((4, 6))
     b = a.copy()
     b[0] = [1e-9, 2e-8, 0.0, math.nan, 0.0, 0.5]
-    got, expected = _divergence_both(t, a, b, 1e-9, DIVERGENCE_SCALE)
-    assert got == expected
-    assert got[1] is None and got[2][:2] == (1, 5)
-    slope = float.fromhex(got[2][2])
+    _, unit, fit = _divergence(t, a, b, 1e-9)
+    assert unit is None and fit[:2] == (1, 5)
+    slope = float.fromhex(fit[2])
     assert slope == pytest.approx((math.log(0.5) - math.log(2e-8)) / 4.0, rel=1e-12)
-    for times, scale in ((np.full(6, 3.0), DIVERGENCE_SCALE), (t, 0.0), (t, -1.0)):
-        got, expected = _divergence_both(times, a, b, 1e-9, scale)
-        assert got == expected and got[2] is None
+    assert _divergence(np.full(6, 3.0), a, b, 1e-9)[2] is None
 
 
-def test_divergence_of_no_samples(c_backend):
+def test_divergence_of_no_samples():
     empty = np.empty(0)
-    got, expected = _divergence_both(empty, [empty] * 4, [empty] * 4, 1e-9, DIVERGENCE_SCALE)
-    assert got == expected == (b"", None, None)
+    assert _divergence(empty, [empty] * 4, [empty] * 4, 1e-9) == (b"", None, None)
 
 
-@pytest.mark.parametrize("bad", [np.zeros(8)[::2], np.zeros(3), [0.0] * 4],
-                         ids=["strided", "short", "list"])
-def test_a_twin_column_c_cannot_read_is_rejected(c_backend, bad):
-    t, a, b = _twins(np.random.default_rng(13), 4)
+def test_twin_columns_of_unequal_length_are_rejected():
+    t, a = np.arange(4.0), np.zeros((4, 4))
     with pytest.raises(ValueError):
-        _kernels.divergence(t, a, [*b[:3], bad], 1e-9, DIVERGENCE_SCALE)
+        divergence(t, a, [*a[:3], np.zeros(3)], 1e-9)
     with pytest.raises(ValueError):
-        _kernels.divergence(t, a, b[:3], 1e-9, DIVERGENCE_SCALE)
+        divergence(t[:3], a, a, 1e-9)
 
 
 def test_divergence_gives_the_numpy_distance_and_fit_of_a_chaotic_twin():
@@ -548,11 +477,12 @@ def test_divergence_gives_the_numpy_distance_and_fit_of_a_chaotic_twin():
                                  record_every=1000).trajectory
             for s in (sc, Scenario(params=ModelParams(), v0=0.056 + 1e-9, t_max=600.0))]
     columns = [(r.x1, r.x2, r.v1, r.v2) for r in runs]
-    d, unit, (lo, hi, slope) = _kernels.divergence(runs[0].t, *columns, 1e-9, DIVERGENCE_SCALE)
+    d, unit, (lo, hi, slope) = divergence(runs[0].t, *columns, 1e-9)
     old = np.sqrt(sum((np.asarray(p) - np.asarray(q)) ** 2 for p, q in zip(*columns)))
     assert d.tobytes() == old.tobytes()
     t = np.asarray(runs[0].t)
-    assert lo == np.nonzero(old > 1e-8)[0][0] and hi == np.nonzero(old > 0.01)[0][0]
+    assert lo == np.nonzero(old > 1e-8)[0][0]
+    assert hi == np.nonzero(old > 0.01 * DIVERGENCE_SCALE)[0][0]
     assert unit == np.nonzero(old > 1.0)[0][0]
     seg_t, seg_d = t[lo:hi + 1], old[lo:hi + 1]
     assert slope == pytest.approx(np.polyfit(seg_t, np.log(seg_d), 1)[0], rel=1e-12, abs=0)
@@ -573,8 +503,8 @@ def test_the_library_exports_exactly_the_functions_it_binds(c_backend):
     exported = [line.split()[-1] for line in proc.stdout.splitlines() if line.strip()]
     bound = re.findall(r"_LIB\.(\w+)", Path(_kernels.__file__).read_text())
     assert sorted(exported) == sorted(bound) == \
-        ["derived_columns", "divergence", "format_rows", "run_rk4", "run_verlet"]
-    for name in ("_run_verlet", "_run_rk4", "derived_columns", "divergence", "format_rows"):
+        ["derived_column", "format_rows", "run_rk4", "run_verlet"]
+    for name in ("_run_verlet", "_run_rk4", "derived_column", "format_rows"):
         wrapper = getattr(_kernels, name)
         assert wrapper.py_func is not wrapper and wrapper.py_func.__name__ == name
 

@@ -6,6 +6,7 @@ from the module, so a regression in the formulas cannot hide behind itself.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,21 @@ class TestDominantFrequency:
             dominant_frequency(np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(2, 3))
         with pytest.raises(ValueError):  # float64 buffers only
             dominant_frequency([0.0, 1.0, 0.0], [0.0, 1.0, 0.0])
+
+    def test_a_long_probe_is_timed_without_copying_its_columns(self):
+        """One call on a linear-compare probe's 500,001 samples allocates
+        less than half of one 4 MB float64 column: the samples are read
+        from their buffers, never gathered into Python lists."""
+        t = np.arange(500_001) * 0.01
+        xs = np.sin(1.3 * t)
+        tracemalloc.start()
+        try:
+            f = dominant_frequency(t, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f == pytest.approx(1.3, abs=1e-3)
+        assert peak < 2e6
 
 
 class TestMeasuredFrequency:
