@@ -6,10 +6,10 @@ short-range repulsion, are launched at a finite well.  Depending on the launch
 speed the pair passes through, bounces back, or is captured, and near the
 class boundaries the outcome is chaotically sensitive to the initial speed.
 The package provides the dynamics, fixed-step symplectic integration, small
-oscillation closed forms, outcome classification, velocity sweeps with
-boundary zooming, and divergence diagnostics, plus a CSV-producing command
-line tool.  Every result is bitwise reproducible for a given configuration,
-independent of worker count.
+oscillation closed forms, outcome classification, velocity sweeps, and
+divergence diagnostics, plus a CSV-producing command line tool.  Every result
+is bitwise reproducible for a given configuration, independent of worker
+count.
 """
 
 __version__ = "0.1.0"

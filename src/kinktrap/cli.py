@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands: simulate, sweep, zoom, sensitivity, linear-compare.  Two tables
+Subcommands: simulate, sweep, sensitivity, linear-compare.  Two tables
 drive it.  _SETTINGS gives each setting its default, its flag and its
 config-file converter; a default lives on the record field or function
 parameter that consumes it, and only v0, record_every and out are the command
@@ -48,7 +48,7 @@ from .linearized import (
     measured_frequency,
 )
 from .scattering import Scenario, run_scattering
-from .sweep import SweepSpec, sensitivity, sweep, zoom
+from .sweep import SweepSpec, sensitivity, sweep
 
 __all__ = ["main", "ConfigError"]
 
@@ -107,10 +107,6 @@ def _setting(default, kind: str, help: str) -> _Setting:
     return _Setting(default, *_KINDS[kind], help)
 
 
-# The library's name for a setting, where the two differ.
-_LIBRARY_NAMES = {"factor": "refinement_factor"}
-
-
 def _library(home, **helps) -> dict:
     """{setting: _Setting} for settings whose default and type are those of a
     field of home, a record class, or of a parameter of home, a function.  A
@@ -124,8 +120,7 @@ def _library(home, **helps) -> dict:
         defaults = dict(zip(names[len(names) - len(home.__defaults__):], home.__defaults__))
     found = {}
     for name, text in helps.items():
-        lib = _LIBRARY_NAMES.get(name, name)
-        found[name] = _setting(defaults[lib], home.__annotations__[lib], text)
+        found[name] = _setting(defaults[name], home.__annotations__[name], text)
     return found
 
 
@@ -150,8 +145,7 @@ _DIVERGENCE = _library(sensitivity, seed_delta="launch speed perturbation",
 _SETTINGS = {
     **_MODEL, **_LAUNCH, **_INTEGRATOR, **_GRID, **_DIVERGENCE,
     **_library(IntegratorConfig, max_steps="hard step budget per trajectory"),
-    **_library(zoom, factor="grid refinement factor", depth="refinement levels",
-               workers="parallel workers, at most one per point and CPU (data unchanged)"),
+    **_library(sweep, workers="parallel workers, at most one per point and CPU (data unchanged)"),
     "v0": _setting(0.1, "float", "launch speed toward the well"),
     "record_every": _setting(10, "int", "record every Nth step"),
     "out": _setting(None, "str", "output CSV path (default: stdout)"),
@@ -391,38 +385,14 @@ def _sweep_spec(res: dict) -> SweepSpec:
                      **_pick(res, [*_GRID, *_LAUNCH]))
 
 
-def _sweep_columns(records) -> tuple:
-    """The _SWEEP_HEADER columns of these records."""
-    return tuple([getattr(r, name) for r in records] for name in _SWEEP_HEADER)
-
-
-def _class_counts(records) -> dict:
+def _cmd_sweep(res: dict) -> int:
+    records = sweep(_sweep_spec(res), workers=res["workers"])
     counts = {"transmitted": 0, "reflected": 0, "trapped": 0, "error": 0}
     for rec in records:
         counts[rec.outcome.value.lower()] += 1
-    return counts
-
-
-def _cmd_sweep(res: dict) -> int:
-    records = sweep(_sweep_spec(res), workers=res["workers"])
-    meta = {"points": len(records), **_class_counts(records)}
-    _emit_csv(res["out"], "sweep", res, _SWEEP_KEYS, meta, _SWEEP_HEADER,
-              _sweep_columns(records))
-    return 0
-
-
-_ZOOM_KEYS = _SWEEP_KEYS + ["factor", "depth"]
-
-
-def _cmd_zoom(res: dict) -> int:
-    zoom_rows = zoom(_sweep_spec(res), refinement_factor=res["factor"], depth=res["depth"],
-                     workers=res["workers"])
-    zoom_rows = sorted(zoom_rows, key=lambda zr: (zr.depth, zr.record.v0))
-    meta = {"rows": len(zoom_rows), **_class_counts([zr.record for zr in zoom_rows])}
-    columns = ([zr.depth for zr in zoom_rows],
-               *_sweep_columns([zr.record for zr in zoom_rows]))
-    _emit_csv(res["out"], "zoom", res, _ZOOM_KEYS, meta,
-              ["depth"] + _SWEEP_HEADER, columns)
+    columns = tuple([getattr(r, name) for r in records] for name in _SWEEP_HEADER)
+    _emit_csv(res["out"], "sweep", res, _SWEEP_KEYS, {"points": len(records), **counts},
+              _SWEEP_HEADER, columns)
     return 0
 
 
@@ -525,8 +495,6 @@ _COMMANDS = {
                  _SIM_KEYS, []),
     "sweep": (_cmd_sweep, "classify outcomes over a launch speed grid",
               _SWEEP_KEYS, [*_WINDOW, "workers"]),
-    "zoom": (_cmd_zoom, "sweep, then refine class boundaries",
-             _ZOOM_KEYS, [*_WINDOW, "workers"]),
     "sensitivity": (_cmd_sensitivity, "divergence of two launches differing by seed-delta",
                     _SENS_KEYS, []),
     "linear-compare": (_cmd_linear_compare, "measured trapped-pair frequencies vs the "

@@ -1,4 +1,4 @@
-"""Velocity sweeps, boundary zooming, and divergence (chaos) diagnostics.
+"""Velocity sweeps and divergence (chaos) diagnostics.
 
 Grid points are always computed as v_min + i*dv from the integer index, never
 by accumulation.  A point's record is run_scattering's OutcomeRecord for that
@@ -25,17 +25,15 @@ from .scattering import (Outcome, OutcomeRecord, Scenario, _check_exit_radius, i
 
 __all__ = [
     "SweepSpec",
-    "ZoomRow",
     "DivergenceReport",
     "grid_size",
     "grid_v0",
     "sweep",
-    "zoom",
     "sensitivity",
 ]
 
-# The most grid points a SweepSpec, or one zoom level, may hold; both list
-# every launch speed before the first point runs.
+# The most grid points a SweepSpec may hold; sweep lists every launch speed
+# before the first point runs.
 MAX_GRID_POINTS = 10**7
 
 # The phase-space distance at which sensitivity's twins count as apart: the
@@ -83,16 +81,6 @@ class SweepSpec:
                                   for name in fields(Scenario) if name != "v0"})
 
 
-@record
-class ZoomRow:
-    """A sweep record tagged with its refinement depth; interval is the parent
-    grid pair it refines (None at depth 0)."""
-
-    depth: int
-    interval: tuple[float, float] | None
-    record: OutcomeRecord
-
-
 def grid_size(spec: SweepSpec) -> int:
     """Number of grid points; the interval count tolerates last-bit slop in
     (v_max - v_min)/dv so intended endpoints are included."""
@@ -126,9 +114,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_points(spec: SweepSpec, v0s: list[float], workers: int) -> list[OutcomeRecord]:
+def sweep(spec: SweepSpec, workers: int = 1) -> list[OutcomeRecord]:
+    """Classify every grid point v_min + i*dv.
+
+    Per-point integration failures become Outcome.ERROR rows; they never abort
+    the sweep.  The result is byte-identical for any worker count; workers < 1
+    raises ValueError.
+    """
     if not (isinstance(workers, int) and workers >= 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    v0s = [grid_v0(spec, i) for i in range(grid_size(spec))]
     # a process pool starts all of its workers at once, so never ask for more
     # than there are points or CPUs
     size = min(workers, len(v0s), _usable_cpus())
@@ -153,68 +148,6 @@ def _run_points(spec: SweepSpec, v0s: list[float], workers: int) -> list[Outcome
     # map() preserves order
     with executor as pool:
         return list(pool.map(partial(_classify_point, spec), v0s))
-
-
-def sweep(spec: SweepSpec, workers: int = 1) -> list[OutcomeRecord]:
-    """Classify every grid point v_min + i*dv.
-
-    Per-point integration failures become Outcome.ERROR rows; they never abort
-    the sweep.  The result is byte-identical for any worker count; workers < 1
-    raises ValueError.
-    """
-    n = grid_size(spec)
-    v0s = [grid_v0(spec, i) for i in range(n)]
-    return _run_points(spec, v0s, workers)
-
-
-def zoom(
-    spec: SweepSpec,
-    refinement_factor: int = 5,
-    depth: int = 1,
-    workers: int = 1,
-) -> list[ZoomRow]:
-    """Sweep, then recursively re-sweep every interval whose endpoints changed
-    outcome class at dv/refinement_factor per level.
-
-    Returns all levels' rows, depth 0 first; endpoint records are reused from
-    the parent level verbatim, so a grid point shared between depths carries
-    the identical record at both.  A level of more than MAX_GRID_POINTS points
-    raises ValueError before its grid is listed.
-    """
-    if not (isinstance(refinement_factor, int) and refinement_factor >= 2):
-        raise ValueError(f"refinement_factor must be an integer >= 2, got {refinement_factor!r}")
-    if not (isinstance(depth, int) and depth >= 0):
-        raise ValueError(f"depth must be a non-negative integer, got {depth!r}")
-
-    base = sweep(spec, workers=workers)
-    rows = [ZoomRow(depth=0, interval=None, record=rec) for rec in base]
-    # the record lists of the last level's grids, all at spacing dv
-    frontier: list[list[OutcomeRecord]] = [base]
-    dv = spec.dv
-
-    for level in range(1, depth + 1):
-        dv = dv / refinement_factor
-        intervals = [(lo, hi) for records in frontier
-                     for lo, hi in zip(records, records[1:]) if lo.outcome != hi.outcome]
-        if not intervals:
-            break
-        count = len(intervals) * (refinement_factor - 1)
-        if count > MAX_GRID_POINTS:
-            raise ValueError(f"zoom depth {level}: {len(intervals)} class-changing intervals "
-                             f"at factor {refinement_factor} give {count} points, "
-                             f"more than {MAX_GRID_POINTS}")
-        v0s = [lo.v0 + j * dv for lo, _ in intervals for j in range(1, refinement_factor)]
-        interior = _run_points(spec, v0s, workers)
-        frontier = []
-        per_interval = refinement_factor - 1
-        for ordinal, (lo, hi) in enumerate(intervals):
-            inner = interior[ordinal * per_interval : (ordinal + 1) * per_interval]
-            sub_records = [lo, *inner, hi]
-            rows.extend(
-                ZoomRow(depth=level, interval=(lo.v0, hi.v0), record=rec) for rec in sub_records
-            )
-            frontier.append(sub_records)
-    return rows
 
 
 @record

@@ -8,10 +8,12 @@ import importlib
 import io
 import math
 import mmap
+import re
 import shlex
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,12 +99,20 @@ class TestLoadConfig:
         assert err == (f"error: {cfg}:2: config key 'seed_delta' "
                        "does not apply to simulate\n")
 
-    @pytest.mark.parametrize("command", ["sweep", "zoom"])
+    @pytest.mark.parametrize("command", ["sweep"])
     def test_the_subcommands_own_keys_are_accepted(self, command, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("workers = 2\nv_min = 0.2\nv_max = 0.3\ndv = 0.05\n")
         assert load_config(str(cfg), command) == {
             "workers": 2, "v_min": 0.2, "v_max": 0.3, "dv": 0.05}
+
+    @pytest.mark.parametrize("key", ["factor", "depth"])
+    def test_a_refinement_key_is_unknown(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 2\n")
+        code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}:1: unknown config key {key!r}\n"
 
 
 class TestResolution:
@@ -121,9 +131,8 @@ class TestResolution:
     def test_center_halfwidth_set_the_grid_window(self, capsys, tmp_path):
         out_file = tmp_path / "z.csv"
         code, _, _ = run_cli(
-            ["zoom", "--center", "0.12", "--halfwidth", "0.005", "--dv", "0.005",
-             "--t-max", "300", "--factor", "2", "--depth", "1",
-             "--out", str(out_file)],
+            ["sweep", "--center", "0.12", "--halfwidth", "0.005", "--dv", "0.005",
+             "--t-max", "300", "--out", str(out_file)],
             capsys)
         assert code == 0
         text = out_file.read_text()
@@ -180,8 +189,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, field", [
         (["sweep", "--v-max", "inf"], "v_max"),
         (["sweep", "--dv", "inf"], "dv"),
-        (["zoom", "--dv", "nan"], "dv"),
-    ], ids=["sweep-v-max", "sweep-dv", "zoom-dv-nan"])
+        (["sweep", "--dv", "nan"], "dv"),
+    ], ids=["sweep-v-max", "sweep-dv", "sweep-dv-nan"])
     def test_non_finite_grid_setting_exits_one(self, argv, field, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")
@@ -195,8 +204,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--workers", "0"],
-        ["zoom", "--workers", "-3"],
-    ], ids=["sweep-zero", "zoom-negative"])
+        ["sweep", "--workers", "-3"],
+    ], ids=["sweep-zero", "sweep-negative"])
     def test_bad_worker_count_exits_one(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")
@@ -238,7 +247,7 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, work", [
-        ("simulate", "run_scattering"), ("sweep", "sweep"), ("zoom", "zoom"),
+        ("simulate", "run_scattering"), ("sweep", "sweep"),
         ("sensitivity", "sensitivity"), ("linear-compare", "measured_frequency"),
     ])
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
@@ -257,12 +266,12 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, work", [
-        ("simulate", "integrate"), ("sweep", "_classify_point"), ("zoom", "_classify_point"),
+        ("simulate", "integrate"), ("sweep", "_classify_point"),
     ])
     def test_a_launch_inside_the_exit_radius_exits_one_before_the_run(
             self, command, work, monkeypatch, capsys):
         """The subcommands that test the exit refuse a launch point inside
-        the exit radius; sweep and zoom before any point runs."""
+        the exit radius; sweep before any point runs."""
         module = importlib.import_module(
             "kinktrap.scattering" if command == "simulate" else "kinktrap.sweep")
 
@@ -666,8 +675,6 @@ REGENERATION_RUNS = {
     "simulate": ["simulate", "--v0", "0.27", "--t-max", "200", "--record-every", "100"],
     "sweep": ["sweep", "--v-min", "0.1", "--v-max", "0.14", "--dv", "0.02",
               "--launch-offset=-8", "--exit-radius", "8", "--t-max", "200"],
-    "zoom": ["zoom", "--center", "0.12", "--halfwidth", "0.005", "--dv", "0.005",
-             "--t-max", "300", "--factor", "2"],
     "sensitivity": ["sensitivity", "--v0", "0.056", "--t-max", "100",
                     "--seed-delta", "1e-8", "--sample-interval", "0.5"],
     "linear-compare": ["linear-compare", "--t-max", "120", "--scheme", "RK4"],
@@ -727,10 +734,18 @@ class TestParser:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: kinktrap {command} ")
 
+    def test_zoom_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zoom"])
+        assert exc.value.code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: kinktrap ")
+        assert lines[-1].startswith("kinktrap: error: argument command: invalid choice: 'zoom'")
+
     @pytest.mark.parametrize("command", _COMMANDS)
     def test_every_flag_but_the_output_only_ones_is_echoed(self, command):
         """A subcommand takes a flag for each setting its CSV echoes, plus
-        --config and --out; sweep and zoom also take --center, --halfwidth
+        --config and --out; sweep also takes --center, --halfwidth
         (echoed as v_min and v_max) and --workers (which changes no byte)."""
         sub = next(action for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
@@ -738,12 +753,36 @@ class TestParser:
         flags = {opt for action in parser._actions for opt in action.option_strings}
         expected = {"--" + key.replace("_", "-") for key in _COMMANDS[command][2]}
         expected |= {"-h", "--help", "--config", "--out"}
-        if command in ("sweep", "zoom"):
+        if command == "sweep":
             expected |= {"--center", "--halfwidth", "--workers"}
         assert flags == expected
 
 
-class TestSweepAndZoomOutput:
+NUMBER_WORDS = ["zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine"]
+
+
+class TestReadme:
+    @staticmethod
+    def command_line():
+        """The "Command line" section of the README, up to the next section."""
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        return text.split("\n## Command line\n")[1].split("\n## ")[0]
+
+    def test_the_subcommands_are_those_of_the_parser(self):
+        """The count in 'One executable, N subcommands' and the subcommands
+        of the examples, in order of first use."""
+        section = self.command_line()
+        [word] = re.findall(r"One executable, (\w+) subcommands", section)
+        assert NUMBER_WORDS.index(word) == len(_COMMANDS)
+        examples = re.findall(r"^    kinktrap ([\w-]+)", section, re.M)
+        assert list(dict.fromkeys(examples)) == list(_COMMANDS)
+
+    def test_the_config_keys_are_the_settings(self):
+        [keys] = re.findall(r"\): `([^`]*)`\. Any other key", self.command_line())
+        assert sorted(keys.split()) == sorted(cli._SETTINGS)
+
+
+class TestSweepOutput:
     def test_sweep_counts_add_up(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code, _, _ = run_cli(
@@ -760,23 +799,26 @@ class TestSweepAndZoomOutput:
                       ("transmitted", "reflected", "trapped", "error"))
         assert counted == points
 
-    def test_zoom_rows_are_sorted_and_tagged_by_depth(self, tmp_path, capsys):
-        out = tmp_path / "z.csv"
-        code, _, _ = run_cli(
-            ["zoom", "--v-min", "0.256", "--v-max", "0.26", "--dv", "0.002",
-             "--factor", "2", "--depth", "2", "--out", str(out)],
-            capsys)
+    @pytest.mark.parametrize("extra, counts, sha256", [
+        (["--workers", "1"], ["6", "7", "13", "0"],
+         "fc64a74beafd0cc8faed53b4c881df9264a153ab8c1418cc09da45cfee28cce8"),
+        (["--workers", "2"], ["6", "7", "13", "0"],
+         "fc64a74beafd0cc8faed53b4c881df9264a153ab8c1418cc09da45cfee28cce8"),
+        (["--max-steps", "300000"], ["5", "4", "0", "17"],
+         "4a9af4594f43fbfe59c932abe0a2ac65a4aac5c64afe4c9ce72a267e17cc6422"),
+    ], ids=["workers-1", "workers-2", "error-rows"])
+    def test_a_sweep_keeps_its_bytes(self, extra, counts, sha256, tmp_path, capsys):
+        """26 points at t_max = 500: the class counts and the sha256 of the
+        whole CSV, on one and two workers, and with a step budget that ends
+        17 runs as Error rows, whose nan cells are formatted one by one."""
+        out = tmp_path / "pinned.csv"
+        code, _, _ = run_cli(["sweep", "--v-min", "0.05", "--v-max", "0.3", "--dv", "0.01",
+                              "--t-max", "500", *extra, "--out", str(out)], capsys)
         assert code == 0
         text = out.read_text()
-        header, rows = csv_body(text)
-        assert header == "depth,v0,outcome,v_final,t_end,energy_drift,steps"
-        keys = []
-        for row in rows:
-            cells = row.split(",")
-            keys.append((int(cells[0]), float(cells[1])))
-        assert keys == sorted(keys)
-        assert {k[0] for k in keys} >= {0, 1}
-        assert int(meta_value(text, "rows")) == len(rows)
+        assert [meta_value(text, key) for key in
+                ("transmitted", "reflected", "trapped", "error")] == counts
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 class TestSensitivityOutput:
@@ -896,8 +938,8 @@ class TestModuleEntryPoint:
         assert lines == []
 
 
-# Runs in a fresh interpreter: a sweep on one and two workers, a zoom, a
-# simulate under each scheme, a chaotic sensitivity run and a linear-compare
+# Runs in a fresh interpreter: a sweep on one and two workers, a simulate
+# under each scheme, a chaotic sensitivity run and a linear-compare
 # under each scheme, whose CSVs go to argv[2]-*.csv, then --version;
 # prints whether numpy was loaded.  With argv[1] == "numpy-first" it imports
 # numpy before anything.
@@ -911,7 +953,6 @@ grid = ["--v-min", "0.2", "--v-max", "0.3", "--dv", "0.05", "--launch-offset=-4"
 prefix = sys.argv[2]
 for workers in ("1", "2"):
     assert main(["sweep", *grid, "--workers", workers, "--out", f"{prefix}-w{workers}.csv"]) == 0
-assert main(["zoom", *grid, "--factor", "2", "--depth", "1", "--out", f"{prefix}-zoom.csv"]) == 0
 assert main(["simulate", "--v0", "0.3", "--record-every", "1",
              "--out", f"{prefix}-verlet.csv"]) == 0
 assert main(["simulate", "--scheme", "RK4", "--v0", "0.3", "--record-every", "3",
@@ -931,7 +972,7 @@ print("numpy" in sys.modules)
 
 
 class TestNumpyFree:
-    def test_sweep_zoom_and_version_never_load_numpy(self, tmp_path):
+    def test_sweep_and_version_never_load_numpy(self, tmp_path):
         """Nor do simulate, sensitivity and linear-compare.  The same runs
         write the same bytes whether or not numpy was imported first, the
         sensitivity run's fitted exponent and linear-compare's measured
@@ -944,7 +985,7 @@ class TestNumpyFree:
             assert proc.returncode == 0, proc.stderr
             loaded[mode] = proc.stdout.strip()
         assert loaded == {"numpy-free": "False", "numpy-first": "True"}
-        for name in ("w1", "w2", "zoom", "verlet", "rk4", "sensitivity",
+        for name in ("w1", "w2", "verlet", "rk4", "sensitivity",
                      "linear-VelocityVerlet", "linear-RK4"):
             free = (tmp_path / f"numpy-free-{name}.csv").read_bytes()
             assert free == (tmp_path / f"numpy-first-{name}.csv").read_bytes(), name

@@ -19,9 +19,10 @@ def test_all_is_the_version_and_each_submodules_names_in_order():
     for name in SUBMODULES:
         expected += sorted(importlib.import_module(f"kinktrap.{name}").__all__)
     assert kinktrap.__all__ == expected
-    assert len(expected) == 37 and len(set(expected)) == 37
+    assert len(expected) == 35 and len(set(expected)) == 35
     assert expected[:3] == ["__version__", "CMState", "CoincidentParticles"]
-    assert expected[-3:] == ["sensitivity", "sweep", "zoom"]
+    assert expected[-3:] == ["grid_v0", "sensitivity", "sweep"]
+    assert not {"zoom", "ZoomRow"} & set(dir(kinktrap))
 
 
 def test_every_exported_name_resolves_to_its_submodules_object():

@@ -1,11 +1,10 @@
-"""Sweep grid semantics, worker invariance, zoom bookkeeping, divergence reports."""
+"""Sweep grid semantics, worker invariance, divergence reports."""
 
 import concurrent.futures
 import importlib
 import math
 import multiprocessing
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from kinktrap import (
     run_scattering,
     sensitivity,
     sweep,
-    zoom,
 )
 from kinktrap import _kernels
 from kinktrap.sweep import MAX_GRID_POINTS
@@ -207,9 +205,8 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5, None])
     def test_bad_worker_counts_are_rejected(self, pools, workers):
-        for run in (sweep, zoom):
-            with pytest.raises(ValueError, match="workers must be a positive integer"):
-                run(TINY, workers=workers)
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            sweep(TINY, workers=workers)
         assert pools == []
 
     def test_c_kernel_points_run_on_threads_in_this_process(self, monkeypatch):
@@ -232,79 +229,6 @@ class TestWorkers:
         assert pids == [os.getpid()] * len(records) == [os.getpid()] * grid_size(TINY)
         monkeypatch.setattr(sweep_module, "_classify_point", classify)
         assert records == sweep(TINY)
-
-
-class TestZoom:
-    def test_uniform_window_is_never_refined(self):
-        spec = SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.2,
-                         dv=0.05, t_max=300.0)
-        rows = zoom(spec, refinement_factor=5, depth=3)
-        assert len(rows) == 3
-        assert all(row.depth == 0 and row.interval is None for row in rows)
-
-    def test_refinement_brackets_a_class_change(self):
-        spec = SweepSpec(params=ModelParams(), v_min=0.256, v_max=0.260, dv=0.002)
-        rows = zoom(spec, refinement_factor=2, depth=2)
-        base = [r for r in rows if r.depth == 0]
-        deeper = [r for r in rows if r.depth >= 1]
-        assert len(base) == 3
-        assert deeper, "the window straddles a boundary, so refinement must fire"
-        base_by_v0 = {r.record.v0: r.record for r in base}
-        for row in deeper:
-            lo, hi = row.interval
-            width = hi - lo
-            assert width == pytest.approx(spec.dv / 2 ** (row.depth - 1), rel=1e-12)
-            assert lo <= row.record.v0 <= hi
-            # endpoints reuse the parent record verbatim, never a re-run
-            if row.record.v0 in base_by_v0:
-                assert row.record == base_by_v0[row.record.v0]
-        # each refined interval contributes factor+1 rows (endpoints + interior)
-        for depth in sorted({r.depth for r in deeper}):
-            level = [r for r in deeper if r.depth == depth]
-            intervals = {r.interval for r in level}
-            assert len(level) == 3 * len(intervals)
-
-    def test_depth_zero_is_just_the_sweep(self, small_sweep):
-        spec, records = small_sweep
-        rows = zoom(spec, refinement_factor=5, depth=0)
-        assert [row.record for row in rows] == records
-
-    @pytest.mark.parametrize("kwargs", [
-        {"refinement_factor": 1},
-        {"refinement_factor": 2.5},
-        {"depth": -1},
-        {"depth": 1.5},
-    ])
-    def test_bad_zoom_arguments_are_rejected(self, kwargs):
-        spec = SweepSpec(params=ModelParams(), v_min=0.1, v_max=0.1, t_max=10.0)
-        with pytest.raises(ValueError):
-            zoom(spec, **kwargs)
-
-
-    def test_an_oversized_level_is_rejected_before_its_grid_is_built(self):
-        # 0.22 reflects and 0.24 transmits at this horizon: one class change
-        spec = SweepSpec(params=ModelParams(), v_min=0.22, v_max=0.24, dv=0.02, t_max=300.0)
-        assert [r.outcome for r in sweep(spec)] == [Outcome.REFLECTED, Outcome.TRANSMITTED]
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError) as info:
-                zoom(spec, refinement_factor=10**7 + 2, depth=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert str(info.value) == (f"zoom depth 1: 1 class-changing intervals at factor "
-                                   f"10000002 give 10000001 points, more than "
-                                   f"{MAX_GRID_POINTS}")
-        # the refined grid would hold 10**7 floats, about 300 MB as a list
-        assert peak < 20e6
-
-    def test_the_largest_level_is_accepted(self, monkeypatch):
-        spec = SweepSpec(params=ModelParams(), v_min=0.22, v_max=0.24, dv=0.02, t_max=300.0)
-        monkeypatch.setattr(sweep_module, "MAX_GRID_POINTS", 4)
-        rows = zoom(spec, refinement_factor=5, depth=1)
-        assert [row.depth for row in rows] == [0, 0] + [1] * 6
-        with pytest.raises(ValueError, match="give 5 points, more than 4"):
-            zoom(spec, refinement_factor=6, depth=1)
 
 
 class TestSensitivity:
