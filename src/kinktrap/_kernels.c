@@ -7,8 +7,8 @@
  * reassociation), so each result equals the Python reference bit for bit.
  * exp is libm's, the function that Python's math.exp calls.
  *
- * accel, pair_energy and after_step are static inline so that gcc -O2
- * inlines them into each runner's loop: a step then keeps the accelerations,
+ * accel, pair_energy, verlet_step and after_step are static inline so that
+ * gcc -O2 inlines them into each runner's loop: a step then keeps the accelerations,
  * the Gaussian factors, maxd and nrec in registers, and the runners call
  * nothing but exp (objdump -d shows it).  Called out of line, they sent those
  * through memory every step, about a fifth of a Verlet step's time.
@@ -23,7 +23,14 @@
  * groups of Ryu's d2s; only cells near the end of the buffer are formatted
  * aside first, so that nothing is written past its capacity.
  *
- * The four functions without static are the library's whole interface:
+ * run_verlet_lanes runs the points of a batch as run_verlet runs each one,
+ * LANES of them at a time in one loop: a Verlet step is one serial chain of
+ * a divide and two exp calls, so a core left idle by one chain works on the
+ * other.  Each lane does run_verlet's operations in run_verlet's order, so
+ * each point's results are run_verlet's bit for bit.  Threads share a batch
+ * through a counter that the caller owns, and the library keeps no state.
+ *
+ * The five functions without static are the library's whole interface:
  * _kernels.py binds each of them, and nothing else.
  */
 
@@ -140,33 +147,147 @@ static int done(int status, int64_t steps, double x1, double v1, double x2, doub
 #define RETURN(status, steps, x1, v1, x2, v2)                                    \
     return done(status, steps, x1, v1, x2, v2, maxd, nrec, out, counts)
 
+/* A pair's state and the force there: the accelerations and the Gaussian
+ * factors of _accel. */
+typedef struct {
+    double x1, v1, x2, v2, a1, a2, g1, g2;
+} Pair;
+
+/* One step of _run_verlet on p: kick, drift, the floor check, the force at
+ * the new positions, kick.  Returns COINCIDENT, with the positions drifted
+ * and the velocities kicked once, when the drift breaches the floor, and
+ * RAN_ALL otherwise; dx is then x1 - x2. */
+static inline int verlet_step(const Model *m, double dt, double h2, double floor_,
+                              Pair *p, double *dx)
+{
+    p->v1 += h2 * p->a1;
+    p->v2 += h2 * p->a2;
+    p->x1 += dt * p->v1;
+    p->x2 += dt * p->v2;
+    *dx = p->x1 - p->x2;
+    if (fabs(*dx) < floor_)
+        return COINCIDENT;
+    accel(m, p->x1, p->x2, &p->a1, &p->a2, &p->g1, &p->g2);
+    p->v1 += h2 * p->a1;
+    p->v2 += h2 * p->a2;
+    return RAN_ALL;
+}
+
 /* _run_verlet: velocity Verlet (kick-drift-kick), force reused across steps. */
 SIGNATURE(run_verlet)
 {
     SETUP;
-    double a1, a2, g1, g2;
-    double dx = x1 - x2;
-    if (fabs(dx) < floor_)
+    Pair p = {x1, v1, x2, v2, 0.0, 0.0, 0.0, 0.0};
+    double dx;
+    if (fabs(x1 - x2) < floor_)
         RETURN(COINCIDENT, steps, x1, v1, x2, v2);
-    accel(&m, x1, x2, &a1, &a2, &g1, &g2);
+    accel(&m, x1, x2, &p.a1, &p.a2, &p.g1, &p.g2);
     double h2 = 0.5 * dt;
     for (int64_t i = 0; i < nsteps; i++) {
-        v1 += h2 * a1;
-        v2 += h2 * a2;
-        x1 += dt * v1;
-        x2 += dt * v2;
-        dx = x1 - x2;
-        if (fabs(dx) < floor_)
-            RETURN(COINCIDENT, i + 1, x1, v1, x2, v2);
-        accel(&m, x1, x2, &a1, &a2, &g1, &g2);
-        v1 += h2 * a1;
-        v2 += h2 * a2;
+        if (verlet_step(&m, dt, h2, floor_, &p, &dx) != RAN_ALL)
+            RETURN(COINCIDENT, i + 1, p.x1, p.v1, p.x2, p.v2);
         steps = i + 1;
-        status = after_step(&m, &tail, steps, x1, v1, x2, v2, dx, g1, g2, &maxd, &nrec);
+        status = after_step(&m, &tail, steps, p.x1, p.v1, p.x2, p.v2, dx, p.g1, p.g2,
+                            &maxd, &nrec);
         if (status != RAN_ALL)
             break;
     }
-    RETURN(status, steps, x1, v1, x2, v2);
+    RETURN(status, steps, p.x1, p.v1, p.x2, p.v2);
+}
+
+/* The number of points run_verlet_lanes advances together.  Two measured
+ * faster than one, and three or four no faster than two. */
+enum { LANES = 2 };
+
+/* A point in flight in run_verlet_lanes: its index (-1 for a lane left
+ * idle), its state and step budget, and run_verlet's running totals, with
+ * its own Tail for its e0 (stride 0: nothing is recorded). */
+typedef struct {
+    int64_t point, steps, nsteps, nrec;
+    double maxd;
+    Pair p;
+    Tail tail;
+} Lane;
+
+/* The points' results, as run_verlet's done gives them: ends holds five
+ * doubles a point (x1, v1, x2, v2, maxd), counts three int64s (steps, nrec,
+ * status). */
+static void lane_done(const Lane *L, int status, double *ends, int64_t *counts)
+{
+    int64_t *c = counts + 3 * L->point;
+    c[2] = done(status, L->steps, L->p.x1, L->p.v1, L->p.x2, L->p.v2, L->maxd, L->nrec,
+                ends + 5 * L->point, c);
+}
+
+/* Give L the next point that takes a step, claimed from the shared counter
+ * next; a point that breaches the floor at its start, or has no steps to
+ * run, ends at once, as in run_verlet.  L->point is -1 once the points are
+ * all claimed. */
+static void lane_start(Lane *L, const Model *m, const double *starts, const int64_t *nsteps,
+                       int64_t npoints, double floor_, int64_t *next,
+                       double *ends, int64_t *counts)
+{
+    for (;;) {
+        L->point = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED);
+        if (L->point >= npoints) {
+            L->point = -1;
+            return;
+        }
+        const double *s = starts + 5 * L->point;
+        L->p = (Pair){s[0], s[1], s[2], s[3], 0.0, 0.0, 0.0, 0.0};
+        L->tail.e0 = s[4];
+        L->nsteps = nsteps[L->point];
+        L->steps = L->nrec = 0;
+        L->maxd = 0.0;
+        if (fabs(L->p.x1 - L->p.x2) < floor_) {
+            lane_done(L, COINCIDENT, ends, counts);
+            continue;
+        }
+        accel(m, L->p.x1, L->p.x2, &L->p.a1, &L->p.a2, &L->p.g1, &L->p.g2);
+        if (L->nsteps > 0)
+            return;
+        lane_done(L, RAN_ALL, ends, counts);
+    }
+}
+
+/* run_verlet_lanes: point i of npoints is run_verlet from starts[5i..5i+5)
+ * = (x1, v1, x2, v2, e0) for nsteps[i] steps under the shared model, dt,
+ * floor and exit radius, with t0 = 0 and no recording; its results go to
+ * ends and counts (see lane_done).  Points are claimed one at a time from
+ * *next, which callers on other threads may share: every point is run
+ * once, by whichever lane is free first. */
+void run_verlet_lanes(const double *starts, const int64_t *nsteps, int64_t npoints,
+                      double dt, double k, double alpha, int64_t n, double A, double beta,
+                      double floor_, double exit_radius, int64_t *next,
+                      double *ends, int64_t *counts)
+{
+    const Model m = {k, alpha, A, beta, n};
+    const double h2 = 0.5 * dt;
+    Lane lane[LANES];
+    int active = 0;
+    for (int j = 0; j < LANES; j++) {
+        lane[j].tail = (Tail){0.0, dt, exit_radius, 0.0, 0, 0, NULL, NULL, NULL, NULL, NULL};
+        lane_start(&lane[j], &m, starts, nsteps, npoints, floor_, next, ends, counts);
+        active += lane[j].point >= 0;
+    }
+    while (active > 0) {
+        for (int j = 0; j < LANES; j++) {
+            Lane *L = &lane[j];
+            if (L->point < 0)
+                continue;
+            double dx;
+            int status = verlet_step(&m, dt, h2, floor_, &L->p, &dx);
+            L->steps += 1;
+            if (status == RAN_ALL)
+                status = after_step(&m, &L->tail, L->steps, L->p.x1, L->p.v1, L->p.x2,
+                                    L->p.v2, dx, L->p.g1, L->p.g2, &L->maxd, &L->nrec);
+            if (status != RAN_ALL || L->steps == L->nsteps) {
+                lane_done(L, status, ends, counts);
+                lane_start(L, &m, starts, nsteps, npoints, floor_, next, ends, counts);
+                active -= L->point < 0;
+            }
+        }
+    }
 }
 
 /* A stage of _run_rk4: the floor check on its positions, then its force. */

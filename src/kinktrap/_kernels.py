@@ -2,12 +2,13 @@
 
 The Python functions below are the reference.  `_kernels.c` mirrors them
 operation for operation; it is built once with the system gcc and loaded
-through ctypes, and then `_run_verlet`, `_run_rk4`, `derived_column` and
-`format_rows` are thin wrappers around its four exported functions that keep
-the Python function as `py_func`.  BACKEND names the
-implementation in use: "c" or "python".  The C functions are reentrant:
-their only statics are const tables, and every result goes to buffers the
-caller passes in.
+through ctypes, and then `_run_verlet`, `_run_rk4`, `_run_verlet_lanes`,
+`derived_column` and `format_rows` are thin wrappers around its five
+exported functions that keep the Python function as `py_func`.  BACKEND
+names the implementation in use: "c" or "python".  The C functions are
+reentrant: their only statics are const tables, every result goes to
+buffers the caller passes in, and the counter from which the threads of
+one batch claim its points is the caller's too.
 ctypes releases the GIL for each call, so threads run them in parallel
 (sweep does).
 
@@ -32,7 +33,17 @@ Each formula has one home:
   force   _accel.  dynamics.accelerations is the floor check plus _accel;
           linearized.in_well_equilibrium_separation bisects it.
   step    _run_verlet and _run_rk4, which take the same 21 arguments and
-          return the same 8-tuple as their C wrappers.
+          return the same 8-tuple as their C wrappers.  In C, verlet_step
+          is the one Verlet step, of run_verlet and of run_verlet_lanes.
+  batch   _run_verlet_lanes, the points of a batch claimed from a shared
+          counter and each run as _run_verlet runs it, without recording:
+          its reference is the loop _lanes(_run_verlet) over the scalar
+          reference, and C advances two points at a time in one loop, each
+          with _run_verlet's operations in their order.  _run_rk4_lanes is
+          the same loop over the _run_rk4 in use, one point at a time: two
+          RK4 lanes in one loop measured slower than one.  run_batch packs
+          the scalar runners' argument tuples into a batch, runs it on
+          threads and unpacks each run's 8-tuple.
   energy  pair_energy, used by dynamics.total_energy, by derived_column and
           by the tail.  In C it is the static pair_energy, which after_step
           and derived_column call; parity tests pin both to the Python
@@ -64,7 +75,9 @@ memoryview over an anonymous mmap (float_buffers; integrate records into
 five of them).  float64_views checks each one before C sees its address,
 and C gets nothing that is not aligned and C-contiguous: the runners' five
 must also be writable and of one length, derived_column's four state
-columns of one length, and format_rows's columns long enough.  Both sides of
+columns of one length, and format_rows's columns long enough.  A batch's
+step budgets, counter and counts are int64 buffers (format 'q' or 'l'),
+checked by int64_views, and its buffers must hold its points.  Both sides of
 derived_column return a new read-only buffer.  Nothing here imports numpy.
 
 Division: the runners take every force and energy at a separation >= floor,
@@ -80,6 +93,7 @@ Status codes returned by the runners:
 
 from __future__ import annotations
 
+import _thread
 import ctypes
 import functools
 import math
@@ -316,6 +330,76 @@ def _run_rk4(
     return done(status, steps, x1, v1, x2, v2)
 
 
+# Claims of a shared counter by _lanes' loops, one at a time.
+_CLAIM = _thread.allocate_lock()
+
+
+def _lanes(runner):
+    """The batch runner over runner, one of the scalar runners.
+
+    It takes (starts, nsteps, dt, k, alpha, n, A, beta, floor, exit_radius,
+    claim, ends, counts).  Point i of the batch is runner(x1, v1, x2, v2,
+    0.0, dt, nsteps[i], k, alpha, n, A, beta, floor, exit_radius, e0, 0, no
+    recording), with (x1, v1, x2, v2, e0) = starts[5i:5i + 5]; it writes the
+    run's (x1, v1, x2, v2, max_abs_drift) to ends[5i:5i + 5] and its (steps,
+    nrec, status) to counts[3i:3i + 3].  Points are claimed one at a time
+    from claim[0], which callers on other threads may share, until every
+    point is claimed; so every point runs once whatever the number of
+    callers.
+    """
+    def lanes(starts, nsteps, dt, k, alpha, n, A, beta, floor, exit_radius,
+              claim, ends, counts):
+        rec = float_buffers(5, 0)
+        while True:
+            with _CLAIM:
+                i = claim[0]
+                claim[0] = i + 1
+            if i >= len(nsteps):
+                return
+            # as C reads them: doubles and an int64
+            x1, v1, x2, v2, e0 = map(float, starts[5 * i:5 * i + 5])
+            status, steps, *state, nrec = runner(x1, v1, x2, v2, 0.0, dt, int(nsteps[i]),
+                                                 k, alpha, n, A, beta, floor, exit_radius,
+                                                 e0, 0, *rec)
+            for j, value in enumerate(state):
+                ends[5 * i + j] = value
+            for j, value in enumerate((steps, nrec, status)):
+                counts[3 * i + j] = value
+
+    lanes.__name__ = lanes.__qualname__ = f"{runner.__name__}_lanes"
+    return lanes
+
+
+_run_verlet_lanes = _lanes(_run_verlet)
+
+
+def run_batch(lanes, runs, threads) -> list:
+    """What the scalar runner of the batch runner lanes returns for each
+    argument tuple of runs, runs that record nothing and share one model,
+    dt, floor and exit radius: lanes on threads threads, this one included,
+    which claim the runs from one counter."""
+    import threading  # only a batch starts threads
+    from array import array
+
+    if not runs:
+        return []
+    starts, nsteps = array("d"), array("q")
+    for x1, v1, x2, v2, _t0, dt, budget, *shared, e0, _stride in (args[:16] for args in runs):
+        starts.extend((x1, v1, x2, v2, e0))
+        nsteps.append(budget)
+    ends, counts = array("d", bytes(40 * len(runs))), array("q", bytes(24 * len(runs)))
+    batch = (starts, nsteps, dt, *shared, array("q", [0]), ends, counts)
+    helpers = [threading.Thread(target=lanes, args=batch)
+               for _ in range(min(threads, len(runs)) - 1)]
+    for thread in helpers:
+        thread.start()
+    lanes(*batch)
+    for thread in helpers:
+        thread.join()
+    return [(counts[3 * i + 2], counts[3 * i], *ends[5 * i:5 * i + 5], counts[3 * i + 1])
+            for i in range(len(runs))]
+
+
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _D, _I = ctypes.c_double, ctypes.c_int64
@@ -401,16 +485,25 @@ def float64_views(buffers, what, *, writable=False) -> list:
     its _address: C-contiguous and aligned, and writable if asked; for
     anything else ValueError says what was wanted.  All checked before C
     reads or writes them."""
+    return _views(buffers, what, writable, ("d",), "float64")
+
+
+def int64_views(buffers, what, *, writable=False) -> list:
+    """float64_views for int64 buffers (format 'q', or numpy's 'l')."""
+    return _views(buffers, what, writable, ("q", "l"), "int64")
+
+
+def _views(buffers, what, writable, formats, kind) -> list:
     views = []
     for b in buffers:
         try:
             m = memoryview(b)
         except TypeError:
             m = None
-        if not (m is not None and m.format == "d" and m.ndim == 1
+        if not (m is not None and m.format in formats and m.itemsize == 8 and m.ndim == 1
                 and not (writable and m.readonly) and m.c_contiguous and _address(m) % 8 == 0):
             raise ValueError(f"{what} must be {'writable, ' if writable else ''}aligned, "
-                             f"C-contiguous 1-D float64 buffers")
+                             f"C-contiguous 1-D {kind} buffers")
         views.append(m)
     return views
 
@@ -442,6 +535,35 @@ def _c_runner(fn):
         return status, counts[0], out[0], out[1], out[2], out[3], out[4], counts[1]
 
     return run
+
+
+def _c_lanes(fn):
+    """A ctypes wrapper of fn with the arguments of a _lanes batch runner.
+    Every buffer is checked before C runs, and so is claim[0]: from 0 up to
+    a bound that no number of claims reaches, so that C's adds on it never
+    wrap to a negative index."""
+    fn.argtypes = ([ctypes.c_void_p] * 2 + [_I] + [_D] * 3 + [_I] + [_D] * 4
+                   + [ctypes.c_void_p] * 3)
+    fn.restype = None
+
+    def lanes(starts, nsteps, dt, k, alpha, n, A, beta, floor, exit_radius,
+              claim, ends, counts):
+        (starts,) = float64_views((starts,), "starts")
+        (ends,) = float64_views((ends,), "ends", writable=True)
+        (nsteps,) = int64_views((nsteps,), "nsteps")
+        claim, counts = int64_views((claim, counts), "claim and counts", writable=True)
+        npoints = len(nsteps)
+        lengths = len(starts), len(ends), len(counts), len(claim)
+        if lengths != (5 * npoints, 5 * npoints, 3 * npoints, 1):
+            raise ValueError(f"starts, ends, counts and claim of {npoints} points must hold "
+                             f"{5 * npoints}, {5 * npoints}, {3 * npoints} and 1 entries, "
+                             f"not {lengths}")
+        if not 0 <= claim[0] < 2**62:
+            raise ValueError(f"claim must hold a count from 0 to 2**62, got {claim[0]}")
+        fn(_address(starts), _address(nsteps), npoints, dt, k, alpha, n, A, beta,
+           floor, exit_radius, _address(claim), _address(ends), _address(counts))
+
+    return lanes
 
 
 def _c_derived_column(fn):
@@ -523,5 +645,7 @@ else:
     BACKEND = "c"
     _run_verlet = _bind(_c_runner(_LIB.run_verlet), _run_verlet)
     _run_rk4 = _bind(_c_runner(_LIB.run_rk4), _run_rk4)
+    _run_verlet_lanes = _bind(_c_lanes(_LIB.run_verlet_lanes), _run_verlet_lanes)
     derived_column = _bind(_c_derived_column(_LIB.derived_column), derived_column)
     format_rows = _bind(_c_format_rows(_LIB.format_rows), format_rows)
+_run_rk4_lanes = _lanes(_run_rk4)

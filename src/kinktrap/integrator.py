@@ -188,6 +188,21 @@ def integrate(
 
     Results are bitwise deterministic for identical inputs and configuration.
     """
+    runner, args, finish = _prepare_run(state, params, cfg, t_max, exit_radius, record_every)
+    return finish(runner(*args))
+
+
+def _prepare_run(
+    state: State,
+    params: ModelParams,
+    cfg: IntegratorConfig,
+    t_max: float,
+    exit_radius: float | None,
+    record_every: int | None,
+) -> tuple:
+    """integrate, split at its runner call: (runner, args, finish), where
+    runner(*args) is the run and finish(its result) is integrate's return.
+    A batch runs the args of many runs at once and finishes each one."""
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max!r}")
     if exit_radius is not None and not (exit_radius > 0.0 and math.isfinite(exit_radius)):
@@ -217,37 +232,40 @@ def integrate(
 
     runner = _kernels._run_verlet if cfg.scheme is Scheme.VELOCITY_VERLET else _kernels._run_rk4
     e0 = total_energy(state, params, DEFAULT_COINCIDENCE_FLOOR)
-    status, steps, x1, v1, x2, v2, maxd, nrec = runner(
-        state.x1, state.v1, state.x2, state.v2, state.t, cfg.dt, n_limit,
-        params.k, params.alpha, params.n, params.A, params.beta,
-        DEFAULT_COINCIDENCE_FLOOR, exit_arg, e0,
-        stride, *(column[1:-1] for column in rec),
-    )
-    denom = abs(e0) if abs(e0) > 1e-300 else 1.0
-    rel_drift = maxd / denom
+    args = (state.x1, state.v1, state.x2, state.v2, state.t, cfg.dt, n_limit,
+            params.k, params.alpha, params.n, params.A, params.beta,
+            DEFAULT_COINCIDENCE_FLOOR, exit_arg, e0,
+            stride, *(column[1:-1] for column in rec))
 
-    final = State(t=state.t + steps * cfg.dt, x1=x1, v1=v1, x2=x2, v2=v2)
+    def finish(result) -> IntegrationResult:
+        status, steps, x1, v1, x2, v2, maxd, nrec = result
+        denom = abs(e0) if abs(e0) > 1e-300 else 1.0
+        rel_drift = maxd / denom
 
-    if status == _kernels.STATUS_COINCIDENT:
-        raise CoincidentParticles(x1, x2, DEFAULT_COINCIDENCE_FLOOR)
-    if not all(map(math.isfinite, (x1, v1, x2, v2))):
-        raise NonFiniteState(steps, final)
+        final = State(t=state.t + steps * cfg.dt, x1=x1, v1=v1, x2=x2, v2=v2)
 
-    trajectory = None
-    if stride > 0:
-        end = 1 + nrec
-        if steps % stride != 0:  # the last step was not recorded
-            _put_row(rec, end, final)
-            end += 1
-        trajectory = Trajectory(*(column[:end].toreadonly() for column in rec), params)
+        if status == _kernels.STATUS_COINCIDENT:
+            raise CoincidentParticles(x1, x2, DEFAULT_COINCIDENCE_FLOOR)
+        if not all(map(math.isfinite, (x1, v1, x2, v2))):
+            raise NonFiniteState(steps, final)
 
-    if status == _kernels.STATUS_EXIT:
-        reason = StopReason.EXIT_RADIUS
-    elif steps == n_time:
-        reason = StopReason.TIME_LIMIT
-    else:
-        raise StepBudgetExhausted(steps)
-    return IntegrationResult(final, reason, steps, rel_drift, trajectory)
+        trajectory = None
+        if stride > 0:
+            end = 1 + nrec
+            if steps % stride != 0:  # the last step was not recorded
+                _put_row(rec, end, final)
+                end += 1
+            trajectory = Trajectory(*(column[:end].toreadonly() for column in rec), params)
+
+        if status == _kernels.STATUS_EXIT:
+            reason = StopReason.EXIT_RADIUS
+        elif steps == n_time:
+            reason = StopReason.TIME_LIMIT
+        else:
+            raise StepBudgetExhausted(steps)
+        return IntegrationResult(final, reason, steps, rel_drift, trajectory)
+
+    return runner, args, finish
 
 
 _COLUMNS = ("t", "x1", "v1", "x2", "v2")

@@ -15,7 +15,8 @@ from enum import Enum
 
 from ._record import record
 from .dynamics import CMState, ModelParams, State, equilibrium_separation, from_cm
-from .integrator import IntegratorConfig, StopReason, Trajectory, integrate
+from .integrator import (IntegrationResult, IntegratorConfig, StopReason, Trajectory, _prepare_run,
+                         integrate)
 
 __all__ = ["Scenario", "Outcome", "OutcomeRecord", "initial_state", "run_scattering"]
 
@@ -134,6 +135,21 @@ def run_scattering(
         exit_radius=sc.exit_radius,
         record_every=record_every,
     )
+    return _classify(sc, result)
+
+
+def _launch(sc: Scenario, cfg: IntegratorConfig) -> tuple:
+    """run_scattering without recording, split at its runner call as
+    _prepare_run splits integrate: (args, finish), where finish(the runner's
+    result for args) is run_scattering's record."""
+    _check_exit_radius(sc)
+    _, args, finish = _prepare_run(initial_state(sc), sc.params, cfg, sc.t_max,
+                                   sc.exit_radius, None)
+    return args, lambda result: _classify(sc, finish(result))
+
+
+def _classify(sc: Scenario, result: IntegrationResult) -> OutcomeRecord:
+    """The record of sc's run, from how it ended."""
     final = result.final
     v_end = 0.5 * (final.v1 + final.v2)
 

@@ -4,9 +4,11 @@ Grid points are always computed as v_min + i*dv from the integer index, never
 by accumulation.  A point's record is run_scattering's OutcomeRecord for that
 launch speed, or an Error record when the run fails, so every record is a pure
 function of (spec, index).
-Workers (threads over the C kernel, forked processes over the Python
-reference) only change wall time: results are collected by index, so sweep
-output is identical for 1, 4, or N workers.
+Workers only change wall time: results are collected by index, so sweep
+output is identical for 1, 4, or N workers.  Over the C kernel the workers
+are threads that share one queue of the points, each advancing two points at
+a time in the kernel's lanes; over the Python reference they are forked
+processes that classify one point at a time.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from functools import partial
 from . import _kernels
 from ._record import fields, record, replace
 from .dynamics import CoincidentParticles, ModelParams
-from .integrator import (IntegratorConfig, NonFiniteState, StepBudgetExhausted, integrate,
-                         sample_stride)
-from .scattering import (Outcome, OutcomeRecord, Scenario, _check_exit_radius, initial_state,
-                         run_scattering)
+from .integrator import (IntegratorConfig, NonFiniteState, Scheme, StepBudgetExhausted,
+                         integrate, sample_stride)
+from .scattering import (Outcome, OutcomeRecord, Scenario, _check_exit_radius, _launch,
+                         initial_state, run_scattering)
 
 __all__ = [
     "SweepSpec",
@@ -92,19 +94,49 @@ def grid_v0(spec: SweepSpec, i: int) -> float:
     return spec.v_min + i * spec.dv
 
 
+# The failures that end one point as an Error row.
+_POINT_ERRORS = (CoincidentParticles, StepBudgetExhausted, NonFiniteState)
+
+
+def _error_row(v0: float, exc: Exception) -> OutcomeRecord:
+    return OutcomeRecord(
+        v0=v0,
+        outcome=Outcome.ERROR,
+        v_final=math.nan,
+        t_end=math.nan,
+        energy_drift=math.nan,
+        steps=getattr(exc, "steps", 0),
+        error=type(exc).__name__,
+    )
+
+
 def _classify_point(spec: SweepSpec, v0: float) -> OutcomeRecord:
     try:
         return run_scattering(spec.scenario(v0), spec.cfg)
-    except (CoincidentParticles, StepBudgetExhausted, NonFiniteState) as exc:
-        return OutcomeRecord(
-            v0=v0,
-            outcome=Outcome.ERROR,
-            v_final=math.nan,
-            t_end=math.nan,
-            energy_drift=math.nan,
-            steps=getattr(exc, "steps", 0),
-            error=type(exc).__name__,
-        )
+    except _POINT_ERRORS as exc:
+        return _error_row(v0, exc)
+
+
+def _classify_in_lanes(spec: SweepSpec, v0s: list, size: int) -> list[OutcomeRecord]:
+    """_classify_point at each of v0s, with the runs on size threads of the
+    scheme's batch runner.  Each point is prepared and finished as
+    run_scattering does it, so each record is _classify_point's."""
+    records = [None] * len(v0s)
+    launched = []  # (index, runner arguments, finish) of each point that runs
+    for i, v0 in enumerate(v0s):
+        try:
+            launched.append((i, *_launch(spec.scenario(v0), spec.cfg)))
+        except _POINT_ERRORS as exc:
+            records[i] = _error_row(v0, exc)
+    lanes = (_kernels._run_verlet_lanes if spec.cfg.scheme is Scheme.VELOCITY_VERLET
+             else _kernels._run_rk4_lanes)
+    results = _kernels.run_batch(lanes, [args for _, args, _ in launched], size)
+    for (i, _, finish), result in zip(launched, results):
+        try:
+            records[i] = finish(result)
+        except _POINT_ERRORS as exc:
+            records[i] = _error_row(v0s[i], exc)
+    return records
 
 
 def _usable_cpus() -> int:
@@ -124,29 +156,25 @@ def sweep(spec: SweepSpec, workers: int = 1) -> list[OutcomeRecord]:
     if not (isinstance(workers, int) and workers >= 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     v0s = [grid_v0(spec, i) for i in range(grid_size(spec))]
-    # a process pool starts all of its workers at once, so never ask for more
-    # than there are points or CPUs
+    # never more workers than there are points or CPUs
     size = min(workers, len(v0s), _usable_cpus())
     if size <= 1:
         return [_classify_point(spec, v0) for v0 in v0s]
-    # imported here: the pools cost every other import of the package
     if _kernels.BACKEND == "c":
         # ctypes releases the GIL for each whole C run and the C kernel keeps
         # no mutable state, so threads run points in parallel with no fork,
         # no pickling and no worker start-up.
-        from concurrent.futures import ThreadPoolExecutor
+        return _classify_in_lanes(spec, v0s, size)
+    # the Python reference holds the GIL, so only processes run it in
+    # parallel; fork starts them without re-importing the package, and a
+    # process pool starts all of its workers at once.  Imported here: the
+    # pool costs every other import of the package.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        executor = ThreadPoolExecutor(max_workers=size)
-    else:
-        # the Python reference holds the GIL, so only processes run it in
-        # parallel; fork starts them without re-importing the package.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(max_workers=size,
-                                       mp_context=multiprocessing.get_context("fork"))
-    # map() preserves order
-    with executor as pool:
+    with ProcessPoolExecutor(max_workers=size,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        # map() preserves order
         return list(pool.map(partial(_classify_point, spec), v0s))
 
 

@@ -806,11 +806,14 @@ class TestSweepOutput:
          "fc64a74beafd0cc8faed53b4c881df9264a153ab8c1418cc09da45cfee28cce8"),
         (["--max-steps", "300000"], ["5", "4", "0", "17"],
          "4a9af4594f43fbfe59c932abe0a2ac65a4aac5c64afe4c9ce72a267e17cc6422"),
-    ], ids=["workers-1", "workers-2", "error-rows"])
+        (["--max-steps", "300000", "--workers", "2"], ["5", "4", "0", "17"],
+         "4a9af4594f43fbfe59c932abe0a2ac65a4aac5c64afe4c9ce72a267e17cc6422"),
+    ], ids=["workers-1", "workers-2", "error-rows", "error-rows-workers-2"])
     def test_a_sweep_keeps_its_bytes(self, extra, counts, sha256, tmp_path, capsys):
         """26 points at t_max = 500: the class counts and the sha256 of the
         whole CSV, on one and two workers, and with a step budget that ends
-        17 runs as Error rows, whose nan cells are formatted one by one."""
+        17 runs as Error rows, whose nan cells are formatted one by one, on
+        one and two workers."""
         out = tmp_path / "pinned.csv"
         code, _, _ = run_cli(["sweep", "--v-min", "0.05", "--v-max", "0.3", "--dv", "0.01",
                               "--t-max", "500", *extra, "--out", str(out)], capsys)

@@ -1,11 +1,12 @@
 """The C kernels against their Python reference, bit for bit.
 
-`_kernels._run_verlet`, `_run_rk4`, `derived_column` and `format_rows`
-call the C copy in `_kernels.c` whenever gcc can build it; `py_func` is the
-Python function it mirrors.  Every runner comparison is of the whole return
-tuple, floats as hex, and of the bytes of the five recording buffers, which
-both sides receive filled with the same sentinel so that a write past nrec
-shows too.  The derived columns are compared as bytes and the CSV text with
+`_kernels._run_verlet`, `_run_rk4`, `_run_verlet_lanes`, `derived_column`
+and `format_rows` call the C copy in `_kernels.c` whenever gcc can build
+it; `py_func` is the Python function it mirrors.  Every runner comparison is
+of the whole return tuple, floats as hex, and of the bytes of the five
+recording buffers, which both sides receive filled with the same sentinel so
+that a write past nrec shows too.  A batch's points are compared with the
+scalar C runner's 21-argument call, point by point.  The derived columns are compared as bytes and the CSV text with
 repr.  The twin-run pass of sweep.sensitivity, divergence, has no C copy;
 its distances are compared as bytes with numpy's and its exponent fit with
 np.polyfit's.
@@ -22,6 +23,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +226,180 @@ def test_a_wrong_recording_buffer_raises(c_backend, scheme, bad):
     args = (-1.0, 0.3, 1.0, -0.3, 0.0, 1e-3, 10, 1.0, 1.0, 2, 2.0, 1.0, 1e-12, -1.0, 0.0, 1)
     with pytest.raises(ValueError):
         getattr(_kernels, RUNNERS[scheme])(*args, good, good, bad, good, good)
+
+
+def _batch(rng, npoints, exit_radius=None):
+    """A random batch: the shared model, dt, floor and exit radius as in
+    _scenario, and per point a launch, a step budget and its e0; a quarter
+    of the points come at each other head-on, so that some breach the
+    floor.  Returns (starts, nsteps, shared) as the batch runners take them."""
+    k, alpha = rng.uniform(0.5, 2.0), rng.uniform(1e-6, 2.0)
+    n, A, beta = rng.randint(1, 4), rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.0)
+    dt = rng.uniform(1e-3, 2e-2)
+    floor = rng.choice((1e-12, 1e-3, 0.05))
+    if exit_radius is None:
+        exit_radius = rng.choice((-1.0, rng.uniform(0.5, 4.0)))
+    starts, nsteps = [], []
+    for _ in range(npoints):
+        x1 = rng.uniform(-3.0, 3.0)
+        x2 = x1 + rng.uniform(0.3, 2.5)
+        if rng.random() < 0.25:
+            w = rng.uniform(1.0, 20.0)
+            v1, v2 = w, -w
+        else:
+            v1, v2 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        g1, g2 = math.exp(-beta * x1 * x1), math.exp(-beta * x2 * x2)
+        e0 = _kernels.pair_energy(x1 - x2, v1, v2, g1, g2, k, alpha, n, A)
+        starts += [x1, v1, x2, v2, e0]
+        nsteps.append(rng.choice((0, rng.randint(1, 2000))))
+    return (np.array(starts), np.array(nsteps, dtype=np.int64),
+            (dt, k, alpha, n, A, beta, floor, exit_radius))
+
+
+def _run_batch(lanes, starts, nsteps, shared, threads=1):
+    """Each point's result as the scalar runners return it, in hex, from
+    lanes run on threads threads that share one counter; every result
+    buffer starts as a sentinel, so a point left unwritten shows."""
+    npoints = len(nsteps)
+    claim = np.zeros(1, dtype=np.int64)
+    ends = np.full(5 * npoints, SENTINEL)
+    counts = np.full(3 * npoints, -1, dtype=np.int64)
+    batch = (starts, nsteps, *shared, claim, ends, counts)
+    workers = [threading.Thread(target=lanes, args=batch) for _ in range(threads - 1)]
+    for worker in workers:
+        worker.start()
+    lanes(*batch)
+    for worker in workers:
+        worker.join()
+    assert claim[0] >= npoints
+    return [_hex((int(counts[3 * i + 2]), int(counts[3 * i]), *map(float, ends[5 * i:5 * i + 5]),
+                  int(counts[3 * i + 1]))) for i in range(npoints)]
+
+
+def _scalar_runs(runner, starts, nsteps, shared):
+    """Each point of a batch from the scalar runner's 21 arguments."""
+    dt, k, alpha, n, A, beta, floor, exit_radius = shared
+    return [_hex(runner(*starts[5 * i:5 * i + 4], 0.0, dt, int(nsteps[i]), k, alpha, n, A, beta,
+                        floor, exit_radius, starts[5 * i + 4], 0, *_numpy_buffers(0)))
+            for i in range(len(nsteps))]
+
+
+def test_the_batch_reference_takes_the_wrappers_arguments(c_backend):
+    wrapper = inspect.signature(_kernels._run_verlet_lanes).parameters
+    reference = inspect.signature(_kernels._run_verlet_lanes.py_func).parameters
+    assert list(reference.values()) == list(wrapper.values())
+    assert list(inspect.signature(_kernels._run_rk4_lanes).parameters) == list(wrapper)
+
+
+@pytest.mark.parametrize("exit_radius", [None, -1.0], ids=["drawn", "no-exit"])
+def test_random_batches_match_the_scalar_runner_bit_for_bit(c_backend, exit_radius):
+    """C lanes, their Python reference and the scalar C runner agree on every
+    output of every point, on batches of one point, odd counts and more."""
+    lanes = _kernels._run_verlet_lanes
+    rng = random.Random(20261020)
+    seen = set()
+    for npoints in [1, 2, 3, 5, 7] * 12:
+        starts, nsteps, shared = _batch(rng, npoints, exit_radius)
+        scalar = _scalar_runs(_kernels._run_verlet, starts, nsteps, shared)
+        assert _run_batch(lanes, starts, nsteps, shared) == scalar
+        assert _run_batch(lanes.py_func, starts, nsteps, shared) == scalar
+        seen |= {(status, steps > 0) for status, steps, *_ in scalar}
+    statuses = {_kernels.STATUS_RAN_ALL, _kernels.STATUS_COINCIDENT}
+    if exit_radius is None:
+        statuses.add(_kernels.STATUS_EXIT)
+    assert {s for s, _ in seen} == statuses
+    assert (_kernels.STATUS_RAN_ALL, False) in seen  # a point with no steps
+
+
+def test_lanes_that_end_at_different_steps_match_the_scalar_runner(c_backend):
+    """One batch whose points end every way, each at its own step: an exit,
+    a breach mid-run, a spent budget, a breach before the first step, no
+    steps, and a long run that outlasts them, so that lanes refill while
+    the other lane is mid-run."""
+    p = ModelParams()
+    floor, exit_radius, dt = 0.05, 2.0, 1e-3
+    launches = [
+        (0.5, 2.0, 1.5, 2.0, 2000),       # exits to the right at step 577
+        (-0.5, 50.0, 0.5, -50.0, 2000),   # head-on: breaches the floor at step 10
+        (-0.5, 0.1, 0.5, 0.1, 37),        # spends its 37 steps
+        (0.0, 0.0, 0.01, 0.0, 50),        # breaches before its first step
+        (-1.0, 0.0, 0.0, 0.0, 0),         # no steps
+        (-0.7, 0.0, 0.3, 0.0, 3000),      # runs its whole budget
+        (-2.0, -2.5, -1.0, -2.5, 2500),   # exits to the left at step 206
+    ]
+    starts, budgets = [], []
+    for x1, v1, x2, v2, budget in launches:
+        g1, g2 = math.exp(-p.beta * x1 * x1), math.exp(-p.beta * x2 * x2)
+        e0 = _kernels.pair_energy(x1 - x2, v1, v2, g1, g2, p.k, p.alpha, p.n, p.A)
+        starts += [x1, v1, x2, v2, e0]
+        budgets.append(budget)
+    starts, nsteps = np.array(starts), np.array(budgets, dtype=np.int64)
+    shared = (dt, p.k, p.alpha, p.n, p.A, p.beta, floor, exit_radius)
+    scalar = _scalar_runs(_kernels._run_verlet, starts, nsteps, shared)
+    assert [(status, steps) for status, steps, *_ in scalar] == \
+        [(1, 577), (2, 10), (0, 37), (2, 0), (0, 0), (0, 3000), (1, 206)]
+    for lanes in (_kernels._run_verlet_lanes, _kernels._run_verlet_lanes.py_func):
+        for threads in (1, 2):
+            assert _run_batch(lanes, starts, nsteps, shared, threads) == scalar
+
+
+@pytest.mark.parametrize("threads", [3, 4])
+def test_threads_sharing_one_counter_run_every_point_once(c_backend, threads):
+    """Threads on one counter, with more points than their lanes, give each
+    point the scalar runner's result; so does the RK4 batch."""
+    rng = random.Random(threads)
+    for _ in range(5):
+        starts, nsteps, shared = _batch(rng, rng.randint(3 * threads, 8 * threads))
+        for lanes, runner in ((_kernels._run_verlet_lanes, _kernels._run_verlet),
+                              (_kernels._run_rk4_lanes, _kernels._run_rk4)):
+            expected = _scalar_runs(runner, starts, nsteps, shared)
+            assert _run_batch(lanes, starts, nsteps, shared, threads) == expected
+
+
+def _good_batch():
+    """The arguments of a batch runner for two points of ten steps."""
+    p = ModelParams()
+    return [np.array([-1.0, 0.0, 1.0, 0.0, 0.0] * 2), np.full(2, 10, dtype=np.int64),
+            1e-3, p.k, p.alpha, p.n, p.A, p.beta, 1e-12, -1.0,
+            np.zeros(1, dtype=np.int64), np.zeros(10), np.zeros(6, dtype=np.int64)]
+
+
+def _frozen(array):
+    array.setflags(write=False)
+    return array
+
+
+# (position among the batch runner's arguments, a value C must not see)
+BAD_BATCH_ARGUMENTS = {
+    "starts-float32": (0, lambda: np.zeros(10, dtype=np.float32)),
+    "starts-list": (0, lambda: [0.0] * 10),
+    "starts-short": (0, lambda: np.zeros(9)),
+    "starts-strided": (0, lambda: np.zeros(20)[::2]),
+    "nsteps-float64": (1, lambda: np.zeros(2)),
+    "nsteps-int32": (1, lambda: np.zeros(2, dtype=np.int32)),
+    "nsteps-misaligned": (1, lambda: np.frombuffer(bytearray(17), dtype=np.int64, offset=1)),
+    "claim-read-only": (10, lambda: _frozen(np.zeros(1, dtype=np.int64))),
+    "claim-negative": (10, lambda: np.full(1, -1, dtype=np.int64)),
+    "claim-two": (10, lambda: np.zeros(2, dtype=np.int64)),
+    "ends-read-only": (11, lambda: _frozen(np.zeros(10))),
+    "ends-short": (11, lambda: np.zeros(9)),
+    "counts-read-only": (12, lambda: _frozen(np.zeros(6, dtype=np.int64))),
+    "counts-long": (12, lambda: np.zeros(7, dtype=np.int64)),
+    "counts-float64": (12, lambda: np.zeros(6)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_BATCH_ARGUMENTS)
+def test_a_batch_buffer_c_cannot_use_raises_before_c_runs(c_backend, name):
+    where, bad = BAD_BATCH_ARGUMENTS[name]
+    _kernels._run_verlet_lanes(*_good_batch())  # runs as it is
+    batch = _good_batch()
+    batch[where] = bad()
+    with pytest.raises(ValueError):
+        _kernels._run_verlet_lanes(*batch)
+    # nothing was claimed or written
+    for i in {10, 11, 12} - {where}:
+        assert not batch[i].any()
 
 
 def _assert_same_rows(written, expected):
@@ -503,8 +679,9 @@ def test_the_library_exports_exactly_the_functions_it_binds(c_backend):
     exported = [line.split()[-1] for line in proc.stdout.splitlines() if line.strip()]
     bound = re.findall(r"_LIB\.(\w+)", Path(_kernels.__file__).read_text())
     assert sorted(exported) == sorted(bound) == \
-        ["derived_column", "format_rows", "run_rk4", "run_verlet"]
-    for name in ("_run_verlet", "_run_rk4", "derived_column", "format_rows"):
+        ["derived_column", "format_rows", "run_rk4", "run_verlet", "run_verlet_lanes"]
+    for name in ("_run_verlet", "_run_rk4", "_run_verlet_lanes", "derived_column",
+                 "format_rows"):
         wrapper = getattr(_kernels, name)
         assert wrapper.py_func is not wrapper and wrapper.py_func.__name__ == name
 
@@ -547,13 +724,20 @@ def test_the_source_compiles_without_a_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# A small sweep on two workers (transmit, reflect and time-limit rows; forked
-# processes without gcc, threads with it), an RK4 run recorded at an odd
+# Small sweeps on two workers (forked processes without gcc, the C batch
+# runner's threads with it): transmit, reflect and time-limit rows; Error
+# rows beside exits; and RK4 points.  Then an RK4 run recorded at an odd
 # stride, and a twin run whose exponent is fitted.
 FALLBACK_RUNS = {
     "sweep": ["sweep", "--v-min", "0.2", "--v-max", "0.3", "--dv", "0.05",
               "--launch-offset=-4", "--exit-radius", "4", "--t-max", "60",
               "--workers", "2"],
+    "sweep-errors": ["sweep", "--v-min", "0.2", "--v-max", "0.5", "--dv", "0.1",
+                     "--launch-offset=-4", "--exit-radius", "4", "--t-max", "60",
+                     "--max-steps", "30000", "--workers", "2"],
+    "sweep-rk4": ["sweep", "--scheme", "RK4", "--v-min", "0.3", "--v-max", "0.4", "--dv", "0.1",
+                  "--launch-offset=-3", "--exit-radius", "3", "--t-max", "30",
+                  "--workers", "2"],
     "simulate": ["simulate", "--scheme", "RK4", "--v0", "0.3", "--t-max", "25",
                  "--record-every", "7"],
     "sensitivity": ["sensitivity", "--v0", "0.2", "--t-max", "100", "--seed-delta", "1e-6"],

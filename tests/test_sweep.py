@@ -5,6 +5,10 @@ import importlib
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from kinktrap import (
     ModelParams,
     Outcome,
     Scenario,
+    Scheme,
     SweepSpec,
     grid_size,
     grid_v0,
@@ -156,8 +161,8 @@ TINY = SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.2, dv=0.05, t_max
 
 
 class _SpyExecutor:
-    """Stands in for an executor: records its kind and max_workers and maps
-    serially, so no thread or process is ever started."""
+    """Stands in for a process pool: records its kind and max_workers and
+    maps serially, so no process is ever started."""
 
     def __init__(self, kind, made, max_workers, **_):
         made.append((kind, max_workers))
@@ -172,17 +177,51 @@ class _SpyExecutor:
         return map(fn, *iterables)
 
 
+# Runs under python -S with src first on sys.path: a three-point sweep on two
+# threads, then the number of batch runner calls and which executor modules
+# got loaded.
+POOLED_SWEEP_IMPORTS = """
+import importlib, sys
+sys.path.insert(0, sys.argv[1])
+from kinktrap import ModelParams, SweepSpec, _kernels
+module = importlib.import_module("kinktrap.sweep")
+module._usable_cpus = lambda: 2
+lanes, calls = _kernels._run_verlet_lanes, []
+_kernels._run_verlet_lanes = lambda *batch: calls.append(lanes(*batch))
+module.sweep(SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.2, dv=0.05, t_max=30.0),
+             workers=2)
+print(len(calls), sorted(name for name in ("concurrent.futures", "multiprocessing")
+                         if name in sys.modules))
+"""
+
+
 class TestWorkers:
     @pytest.fixture
     def pools(self, monkeypatch):
-        made = []
-        for kind in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
-            monkeypatch.setattr(concurrent.futures, kind,
-                                lambda kind=kind, **kw: _SpyExecutor(kind, made, **kw))
-        return made
+        """What ran a sweep's points besides the calling thread alone: each
+        process pool made, as (kind, max_workers), and the threads that ran
+        the C batch runner, as ("ThreadPool", their number)."""
+        made, threads = [], []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda **kw: _SpyExecutor("ProcessPoolExecutor", made, **kw))
+        lanes = _kernels._run_verlet_lanes
+
+        def spy(*batch):
+            threads.append(threading.current_thread())  # kept, so no id is reused
+            return lanes(*batch)
+
+        monkeypatch.setattr(_kernels, "_run_verlet_lanes", spy)
+
+        def seen():
+            if threads:
+                assert len({id(thread) for thread in threads}) == len(threads)
+                return made + [("ThreadPool", len(threads))]
+            return made
+
+        return seen
 
     @pytest.mark.parametrize("backend, kind", [
-        ("c", "ThreadPoolExecutor"),
+        ("c", "ThreadPool"),
         ("python", "ProcessPoolExecutor"),
     ])
     @pytest.mark.parametrize("workers, cpus, size", [
@@ -196,18 +235,18 @@ class TestWorkers:
         monkeypatch.setattr(_kernels, "BACKEND", backend)
         monkeypatch.setattr(sweep_module, "_usable_cpus", lambda: cpus)
         assert sweep(TINY, workers=workers) == sweep(TINY)
-        assert pools == ([] if size is None else [(kind, size)])
+        assert pools() == ([] if size is None else [(kind, size)])
 
     def test_a_single_point_never_starts_a_pool(self, pools):
         spec = SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.1, t_max=300.0)
         assert len(sweep(spec, workers=100_000)) == 1
-        assert pools == []
+        assert pools() == []
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5, None])
     def test_bad_worker_counts_are_rejected(self, pools, workers):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
             sweep(TINY, workers=workers)
-        assert pools == []
+        assert pools() == []
 
     def test_c_kernel_points_run_on_threads_in_this_process(self, monkeypatch):
         monkeypatch.setattr(_kernels, "BACKEND", "c")
@@ -217,18 +256,55 @@ class TestWorkers:
             raise AssertionError("the C backend must not start processes")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        classify = sweep_module._classify_point
+        monkeypatch.setattr(os, "fork", no_fork)
+        lanes = _kernels._run_verlet_lanes
         pids = []
 
-        def spy(spec, v0):
+        def spy(*batch):
             pids.append(os.getpid())
-            return classify(spec, v0)
+            return lanes(*batch)
 
-        monkeypatch.setattr(sweep_module, "_classify_point", spy)
+        monkeypatch.setattr(_kernels, "_run_verlet_lanes", spy)
         records = sweep(TINY, workers=2)
-        assert pids == [os.getpid()] * len(records) == [os.getpid()] * grid_size(TINY)
-        monkeypatch.setattr(sweep_module, "_classify_point", classify)
+        assert pids == [os.getpid()] * 2
+        monkeypatch.setattr(_kernels, "_run_verlet_lanes", lanes)
         assert records == sweep(TINY)
+
+    def test_a_c_pooled_sweep_loads_no_executor(self):
+        """Threads over the C batch runner need neither concurrent.futures
+        nor multiprocessing, so a pooled sweep does not import them."""
+        if _kernels.BACKEND != "c":
+            pytest.skip("no C kernel")
+        src = str(Path(_kernels.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-S", "-c", POOLED_SWEEP_IMPORTS, src],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "[]"]
+
+    @pytest.mark.parametrize("spec, error", [
+        (SweepSpec(params=ModelParams(), separation=1e-13, v_min=0.1, v_max=0.3, dv=0.05,
+                   t_max=50.0), "CoincidentParticles"),
+        (SweepSpec(params=ModelParams(), v_min=0.05, v_max=0.3, dv=0.05, t_max=500.0,
+                   cfg=IntegratorConfig(max_steps=150_000)), "StepBudgetExhausted"),
+        (SweepSpec(params=ModelParams(A=1e300), v_min=0.1, v_max=0.3, dv=0.1, t_max=10.0),
+         "NonFiniteState"),
+        (SweepSpec(params=ModelParams(), v_min=0.05, v_max=0.3, dv=0.05, t_max=500.0,
+                   cfg=IntegratorConfig(scheme=Scheme.RK4, max_steps=150_000)),
+         "StepBudgetExhausted"),
+    ], ids=["CoincidentParticles", "StepBudgetExhausted", "NonFiniteState", "RK4"])
+    def test_pooled_error_rows_are_the_serial_ones(self, monkeypatch, spec, error):
+        """Points that fail before their run starts (coincident at launch)
+        or at its end (out of budget, beside points that exit; an overflow),
+        under both schemes: the pooled records equal the serial ones."""
+        monkeypatch.setattr(sweep_module, "_usable_cpus", lambda: 2)
+        serial = sweep(spec)
+        # by repr: an Error row's nan fields come back from a forked worker as
+        # other nan objects, which compare unequal
+        assert list(map(repr, sweep(spec, workers=2))) == list(map(repr, serial))
+        assert {rec.error for rec in serial} - {""} == {error}
+        if error == "StepBudgetExhausted":
+            assert {rec.outcome for rec in serial} == \
+                {Outcome.ERROR, Outcome.REFLECTED, Outcome.TRANSMITTED}
 
 
 class TestSensitivity:
