@@ -1,19 +1,20 @@
 """Command line front end.
 
 Subcommands: simulate, sweep, sensitivity, linear-compare.  Two tables
-drive it.  _SETTINGS gives each setting its default, its flag and its
-config-file converter; a default lives on the record field or function
-parameter that consumes it, and only v0, record_every and out are the command
-line's own.  _COMMANDS gives each subcommand its handler, its help and the
-settings its CSV echoes; the parser is one loop over it.
+drive it.  _SETTINGS gives each setting its default, its kind and its help;
+a default lives on the record field or function parameter that consumes it,
+and only v0, record_every and out are the command line's own.  A kind
+(_KINDS) is one converter, which reads the text of a flag and of a config
+line alike.  _COMMANDS gives each subcommand its handler, its help and the
+settings its CSV echoes; the parser is one loop over it, and every flag is
+one setting.
 
 Settings are resolved in three layers (defaults, then a config file, then
 flags) and the resolved values are echoed into the output as a re-runnable
 command line and as '# key = value' lines, so any CSV can be regenerated byte
 for byte from its own header, and its settings lines, uncommented, are a
 config file that does the same.  The echo deliberately omits --workers and
---out: neither affects the data; --center and --halfwidth appear as v_min and
-v_max.
+--out: neither affects the data.
 
 Exit codes: 0 success, 1 bad usage or configuration, an --out that cannot be
 opened for writing, or no --out and a stdout with no byte stream, 2 a run
@@ -61,50 +62,37 @@ class ConfigError(Exception):
 # settings
 # ---------------------------------------------------------------------------
 
-def _conv_float(key: str, raw: str) -> float:
+def _float_or_none(text: str) -> float | None:
+    return None if text.lower() in ("none", "") else float(text)
+
+
+_float_or_none.__name__ = "float"  # argparse's error: "invalid float value"
+
+
+def _scheme(text: str) -> Scheme:
     try:
-        return float(raw)
+        return Scheme(text)
     except ValueError:
-        raise ConfigError(f"config key {key!r}: expected a number, got {raw!r}") from None
+        # argparse prints this error's text as it is, naming every scheme
+        raise argparse.ArgumentTypeError(
+            f"expected {_KINDS['Scheme'].expected}, got {text!r}") from None
 
 
-def _conv_int(key: str, raw: str) -> int:
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected an integer, got {raw!r}") from None
+# A setting type's converter, which reads the text of a flag (as its argparse
+# type) and of a config line, and what a config error says it expected.
+_Kind = namedtuple("_Kind", ["convert", "expected"])
 
-
-def _conv_optional_float(key: str, raw: str) -> float | None:
-    if raw.lower() in ("none", ""):
-        return None
-    return _conv_float(key, raw)
-
-
-def _conv_text(key: str, raw: str) -> str:
-    return raw
-
-
-_SCHEMES = [scheme.value for scheme in Scheme]
-
-# Per setting type, by the text of its annotation: the add_argument keywords
-# of its flag and its config-file converter.
+# Per setting type, by the text of its annotation.
 _KINDS = {
-    "float": ({"type": float}, _conv_float),
-    "int": ({"type": int}, _conv_int),
-    "float | None": ({"type": float}, _conv_optional_float),
-    "Scheme": ({"choices": _SCHEMES}, _conv_text),
-    "str": ({}, _conv_text),
+    "float": _Kind(float, "a number"),
+    "int": _Kind(int, "an integer"),
+    "float | None": _Kind(_float_or_none, "a number or none"),
+    "Scheme": _Kind(_scheme, " or ".join(scheme.value for scheme in Scheme)),
+    "str": _Kind(str, "text"),
 }
 
-
-# A setting's default, the add_argument keywords of its flag, its config-file
-# converter convert(key, raw) and its help text.
-_Setting = namedtuple("_Setting", ["default", "flag", "convert", "help"])
-
-
-def _setting(default, kind: str, help: str) -> _Setting:
-    return _Setting(default, *_KINDS[kind], help)
+# A setting's default, its kind (a key of _KINDS) and its help text.
+_Setting = namedtuple("_Setting", ["default", "kind", "help"])
 
 
 def _library(home, **helps) -> dict:
@@ -120,7 +108,7 @@ def _library(home, **helps) -> dict:
         defaults = dict(zip(names[len(names) - len(home.__defaults__):], home.__defaults__))
     found = {}
     for name, text in helps.items():
-        found[name] = _setting(defaults[name], home.__annotations__[name], text)
+        found[name] = _Setting(defaults[name], home.__annotations__[name], text)
     return found
 
 
@@ -133,7 +121,8 @@ _LAUNCH = _library(
     separation="initial particle separation (default: free rest length)",
     t_max="time horizon (linear-compare: probe run length)",
     exit_radius="|R| at which an outgoing pair has left the region")
-_INTEGRATOR = _library(IntegratorConfig, dt="time step", scheme="integrator")
+_INTEGRATOR = _library(IntegratorConfig, dt="time step",
+                       scheme=f"integrator: {_KINDS['Scheme'].expected}")
 _GRID = _library(SweepSpec, v_min="lowest launch speed", v_max="highest launch speed",
                  dv="grid spacing")
 _DIVERGENCE = _library(sensitivity, seed_delta="launch speed perturbation",
@@ -146,15 +135,9 @@ _SETTINGS = {
     **_MODEL, **_LAUNCH, **_INTEGRATOR, **_GRID, **_DIVERGENCE,
     **_library(IntegratorConfig, max_steps="hard step budget per trajectory"),
     **_library(sweep, workers="parallel workers, at most one per point and CPU (data unchanged)"),
-    "v0": _setting(0.1, "float", "launch speed toward the well"),
-    "record_every": _setting(10, "int", "record every Nth step"),
-    "out": _setting(None, "str", "output CSV path (default: stdout)"),
-}
-
-# Flags that are not settings: they set v_min and v_max.
-_WINDOW = {
-    "center": _setting(None, "float", "with --halfwidth, sets v-min/v-max around this speed"),
-    "halfwidth": _setting(None, "float", "half width for --center"),
+    "v0": _Setting(0.1, "float", "launch speed toward the well"),
+    "record_every": _Setting(10, "int", "record every Nth step"),
+    "out": _Setting(None, "str", "output CSV path (default: stdout)"),
 }
 
 
@@ -164,7 +147,8 @@ def load_config(path: str, command: str) -> dict:
     not a warning, so a typo cannot silently fall back to a default.  So is a
     key given twice, so one of its values cannot be silently ignored, and a
     published key for which the subcommand has no flag, so a setting cannot
-    be silently dropped."""
+    be silently dropped.  A value is read by the converter of its setting's
+    kind, the one its flag uses."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -187,34 +171,22 @@ def load_config(path: str, command: str) -> dict:
         if key not in _flags_of(command):
             raise ConfigError(
                 f"{path}:{lineno}: config key {key!r} does not apply to {command}")
-        values[key] = _SETTINGS[key].convert(key, raw)
+        kind = _KINDS[_SETTINGS[key].kind]
+        try:
+            values[key] = kind.convert(raw)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ConfigError(f"{path}:{lineno}: config key {key!r}: "
+                              f"expected {kind.expected}, got {raw!r}") from None
     return values
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- flags, later layers winning."""
+    """defaults <- config file <- flags, later layers winning.  The namespace
+    holds only the flags given (their argparse default is SUPPRESS)."""
     res = {key: setting.default for key, setting in _SETTINGS.items()}
     if args.config:
         res.update(load_config(args.config, args.command))
-    for key in _SETTINGS:
-        val = getattr(args, key, None)
-        if val is not None:
-            res[key] = val
-    center = getattr(args, "center", None)
-    halfwidth = getattr(args, "halfwidth", None)
-    if (center is None) != (halfwidth is None):
-        raise ConfigError("--center and --halfwidth must be given together")
-    if center is not None:
-        if not (halfwidth > 0.0):
-            raise ConfigError(f"--halfwidth must be positive, got {halfwidth!r}")
-        res["v_min"] = center - halfwidth
-        res["v_max"] = center + halfwidth
-    try:
-        res["scheme"] = Scheme(res["scheme"])
-    except ValueError:
-        raise ConfigError(
-            f"scheme must be {' or '.join(_SCHEMES)}, got {res['scheme']!r}"
-        ) from None
+    res.update((key, value) for key, value in vars(args).items() if key in _SETTINGS)
     return res
 
 
@@ -494,7 +466,7 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, "integrate one launch and dump the trajectory",
                  _SIM_KEYS, []),
     "sweep": (_cmd_sweep, "classify outcomes over a launch speed grid",
-              _SWEEP_KEYS, [*_WINDOW, "workers"]),
+              _SWEEP_KEYS, ["workers"]),
     "sensitivity": (_cmd_sensitivity, "divergence of two launches differing by seed-delta",
                     _SENS_KEYS, []),
     "linear-compare": (_cmd_linear_compare, "measured trapped-pair frequencies vs the "
@@ -503,7 +475,7 @@ _COMMANDS = {
 
 
 def _flags_of(command: str) -> list:
-    """The settings and window flags of a subcommand, besides --config."""
+    """The settings a subcommand takes as flags, besides --config."""
     _, _, echo_keys, extra = _COMMANDS[command]
     return ["out", *echo_keys, *extra]
 
@@ -514,12 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"kinktrap {__version__} (kernel: {_kernels.BACKEND})")
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = {**_SETTINGS, **_WINDOW}
     for command, (handler, text, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="flat 'key = value' settings file")
         for key in _flags_of(command):
-            p.add_argument(_flag(key), help=flags[key].help, **flags[key].flag)
+            setting = _SETTINGS[key]
+            p.add_argument(_flag(key), type=_KINDS[setting.kind].convert,
+                           default=argparse.SUPPRESS, help=setting.help)
         p.set_defaults(func=handler)
     return parser
 

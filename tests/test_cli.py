@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinktrap import Outcome, __version__, _kernels, cli
+from kinktrap import Outcome, Scheme, __version__, _kernels, cli
 from kinktrap.cli import (
     _CHUNK_BYTES,
     _COMMANDS,
@@ -47,6 +47,13 @@ def meta_value(text, key):
     return None
 
 
+def flags_of(command):
+    """The option strings of a subcommand's parser."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions for opt in action.option_strings}
+
+
 def csv_body(text):
     lines = text.splitlines()
     i = next(j for j, line in enumerate(lines) if not line.startswith("#"))
@@ -61,7 +68,7 @@ class TestLoadConfig:
         )
         values = load_config(str(cfg), "sweep")
         assert values == {"k": 2.5, "n": 3, "separation": None,
-                          "scheme": "RK4", "workers": 4}
+                          "scheme": Scheme.RK4, "workers": 4}
 
     def test_unknown_key_is_a_hard_error_with_location(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -84,8 +91,22 @@ class TestLoadConfig:
     def test_non_numeric_value_is_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = fast\n")
-        with pytest.raises(ConfigError, match="expected a number"):
+        with pytest.raises(ConfigError) as exc:
             load_config(str(cfg), "sweep")
+        assert str(exc.value) == f"{cfg}:1: config key 'k': expected a number, got 'fast'"
+
+    @pytest.mark.parametrize("line, expected", [
+        ("separation = fast", "a number or none"),
+        ("n = 2.5", "an integer"),
+    ], ids=["float-or-none", "int"])
+    def test_a_bad_value_names_its_line_key_and_kind(self, line, expected, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dv = 0.01\n{line}\n")
+        key, _, raw = line.partition(" = ")
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(cfg), "sweep")
+        assert str(exc.value) == (f"{cfg}:2: config key {key!r}: "
+                                  f"expected {expected}, got {raw!r}")
 
     def test_missing_file_is_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -128,28 +149,86 @@ class TestResolution:
         assert meta_value(out, "beta") == "0.5"    # file wins over default
         assert meta_value(out, "alpha") == "1.0"   # untouched default
 
-    def test_center_halfwidth_set_the_grid_window(self, capsys, tmp_path):
-        out_file = tmp_path / "z.csv"
-        code, _, _ = run_cli(
-            ["sweep", "--center", "0.12", "--halfwidth", "0.005", "--dv", "0.005",
-             "--t-max", "300", "--out", str(out_file)],
-            capsys)
-        assert code == 0
-        text = out_file.read_text()
-        assert float(meta_value(text, "v_min")) == pytest.approx(0.115, abs=1e-15)
-        assert float(meta_value(text, "v_max")) == pytest.approx(0.125, abs=1e-15)
+    def test_a_flags_none_beats_a_configs_number(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("separation = 1.5\n")
+        args = build_parser().parse_args(
+            ["simulate", "--config", str(cfg), "--separation", "none"])
+        assert cli._resolve(args)["separation"] is None
 
-    def test_center_without_halfwidth_is_bad_usage(self, capsys):
-        code, _, err = run_cli(["sweep", "--center", "0.12"], capsys)
-        assert code == 1
-        assert "halfwidth" in err
+    def test_a_separation_of_none_is_the_default(self, tmp_path, capsys):
+        """--separation none, the text the settings block echoes for the
+        default, runs the default's bytes."""
+        outs = []
+        for extra in ([], ["--separation", "none"]):
+            out = tmp_path / f"sim{len(extra)}.csv"
+            assert main(["simulate", "--A", "0", "--t-max", "20", "--record-every", "5000",
+                         *extra, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_unknown_scheme_in_config_is_bad_usage(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scheme = Euler\n")
-        code, _, err = run_cli(["simulate", "--config", str(cfg)], capsys)
-        assert code == 1
-        assert "scheme" in err
+        code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {cfg}:1: config key 'scheme': "
+                       "expected VelocityVerlet or RK4, got 'Euler'\n")
+
+    def test_an_unknown_scheme_flag_is_bad_usage_naming_both(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scheme", "Euler"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "kinktrap simulate: error: argument --scheme: "
+            "expected VelocityVerlet or RK4, got 'Euler'")
+
+    def test_the_help_names_both_schemes(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        [line] = [line for line in capsys.readouterr().out.splitlines()
+                  if line.lstrip().startswith("--scheme")]
+        assert line.split() == ["--scheme", "SCHEME", "integrator:", "VelocityVerlet",
+                                "or", "RK4"]
+
+    def test_a_non_numeric_flag_names_its_type(self, capsys):
+        for flag, kind in [("--k", "float"), ("--separation", "float"), ("--n", "int")]:
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", flag, "fast"])
+            assert exc.value.code == 1
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"kinktrap simulate: error: argument {flag}: invalid {kind} value: 'fast'")
+
+
+# Values of each kind whose echoed text a flag and a config line must read
+# back alike: a negative float, which the echo glues to its flag with '=',
+# an int, separation's none and each scheme by name.
+READINGS = {
+    "float": [0.25, -12.5, 1e-07],
+    "int": [7],
+    "float | None": [None, 1.25],
+    "Scheme": list(Scheme),
+    "str": ["run.csv"],
+}
+
+
+class TestOneReading:
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_a_flag_and_a_config_line_read_the_echoed_text_alike(self, command, tmp_path):
+        """For every setting the subcommand takes, the text _fmt echoes for
+        a value resolves to that value, of its type, as a flag and as a
+        config line."""
+        cfg = tmp_path / "run.cfg"
+        for key in cli._flags_of(command):
+            for value in READINGS[cli._SETTINGS[key].kind]:
+                text = _fmt(value)
+                flag = "--" + key.replace("_", "-")
+                argv = [f"{flag}={text}"] if text.startswith("-") else [flag, text]
+                from_flag = cli._resolve(build_parser().parse_args([command, *argv]))[key]
+                cfg.write_text(f"{key} = {text}\n")
+                from_config = load_config(str(cfg), command)[key]
+                assert [from_flag, type(from_flag)] == [value, type(value)], (key, text)
+                assert [from_config, type(from_config)] == [value, type(value)], (key, text)
 
 
 class TestExitCodes:
@@ -745,16 +824,13 @@ class TestParser:
     @pytest.mark.parametrize("command", _COMMANDS)
     def test_every_flag_but_the_output_only_ones_is_echoed(self, command):
         """A subcommand takes a flag for each setting its CSV echoes, plus
-        --config and --out; sweep also takes --center, --halfwidth
-        (echoed as v_min and v_max) and --workers (which changes no byte)."""
-        sub = next(action for action in build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction))
-        parser = sub.choices[command]
-        flags = {opt for action in parser._actions for opt in action.option_strings}
+        --config and --out; sweep also takes --workers (which changes no
+        byte)."""
+        flags = flags_of(command)
         expected = {"--" + key.replace("_", "-") for key in _COMMANDS[command][2]}
         expected |= {"-h", "--help", "--config", "--out"}
         if command == "sweep":
-            expected |= {"--center", "--halfwidth", "--workers"}
+            expected |= {"--workers"}
         assert flags == expected
 
 
@@ -776,6 +852,14 @@ class TestReadme:
         assert NUMBER_WORDS.index(word) == len(_COMMANDS)
         examples = re.findall(r"^    kinktrap ([\w-]+)", section, re.M)
         assert list(dict.fromkeys(examples)) == list(_COMMANDS)
+
+    def test_the_example_flags_are_flags_of_their_subcommand(self):
+        """Every --flag on an example command line is one its subcommand takes."""
+        examples = re.findall(r"^    kinktrap ([\w-]+)(.*)$", self.command_line(), re.M)
+        assert examples
+        for command, rest in examples:
+            used = set(re.findall(r"--[\w-]+", rest))
+            assert used <= flags_of(command), (command, sorted(used - flags_of(command)))
 
     def test_the_config_keys_are_the_settings(self):
         [keys] = re.findall(r"\): `([^`]*)`\. Any other key", self.command_line())

@@ -556,9 +556,18 @@ def _derived_trials(names):
 
 def test_energy_column_matches_the_reference_bit_for_bit(c_backend):
     """The E column of derived_column: random models and states, exact
-    contacts, n = 0, the special values, and no states at all."""
+    contacts, n = 0, the special values, and no states at all.  A cell that
+    is NaN on both sides need only be NaN on both: the reference's NaN sign
+    bit depends on what the interpreter ran before it.  At the all-inf state
+    C gives 0xfff8...; the reference gives 0x7ff8... on a cold call and
+    0xfff8... once CPython 3.11 has specialised its float adds, which return
+    the other NaN operand, and 0x7ff8... again after calls with numpy float64
+    arguments.  Every other cell is compared byte for byte."""
     for trial, n, name, got, expected in _derived_trials(["E"]):
-        assert got.tobytes() == expected.tobytes(), (trial, n)
+        got, expected = np.frombuffer(got), np.frombuffer(expected)
+        assert len(got) == len(expected), (trial, n)
+        both = np.isnan(got) & np.isnan(expected)
+        assert got[~both].tobytes() == expected[~both].tobytes(), (trial, n)
 
 
 def test_cm_columns_match_the_reference_bit_for_bit(c_backend):
@@ -570,8 +579,10 @@ def test_cm_columns_match_the_reference_bit_for_bit(c_backend):
 
 @pytest.mark.parametrize("name", ["t", "e", ("R",)], ids=["recorded", "unknown", "tuple"])
 def test_a_wanted_column_that_is_not_derived_is_rejected(name):
+    """By the C wrapper, where gcc built it, and by the reference."""
     states = [np.zeros(4)] * 4
-    for fn in (_kernels.derived_column, _kernels.derived_column.py_func):
+    column = _kernels.derived_column
+    for fn in [column, *([column.py_func] if hasattr(column, "py_func") else [])]:
         with pytest.raises(ValueError, match="must be one of"):
             fn(*states, 1.0, 1.0, 2, 2.0, 1.0, name)
 

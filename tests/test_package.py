@@ -97,23 +97,28 @@ def test_the_package_needs_no_numpy():
 
 
 # Runs under python -S with src first on sys.path: imports the command line
-# and prints which of the named modules got loaded.
+# and prints the kernel backend and which of the named modules got loaded.
 STARTUP_IMPORTS = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import kinktrap.cli
-print(sorted(name for name in ("dataclasses", "inspect", "numpy", "typing", "pathlib", "shutil")
-             if name in sys.modules))
+names = ("dataclasses", "inspect", "numpy", "typing", "pathlib", "shutil", "subprocess")
+print(kinktrap.cli._kernels.BACKEND, sorted(name for name in names if name in sys.modules))
 """
 
 
 def test_the_command_line_starts_without_dataclasses_inspect_or_numpy():
     """Each of them costs every CLI process its import; dataclasses alone
-    brings inspect, ast, dis and tokenize.  typing, pathlib and shutil too,
-    where site does not import them first: annotations stay text, the
-    kernel library is found with os.path, and only a build imports shutil."""
+    brings inspect, ast, dis and tokenize.  typing, pathlib, shutil and
+    subprocess too, where site does not import them first: annotations stay
+    text and the kernel library is found with os.path.  Only a build imports
+    shutil and subprocess, so with the C library already built they are not
+    loaded, and without gcc every process tries a build and loads exactly
+    those two."""
     src = str(Path(kinktrap.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_IMPORTS, src],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    backend, loaded = proc.stdout.strip().split(" ", 1)
+    assert backend == kinktrap._kernels.BACKEND
+    assert loaded == {"c": "[]", "python": "['shutil', 'subprocess']"}[backend]
