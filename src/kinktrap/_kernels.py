@@ -2,15 +2,15 @@
 
 The Python functions below are the reference.  `_kernels.c` mirrors them
 operation for operation; it is built once with the system gcc and loaded
-through ctypes, and then `_run_verlet`, `_run_rk4`, `_run_verlet_lanes`,
-`derived_column` and `format_rows` are thin wrappers around its five
-exported functions that keep the Python function as `py_func`.  BACKEND
-names the implementation in use: "c" or "python".  The C functions are
-reentrant: their only statics are const tables, every result goes to
-buffers the caller passes in, and the counter from which the threads of
-one batch claim its points is the caller's too.
-ctypes releases the GIL for each call, so threads run them in parallel
-(sweep does).
+through ctypes, and then `_run_verlet`, `_run_rk4`, `derived_column` and
+`format_rows` are thin wrappers around four of its five exported functions
+that keep the Python function as `py_func`; the fifth, `_run_verlet_lanes`,
+runs `_run_verlet`'s loop over a batch.  BACKEND names the implementation
+in use: "c" or "python".  The C functions are reentrant: their only statics
+are const tables, every result goes to buffers the caller passes in, and
+the counter from which the threads of one batch claim its points is the
+caller's too.  ctypes releases the GIL for each call, so threads run them
+in parallel (run_batch does).
 
   build   gcc -O2 -ffp-contract=off -fPIC -shared -lm.  -ffp-contract=off
           keeps gcc from fusing a multiply and an add into one FMA, which
@@ -22,7 +22,7 @@ ctypes releases the GIL for each call, so threads run them in parallel
           the C source, the flags and the platform.  The build writes a
           temporary file there and renames it into place, so concurrent
           first imports never load half a library.  It happens at import,
-          so BACKEND is settled before anything reads it: sweep picks
+          so BACKEND is settled before anything reads it: run_batch picks
           threads (C) or forked processes (the Python reference) from it,
           and --version prints it.
   fallback  without gcc, or when the build or the load fails, one line on
@@ -35,15 +35,15 @@ Each formula has one home:
   step    _run_verlet and _run_rk4, which take the same 21 arguments and
           return the same 8-tuple as their C wrappers.  In C, verlet_step
           is the one Verlet step, of run_verlet and of run_verlet_lanes.
-  batch   _run_verlet_lanes, the points of a batch claimed from a shared
-          counter and each run as _run_verlet runs it, without recording:
-          its reference is the loop _lanes(_run_verlet) over the scalar
-          reference, and C advances two points at a time in one loop, each
-          with _run_verlet's operations in their order.  _run_rk4_lanes is
-          the same loop over the _run_rk4 in use, one point at a time: two
-          RK4 lanes in one loop measured slower than one.  run_batch packs
-          the scalar runners' argument tuples into a batch, runs it on
-          threads and unpacks each run's 8-tuple.
+  batch   run_batch, many runs of one scalar runner at once: what the
+          runner returns for each run, on threads over C and on forked
+          processes over the Python reference, which holds the GIL.  C's
+          Verlet runs go to _run_verlet_lanes, whose threads claim the runs
+          from one shared counter and advance two at a time in one loop,
+          each with _run_verlet's operations in their order; any other
+          runner is called once per run by threads that claim the runs
+          under one lock (two RK4 lanes in one loop measured slower than
+          one).
   energy  pair_energy, used by dynamics.total_energy, by derived_column and
           by the tail.  In C it is the static pair_energy, which after_step
           and derived_column call; parity tests pin both to the Python
@@ -93,7 +93,6 @@ Status codes returned by the runners:
 
 from __future__ import annotations
 
-import _thread
 import ctypes
 import functools
 import math
@@ -330,74 +329,73 @@ def _run_rk4(
     return done(status, steps, x1, v1, x2, v2)
 
 
-# Claims of a shared counter by _lanes' loops, one at a time.
-_CLAIM = _thread.allocate_lock()
+def run_batch(runner, runs, workers) -> list:
+    """[runner(*args) for args in runs], for runs of one scalar runner that
+    record nothing and share one model, dt, floor and exit radius, on up to
+    workers threads or processes at once, this thread included.
 
-
-def _lanes(runner):
-    """The batch runner over runner, one of the scalar runners.
-
-    It takes (starts, nsteps, dt, k, alpha, n, A, beta, floor, exit_radius,
-    claim, ends, counts).  Point i of the batch is runner(x1, v1, x2, v2,
-    0.0, dt, nsteps[i], k, alpha, n, A, beta, floor, exit_radius, e0, 0, no
-    recording), with (x1, v1, x2, v2, e0) = starts[5i:5i + 5]; it writes the
-    run's (x1, v1, x2, v2, max_abs_drift) to ends[5i:5i + 5] and its (steps,
-    nrec, status) to counts[3i:3i + 3].  Points are claimed one at a time
-    from claim[0], which callers on other threads may share, until every
-    point is claimed; so every point runs once whatever the number of
-    callers.
+    Over the Python reference the runs go to forked processes, since the
+    reference holds the GIL.  Over C the runs of _run_verlet go to
+    _run_verlet_lanes on threads that claim them from one counter, and any
+    other runner's are claimed one at a time by threads under one lock.
+    An empty batch starts no thread or process.
     """
-    def lanes(starts, nsteps, dt, k, alpha, n, A, beta, floor, exit_radius,
-              claim, ends, counts):
-        rec = float_buffers(5, 0)
-        while True:
-            with _CLAIM:
-                i = claim[0]
-                claim[0] = i + 1
-            if i >= len(nsteps):
-                return
-            # as C reads them: doubles and an int64
-            x1, v1, x2, v2, e0 = map(float, starts[5 * i:5 * i + 5])
-            status, steps, *state, nrec = runner(x1, v1, x2, v2, 0.0, dt, int(nsteps[i]),
-                                                 k, alpha, n, A, beta, floor, exit_radius,
-                                                 e0, 0, *rec)
-            for j, value in enumerate(state):
-                ends[5 * i + j] = value
-            for j, value in enumerate((steps, nrec, status)):
-                counts[3 * i + j] = value
-
-    lanes.__name__ = lanes.__qualname__ = f"{runner.__name__}_lanes"
-    return lanes
-
-
-_run_verlet_lanes = _lanes(_run_verlet)
-
-
-def run_batch(lanes, runs, threads) -> list:
-    """What the scalar runner of the batch runner lanes returns for each
-    argument tuple of runs, runs that record nothing and share one model,
-    dt, floor and exit radius: lanes on threads threads, this one included,
-    which claim the runs from one counter."""
-    import threading  # only a batch starts threads
-    from array import array
-
     if not runs:
         return []
-    starts, nsteps = array("d"), array("q")
-    for x1, v1, x2, v2, _t0, dt, budget, *shared, e0, _stride in (args[:16] for args in runs):
-        starts.extend((x1, v1, x2, v2, e0))
-        nsteps.append(budget)
-    ends, counts = array("d", bytes(40 * len(runs))), array("q", bytes(24 * len(runs)))
-    batch = (starts, nsteps, dt, *shared, array("q", [0]), ends, counts)
-    helpers = [threading.Thread(target=lanes, args=batch)
-               for _ in range(min(threads, len(runs)) - 1)]
-    for thread in helpers:
-        thread.start()
-    lanes(*batch)
-    for thread in helpers:
-        thread.join()
-    return [(counts[3 * i + 2], counts[3 * i], *ends[5 * i:5 * i + 5], counts[3 * i + 1])
-            for i in range(len(runs))]
+    workers = min(workers, len(runs))
+    if BACKEND == "python":
+        # fork starts the workers without re-importing the package; imported
+        # here, since the pool costs every other import of the package
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            # the recording buffers are empty memoryviews, which do not pickle
+            return list(pool.map(functools.partial(_unrecorded, runner),
+                                 [args[:16] for args in runs]))
+    import threading  # only a batch starts threads
+
+    def on_threads(work):
+        helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+        for thread in helpers:
+            thread.start()
+        work()
+        for thread in helpers:
+            thread.join()
+
+    if runner is _run_verlet:
+        from array import array
+
+        starts, nsteps = array("d"), array("q")
+        for x1, v1, x2, v2, _t0, dt, budget, *shared, e0, _stride in (args[:16] for args in runs):
+            starts.extend((x1, v1, x2, v2, e0))
+            nsteps.append(budget)
+        ends, counts = array("d", bytes(40 * len(runs))), array("q", bytes(24 * len(runs)))
+        batch = (starts, nsteps, dt, *shared, array("q", [0]), ends, counts)
+        on_threads(lambda: _run_verlet_lanes(*batch))
+        return [(counts[3 * i + 2], counts[3 * i], *ends[5 * i:5 * i + 5], counts[3 * i + 1])
+                for i in range(len(runs))]
+
+    results = [None] * len(runs)
+    claim, unclaimed = threading.Lock(), iter(range(len(runs)))
+
+    def claim_and_run():
+        while True:
+            with claim:
+                i = next(unclaimed, None)
+            if i is None:
+                return
+            results[i] = runner(*runs[i])
+
+    on_threads(claim_and_run)
+    return results
+
+
+def _unrecorded(runner, args):
+    """runner's result for the first 16 of a run's arguments, with no
+    recording buffers."""
+    return runner(*args, *float_buffers(5, 0))
 
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
@@ -538,9 +536,15 @@ def _c_runner(fn):
 
 
 def _c_lanes(fn):
-    """A ctypes wrapper of fn with the arguments of a _lanes batch runner.
-    Every buffer is checked before C runs, and so is claim[0]: from 0 up to
-    a bound that no number of claims reaches, so that C's adds on it never
+    """A ctypes wrapper of fn, which runs a batch of unrecorded _run_verlet
+    runs: (starts, nsteps, dt, k, alpha, n, A, beta, floor, exit_radius,
+    claim, ends, counts).  Run i starts from (x1, v1, x2, v2, e0) =
+    starts[5i:5i + 5] with a budget of nsteps[i] steps, and writes its (x1,
+    v1, x2, v2, max_abs_drift) to ends[5i:5i + 5] and its (steps, nrec,
+    status) to counts[3i:3i + 3].  Callers on other threads may share claim,
+    the counter the runs are claimed from, so each run runs once.  Every
+    buffer is checked before C runs, and so is claim[0]: from 0 up to a
+    bound that no number of claims reaches, so that C's adds on it never
     wrap to a negative index."""
     fn.argtypes = ([ctypes.c_void_p] * 2 + [_I] + [_D] * 3 + [_I] + [_D] * 4
                    + [ctypes.c_void_p] * 3)
@@ -645,7 +649,6 @@ else:
     BACKEND = "c"
     _run_verlet = _bind(_c_runner(_LIB.run_verlet), _run_verlet)
     _run_rk4 = _bind(_c_runner(_LIB.run_rk4), _run_rk4)
-    _run_verlet_lanes = _bind(_c_lanes(_LIB.run_verlet_lanes), _run_verlet_lanes)
+    _run_verlet_lanes = _c_lanes(_LIB.run_verlet_lanes)
     derived_column = _bind(_c_derived_column(_LIB.derived_column), derived_column)
     format_rows = _bind(_c_format_rows(_LIB.format_rows), format_rows)
-_run_rk4_lanes = _lanes(_run_rk4)

@@ -140,12 +140,12 @@ def run_scattering(
 
 def _launch(sc: Scenario, cfg: IntegratorConfig) -> tuple:
     """run_scattering without recording, split at its runner call as
-    _prepare_run splits integrate: (args, finish), where finish(the runner's
-    result for args) is run_scattering's record."""
+    _prepare_run splits integrate: (runner, args, finish), where
+    finish(runner(*args)) is run_scattering's record."""
     _check_exit_radius(sc)
-    _, args, finish = _prepare_run(initial_state(sc), sc.params, cfg, sc.t_max,
-                                   sc.exit_radius, None)
-    return args, lambda result: _classify(sc, finish(result))
+    runner, args, finish = _prepare_run(initial_state(sc), sc.params, cfg, sc.t_max,
+                                        sc.exit_radius, None)
+    return runner, args, lambda result: _classify(sc, finish(result))
 
 
 def _classify(sc: Scenario, result: IntegrationResult) -> OutcomeRecord:

@@ -5,23 +5,22 @@ by accumulation.  A point's record is run_scattering's OutcomeRecord for that
 launch speed, or an Error record when the run fails, so every record is a pure
 function of (spec, index).
 Workers only change wall time: results are collected by index, so sweep
-output is identical for 1, 4, or N workers.  Over the C kernel the workers
-are threads that share one queue of the points, each advancing two points at
-a time in the kernel's lanes; over the Python reference they are forked
-processes that classify one point at a time.
+output is identical for 1, 4, or N workers.  With one worker each point is
+classified in turn; with more, every point is prepared and finished here and
+their runs go to _kernels.run_batch at once, which picks the threads or
+processes that run them.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from functools import partial
 
 from . import _kernels
 from ._record import fields, record, replace
 from .dynamics import CoincidentParticles, ModelParams
-from .integrator import (IntegratorConfig, NonFiniteState, Scheme, StepBudgetExhausted,
-                         integrate, sample_stride)
+from .integrator import (IntegratorConfig, NonFiniteState, StepBudgetExhausted, integrate,
+                         sample_stride)
 from .scattering import (Outcome, OutcomeRecord, Scenario, _check_exit_radius, _launch,
                          initial_state, run_scattering)
 
@@ -117,21 +116,20 @@ def _classify_point(spec: SweepSpec, v0: float) -> OutcomeRecord:
         return _error_row(v0, exc)
 
 
-def _classify_in_lanes(spec: SweepSpec, v0s: list, size: int) -> list[OutcomeRecord]:
-    """_classify_point at each of v0s, with the runs on size threads of the
-    scheme's batch runner.  Each point is prepared and finished as
-    run_scattering does it, so each record is _classify_point's."""
+def _classify_in_batch(spec: SweepSpec, v0s: list, size: int) -> list[OutcomeRecord]:
+    """_classify_point at each of v0s, with the runs in one batch on size
+    workers.  Each point is prepared and finished as run_scattering does it,
+    so each record is _classify_point's."""
     records = [None] * len(v0s)
-    launched = []  # (index, runner arguments, finish) of each point that runs
+    launched = []  # (index, runner, runner arguments, finish) of each point that runs
     for i, v0 in enumerate(v0s):
         try:
             launched.append((i, *_launch(spec.scenario(v0), spec.cfg)))
         except _POINT_ERRORS as exc:
             records[i] = _error_row(v0, exc)
-    lanes = (_kernels._run_verlet_lanes if spec.cfg.scheme is Scheme.VELOCITY_VERLET
-             else _kernels._run_rk4_lanes)
-    results = _kernels.run_batch(lanes, [args for _, args, _ in launched], size)
-    for (i, _, finish), result in zip(launched, results):
+    runner = launched[0][1] if launched else None  # one scheme, so one runner
+    results = _kernels.run_batch(runner, [args for _, _, args, _ in launched], size)
+    for (i, _, _, finish), result in zip(launched, results):
         try:
             records[i] = finish(result)
         except _POINT_ERRORS as exc:
@@ -160,22 +158,7 @@ def sweep(spec: SweepSpec, workers: int = 1) -> list[OutcomeRecord]:
     size = min(workers, len(v0s), _usable_cpus())
     if size <= 1:
         return [_classify_point(spec, v0) for v0 in v0s]
-    if _kernels.BACKEND == "c":
-        # ctypes releases the GIL for each whole C run and the C kernel keeps
-        # no mutable state, so threads run points in parallel with no fork,
-        # no pickling and no worker start-up.
-        return _classify_in_lanes(spec, v0s, size)
-    # the Python reference holds the GIL, so only processes run it in
-    # parallel; fork starts them without re-importing the package, and a
-    # process pool starts all of its workers at once.  Imported here: the
-    # pool costs every other import of the package.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=size,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        # map() preserves order
-        return list(pool.map(partial(_classify_point, spec), v0s))
+    return _classify_in_batch(spec, v0s, size)
 
 
 @record

@@ -1,17 +1,19 @@
 """The C kernels against their Python reference, bit for bit.
 
-`_kernels._run_verlet`, `_run_rk4`, `_run_verlet_lanes`, `derived_column`
-and `format_rows` call the C copy in `_kernels.c` whenever gcc can build
-it; `py_func` is the Python function it mirrors.  Every runner comparison is
-of the whole return tuple, floats as hex, and of the bytes of the five
-recording buffers, which both sides receive filled with the same sentinel so
-that a write past nrec shows too.  A batch's points are compared with the
-scalar C runner's 21-argument call, point by point.  The derived columns are compared as bytes and the CSV text with
-repr.  The twin-run pass of sweep.sensitivity, divergence, has no C copy;
-its distances are compared as bytes with numpy's and its exponent fit with
-np.polyfit's.
+`_kernels._run_verlet`, `_run_rk4`, `derived_column` and `format_rows`
+call the C copy in `_kernels.c` whenever gcc can build it; `py_func` is the
+Python function it mirrors.  Every runner comparison is of the whole return
+tuple, floats as hex, and of the bytes of the five recording buffers, which
+both sides receive filled with the same sentinel so that a write past nrec
+shows too.  Each run of a batch (run_batch, whose Verlet runs go to C's
+`_run_verlet_lanes`) is compared with the scalar C runner and its Python
+reference, run by run.  The derived columns are compared as bytes and the
+CSV text with repr.  The twin-run pass of sweep.sensitivity, divergence,
+has no C copy; its distances are compared as bytes with numpy's and its
+exponent fit with np.polyfit's.
 """
 
+import concurrent.futures
 import ctypes
 import hashlib
 import inspect
@@ -230,16 +232,17 @@ def test_a_wrong_recording_buffer_raises(c_backend, scheme, bad):
 
 def _batch(rng, npoints, exit_radius=None):
     """A random batch: the shared model, dt, floor and exit radius as in
-    _scenario, and per point a launch, a step budget and its e0; a quarter
-    of the points come at each other head-on, so that some breach the
-    floor.  Returns (starts, nsteps, shared) as the batch runners take them."""
+    _scenario, and per run a launch, a step budget and its e0; a quarter of
+    the runs come at each other head-on, so that some breach the floor.
+    Returns each run's 21 runner arguments, recording nothing, as integrate
+    passes them."""
     k, alpha = rng.uniform(0.5, 2.0), rng.uniform(1e-6, 2.0)
     n, A, beta = rng.randint(1, 4), rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.0)
     dt = rng.uniform(1e-3, 2e-2)
     floor = rng.choice((1e-12, 1e-3, 0.05))
     if exit_radius is None:
         exit_radius = rng.choice((-1.0, rng.uniform(0.5, 4.0)))
-    starts, nsteps = [], []
+    runs = []
     for _ in range(npoints):
         x1 = rng.uniform(-3.0, 3.0)
         x2 = x1 + rng.uniform(0.3, 2.5)
@@ -250,72 +253,45 @@ def _batch(rng, npoints, exit_radius=None):
             v1, v2 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
         g1, g2 = math.exp(-beta * x1 * x1), math.exp(-beta * x2 * x2)
         e0 = _kernels.pair_energy(x1 - x2, v1, v2, g1, g2, k, alpha, n, A)
-        starts += [x1, v1, x2, v2, e0]
-        nsteps.append(rng.choice((0, rng.randint(1, 2000))))
-    return (np.array(starts), np.array(nsteps, dtype=np.int64),
-            (dt, k, alpha, n, A, beta, floor, exit_radius))
+        runs.append((x1, v1, x2, v2, 0.0, dt, rng.choice((0, rng.randint(1, 2000))),
+                     k, alpha, n, A, beta, floor, exit_radius, e0, 0,
+                     *_kernels.float_buffers(5, 0)))
+    return runs
 
 
-def _run_batch(lanes, starts, nsteps, shared, threads=1):
-    """Each point's result as the scalar runners return it, in hex, from
-    lanes run on threads threads that share one counter; every result
-    buffer starts as a sentinel, so a point left unwritten shows."""
-    npoints = len(nsteps)
-    claim = np.zeros(1, dtype=np.int64)
-    ends = np.full(5 * npoints, SENTINEL)
-    counts = np.full(3 * npoints, -1, dtype=np.int64)
-    batch = (starts, nsteps, *shared, claim, ends, counts)
-    workers = [threading.Thread(target=lanes, args=batch) for _ in range(threads - 1)]
-    for worker in workers:
-        worker.start()
-    lanes(*batch)
-    for worker in workers:
-        worker.join()
-    assert claim[0] >= npoints
-    return [_hex((int(counts[3 * i + 2]), int(counts[3 * i]), *map(float, ends[5 * i:5 * i + 5]),
-                  int(counts[3 * i + 1]))) for i in range(npoints)]
-
-
-def _scalar_runs(runner, starts, nsteps, shared):
-    """Each point of a batch from the scalar runner's 21 arguments."""
-    dt, k, alpha, n, A, beta, floor, exit_radius = shared
-    return [_hex(runner(*starts[5 * i:5 * i + 4], 0.0, dt, int(nsteps[i]), k, alpha, n, A, beta,
-                        floor, exit_radius, starts[5 * i + 4], 0, *_numpy_buffers(0)))
-            for i in range(len(nsteps))]
-
-
-def test_the_batch_reference_takes_the_wrappers_arguments(c_backend):
-    wrapper = inspect.signature(_kernels._run_verlet_lanes).parameters
-    reference = inspect.signature(_kernels._run_verlet_lanes.py_func).parameters
-    assert list(reference.values()) == list(wrapper.values())
-    assert list(inspect.signature(_kernels._run_rk4_lanes).parameters) == list(wrapper)
+def _batch_results(runner, runs, workers):
+    """Each run's result in hex, after checking that run_batch on workers
+    threads gives the scalar C runner's and its Python reference's, run by
+    run."""
+    scalar = [_hex(runner(*args)) for args in runs]
+    assert [_hex(runner.py_func(*args)) for args in runs] == scalar
+    assert list(map(_hex, _kernels.run_batch(runner, runs, workers))) == scalar
+    return scalar
 
 
 @pytest.mark.parametrize("exit_radius", [None, -1.0], ids=["drawn", "no-exit"])
 def test_random_batches_match_the_scalar_runner_bit_for_bit(c_backend, exit_radius):
-    """C lanes, their Python reference and the scalar C runner agree on every
-    output of every point, on batches of one point, odd counts and more."""
-    lanes = _kernels._run_verlet_lanes
-    rng = random.Random(20261020)
-    seen = set()
-    for npoints in [1, 2, 3, 5, 7] * 12:
-        starts, nsteps, shared = _batch(rng, npoints, exit_radius)
-        scalar = _scalar_runs(_kernels._run_verlet, starts, nsteps, shared)
-        assert _run_batch(lanes, starts, nsteps, shared) == scalar
-        assert _run_batch(lanes.py_func, starts, nsteps, shared) == scalar
-        seen |= {(status, steps > 0) for status, steps, *_ in scalar}
+    """run_batch, the scalar C runner and its Python reference agree on
+    every output of every run, on batches of one run, odd counts and more,
+    under both schemes."""
     statuses = {_kernels.STATUS_RAN_ALL, _kernels.STATUS_COINCIDENT}
     if exit_radius is None:
         statuses.add(_kernels.STATUS_EXIT)
-    assert {s for s, _ in seen} == statuses
-    assert (_kernels.STATUS_RAN_ALL, False) in seen  # a point with no steps
+    for name in RUNNERS.values():
+        rng = random.Random(20261020)
+        seen = set()
+        for npoints in [1, 2, 3, 5, 7] * 12:
+            results = _batch_results(getattr(_kernels, name), _batch(rng, npoints, exit_radius), 1)
+            seen |= {(status, steps > 0) for status, steps, *_ in results}
+        assert {s for s, _ in seen} == statuses
+        assert (_kernels.STATUS_RAN_ALL, False) in seen  # a run with no steps
 
 
 def test_lanes_that_end_at_different_steps_match_the_scalar_runner(c_backend):
-    """One batch whose points end every way, each at its own step: an exit,
+    """One batch whose runs end every way, each at its own step: an exit,
     a breach mid-run, a spent budget, a breach before the first step, no
-    steps, and a long run that outlasts them, so that lanes refill while
-    the other lane is mid-run."""
+    steps, and a long run that outlasts them, so that C's lanes refill while
+    the other lane is mid-run.  Both schemes end each run at the same step."""
     p = ModelParams()
     floor, exit_radius, dt = 0.05, 2.0, 1e-3
     launches = [
@@ -327,33 +303,58 @@ def test_lanes_that_end_at_different_steps_match_the_scalar_runner(c_backend):
         (-0.7, 0.0, 0.3, 0.0, 3000),      # runs its whole budget
         (-2.0, -2.5, -1.0, -2.5, 2500),   # exits to the left at step 206
     ]
-    starts, budgets = [], []
+    runs = []
     for x1, v1, x2, v2, budget in launches:
         g1, g2 = math.exp(-p.beta * x1 * x1), math.exp(-p.beta * x2 * x2)
         e0 = _kernels.pair_energy(x1 - x2, v1, v2, g1, g2, p.k, p.alpha, p.n, p.A)
-        starts += [x1, v1, x2, v2, e0]
-        budgets.append(budget)
-    starts, nsteps = np.array(starts), np.array(budgets, dtype=np.int64)
-    shared = (dt, p.k, p.alpha, p.n, p.A, p.beta, floor, exit_radius)
-    scalar = _scalar_runs(_kernels._run_verlet, starts, nsteps, shared)
-    assert [(status, steps) for status, steps, *_ in scalar] == \
-        [(1, 577), (2, 10), (0, 37), (2, 0), (0, 0), (0, 3000), (1, 206)]
-    for lanes in (_kernels._run_verlet_lanes, _kernels._run_verlet_lanes.py_func):
-        for threads in (1, 2):
-            assert _run_batch(lanes, starts, nsteps, shared, threads) == scalar
+        runs.append((x1, v1, x2, v2, 0.0, dt, budget, p.k, p.alpha, p.n, p.A, p.beta,
+                     floor, exit_radius, e0, 0, *_kernels.float_buffers(5, 0)))
+    for name in RUNNERS.values():
+        for workers in (1, 2):
+            results = _batch_results(getattr(_kernels, name), runs, workers)
+            assert [(status, steps) for status, steps, *_ in results] == \
+                [(1, 577), (2, 10), (0, 37), (2, 0), (0, 0), (0, 3000), (1, 206)]
 
 
 @pytest.mark.parametrize("threads", [3, 4])
 def test_threads_sharing_one_counter_run_every_point_once(c_backend, threads):
-    """Threads on one counter, with more points than their lanes, give each
-    point the scalar runner's result; so does the RK4 batch."""
+    """Three and four threads on one batch, with more runs than C's lanes,
+    give each run the scalar runner's result, under both schemes; a short
+    switch interval makes the threads that claim RK4 runs under the lock
+    interleave often."""
     rng = random.Random(threads)
-    for _ in range(5):
-        starts, nsteps, shared = _batch(rng, rng.randint(3 * threads, 8 * threads))
-        for lanes, runner in ((_kernels._run_verlet_lanes, _kernels._run_verlet),
-                              (_kernels._run_rk4_lanes, _kernels._run_rk4)):
-            expected = _scalar_runs(runner, starts, nsteps, shared)
-            assert _run_batch(lanes, starts, nsteps, shared, threads) == expected
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            runs = _batch(rng, rng.randint(3 * threads, 8 * threads))
+            for name in RUNNERS.values():
+                _batch_results(getattr(_kernels, name), runs, threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("scheme", RUNNERS)
+def test_an_empty_batch_starts_no_thread_or_pool(monkeypatch, backend, scheme):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty batch started a thread or a pool")
+
+    monkeypatch.setattr(_kernels, "BACKEND", backend)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    assert _kernels.run_batch(getattr(_kernels, RUNNERS[scheme]), [], 4) == []
+
+
+@pytest.mark.parametrize("scheme", RUNNERS)
+def test_forked_workers_give_the_scalar_results(c_backend, monkeypatch, scheme):
+    """The Python backend's path, over the C runners: forked processes get
+    each run without its recording buffers, and what comes back is the
+    scalar runner's result."""
+    monkeypatch.setattr(_kernels, "BACKEND", "python")
+    runner = getattr(_kernels, RUNNERS[scheme])
+    runs = _batch(random.Random(7), 5)
+    assert _kernels.run_batch(runner, runs, 2) == [runner(*args) for args in runs]
 
 
 def _good_batch():
@@ -680,8 +681,8 @@ def test_divergence_gives_the_numpy_distance_and_fit_of_a_chaotic_twin():
 
 def test_the_library_exports_exactly_the_functions_it_binds(c_backend):
     """The defined dynamic symbols of the built library are the names
-    _kernels.py binds from _LIB, one wrapper each, and every wrapper keeps
-    its Python reference as py_func."""
+    _kernels.py binds from _LIB, one wrapper each, and every wrapper but the
+    batch's keeps its Python reference as py_func."""
     nm = shutil.which("nm")
     if nm is None:
         pytest.skip("no nm")
@@ -691,10 +692,10 @@ def test_the_library_exports_exactly_the_functions_it_binds(c_backend):
     bound = re.findall(r"_LIB\.(\w+)", Path(_kernels.__file__).read_text())
     assert sorted(exported) == sorted(bound) == \
         ["derived_column", "format_rows", "run_rk4", "run_verlet", "run_verlet_lanes"]
-    for name in ("_run_verlet", "_run_rk4", "_run_verlet_lanes", "derived_column",
-                 "format_rows"):
+    for name in ("_run_verlet", "_run_rk4", "derived_column", "format_rows"):
         wrapper = getattr(_kernels, name)
         assert wrapper.py_func is not wrapper and wrapper.py_func.__name__ == name
+    assert not hasattr(_kernels._run_verlet_lanes, "py_func")
 
 
 def test_a_failed_build_loads_nothing(tmp_path, capsys):
@@ -735,10 +736,11 @@ def test_the_source_compiles_without_a_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# Small sweeps on two workers (forked processes without gcc, the C batch
-# runner's threads with it): transmit, reflect and time-limit rows; Error
-# rows beside exits; and RK4 points.  Then an RK4 run recorded at an odd
-# stride, and a twin run whose exponent is fitted.
+# Small sweeps on two workers (forked processes without gcc, threads over C
+# with it): transmit, reflect and time-limit rows; Error rows beside exits;
+# RK4 points; and points that all fail before their runs, which leave the
+# batch empty.  Then an RK4 run recorded at an odd stride, and a twin run
+# whose exponent is fitted.
 FALLBACK_RUNS = {
     "sweep": ["sweep", "--v-min", "0.2", "--v-max", "0.3", "--dv", "0.05",
               "--launch-offset=-4", "--exit-radius", "4", "--t-max", "60",
@@ -749,6 +751,8 @@ FALLBACK_RUNS = {
     "sweep-rk4": ["sweep", "--scheme", "RK4", "--v-min", "0.3", "--v-max", "0.4", "--dv", "0.1",
                   "--launch-offset=-3", "--exit-radius", "3", "--t-max", "30",
                   "--workers", "2"],
+    "sweep-empty": ["sweep", "--separation", "1e-13", "--v-min", "0.1", "--v-max", "0.3",
+                    "--dv", "0.05", "--t-max", "50", "--workers", "2"],
     "simulate": ["simulate", "--scheme", "RK4", "--v0", "0.3", "--t-max", "25",
                  "--record-every", "7"],
     "sensitivity": ["sensitivity", "--v0", "0.2", "--t-max", "100", "--seed-delta", "1e-6"],

@@ -158,6 +158,8 @@ class TestSweep:
 
 # three free-pair points: cheap, and every one transmits
 TINY = SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.2, dv=0.05, t_max=300.0)
+TINY_RK4 = SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.2, dv=0.05, t_max=300.0,
+                     cfg=IntegratorConfig(scheme=Scheme.RK4))
 
 
 class _SpyExecutor:
@@ -178,20 +180,25 @@ class _SpyExecutor:
 
 
 # Runs under python -S with src first on sys.path: a three-point sweep on two
-# threads, then the number of batch runner calls and which executor modules
-# got loaded.
+# threads under each scheme, then the number of C batch runner calls of the
+# Verlet sweep, the number of RK4 runner calls and which executor modules got
+# loaded.
 POOLED_SWEEP_IMPORTS = """
 import importlib, sys
 sys.path.insert(0, sys.argv[1])
-from kinktrap import ModelParams, SweepSpec, _kernels
+from kinktrap import IntegratorConfig, ModelParams, Scheme, SweepSpec, _kernels
 module = importlib.import_module("kinktrap.sweep")
 module._usable_cpus = lambda: 2
-lanes, calls = _kernels._run_verlet_lanes, []
-_kernels._run_verlet_lanes = lambda *batch: calls.append(lanes(*batch))
-module.sweep(SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.2, dv=0.05, t_max=30.0),
-             workers=2)
-print(len(calls), sorted(name for name in ("concurrent.futures", "multiprocessing")
-                         if name in sys.modules))
+calls = []
+def spy(name, fn):
+    return lambda *args: calls.append(name) or fn(*args)
+_kernels._run_verlet_lanes = spy("lanes", _kernels._run_verlet_lanes)
+_kernels._run_rk4 = spy("rk4", _kernels._run_rk4)
+for scheme in Scheme:
+    module.sweep(SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.2, dv=0.05,
+                           t_max=30.0, cfg=IntegratorConfig(scheme=scheme)), workers=2)
+print(calls.count("lanes"), calls.count("rk4"),
+      sorted(name for name in ("concurrent.futures", "multiprocessing") if name in sys.modules))
 """
 
 
@@ -200,23 +207,24 @@ class TestWorkers:
     def pools(self, monkeypatch):
         """What ran a sweep's points besides the calling thread alone: each
         process pool made, as (kind, max_workers), and the threads that ran
-        the C batch runner, as ("ThreadPool", their number)."""
-        made, threads = [], []
+        a batch, the calling one included, as ("ThreadPool", their number)."""
+        made, helpers = [], []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda **kw: _SpyExecutor("ProcessPoolExecutor", made, **kw))
-        lanes = _kernels._run_verlet_lanes
 
-        def spy(*batch):
-            threads.append(threading.current_thread())  # kept, so no id is reused
-            return lanes(*batch)
+        class Helper(threading.Thread):
+            def run(self):
+                helpers.append(self)
+                super().run()
 
-        monkeypatch.setattr(_kernels, "_run_verlet_lanes", spy)
+        monkeypatch.setattr(threading, "Thread", Helper)
 
         def seen():
-            if threads:
-                assert len({id(thread) for thread in threads}) == len(threads)
-                return made + [("ThreadPool", len(threads))]
-            return made
+            """What ran since the last call."""
+            pools = made + ([("ThreadPool", len(helpers) + 1)] if helpers else [])
+            made.clear()
+            helpers.clear()
+            return pools
 
         return seen
 
@@ -232,10 +240,13 @@ class TestWorkers:
     ])
     def test_the_pool_never_outgrows_the_points_or_the_cpus(
             self, pools, monkeypatch, backend, kind, workers, cpus, size):
+        if backend == "c" and _kernels.BACKEND != "c":
+            pytest.skip("no C kernel")
         monkeypatch.setattr(_kernels, "BACKEND", backend)
         monkeypatch.setattr(sweep_module, "_usable_cpus", lambda: cpus)
-        assert sweep(TINY, workers=workers) == sweep(TINY)
-        assert pools() == ([] if size is None else [(kind, size)])
+        for spec in (TINY, TINY_RK4):
+            assert sweep(spec, workers=workers) == sweep(spec)
+            assert pools() == ([] if size is None else [(kind, size)])
 
     def test_a_single_point_never_starts_a_pool(self, pools):
         spec = SweepSpec(params=ModelParams(A=0.0), v_min=0.1, v_max=0.1, t_max=300.0)
@@ -249,7 +260,10 @@ class TestWorkers:
         assert pools() == []
 
     def test_c_kernel_points_run_on_threads_in_this_process(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "BACKEND", "c")
+        """Over C, the two threads of a Verlet batch each call the lanes
+        once, and the RK4 runner runs each of the three points."""
+        if _kernels.BACKEND != "c":
+            pytest.skip("no C kernel")
         monkeypatch.setattr(sweep_module, "_usable_cpus", lambda: 2)
 
         def no_fork(*args, **kwargs):
@@ -257,29 +271,31 @@ class TestWorkers:
 
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         monkeypatch.setattr(os, "fork", no_fork)
-        lanes = _kernels._run_verlet_lanes
-        pids = []
+        for spec, callee, calls in ((TINY, "_run_verlet_lanes", 2), (TINY_RK4, "_run_rk4", 3)):
+            real = getattr(_kernels, callee)
+            pids = []
 
-        def spy(*batch):
-            pids.append(os.getpid())
-            return lanes(*batch)
+            def spy(*args):
+                pids.append(os.getpid())
+                return real(*args)
 
-        monkeypatch.setattr(_kernels, "_run_verlet_lanes", spy)
-        records = sweep(TINY, workers=2)
-        assert pids == [os.getpid()] * 2
-        monkeypatch.setattr(_kernels, "_run_verlet_lanes", lanes)
-        assert records == sweep(TINY)
+            monkeypatch.setattr(_kernels, callee, spy)
+            records = sweep(spec, workers=2)
+            assert pids == [os.getpid()] * calls
+            monkeypatch.setattr(_kernels, callee, real)
+            assert records == sweep(spec)
 
     def test_a_c_pooled_sweep_loads_no_executor(self):
-        """Threads over the C batch runner need neither concurrent.futures
-        nor multiprocessing, so a pooled sweep does not import them."""
+        """Threads over the C runners need neither concurrent.futures nor
+        multiprocessing, so a pooled sweep under either scheme does not
+        import them."""
         if _kernels.BACKEND != "c":
             pytest.skip("no C kernel")
         src = str(Path(_kernels.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-S", "-c", POOLED_SWEEP_IMPORTS, src],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["2", "[]"]
+        assert proc.stdout.split() == ["2", "3", "[]"]
 
     @pytest.mark.parametrize("spec, error", [
         (SweepSpec(params=ModelParams(), separation=1e-13, v_min=0.1, v_max=0.3, dv=0.05,
@@ -298,9 +314,7 @@ class TestWorkers:
         under both schemes: the pooled records equal the serial ones."""
         monkeypatch.setattr(sweep_module, "_usable_cpus", lambda: 2)
         serial = sweep(spec)
-        # by repr: an Error row's nan fields come back from a forked worker as
-        # other nan objects, which compare unequal
-        assert list(map(repr, sweep(spec, workers=2))) == list(map(repr, serial))
+        assert sweep(spec, workers=2) == serial
         assert {rec.error for rec in serial} - {""} == {error}
         if error == "StepBudgetExhausted":
             assert {rec.outcome for rec in serial} == \
