@@ -4,13 +4,14 @@ The Python functions below are the reference.  `_kernels.c` mirrors them
 operation for operation; it is built once with the system gcc and loaded
 through ctypes, and then `_run_verlet`, `_run_rk4`, `derived_column` and
 `format_rows` are thin wrappers around four of its five exported functions
-that keep the Python function as `py_func`; the fifth, `_run_verlet_lanes`,
-runs `_run_verlet`'s loop over a batch.  BACKEND names the implementation
-in use: "c" or "python".  The C functions are reentrant: their only statics
-are const tables, every result goes to buffers the caller passes in, and
-the counter from which the threads of one batch claim its points is the
-caller's too.  ctypes releases the GIL for each call, so threads run them
-in parallel (run_batch does).
+that keep the Python function as `py_func`.  The fifth, run_verlet_lanes,
+runs `_run_verlet`'s loop over a batch; it is bound bare, as
+`_run_verlet_lanes`, and only run_batch calls it.  BACKEND names the
+implementation in use: "c" or "python".  The C functions are reentrant:
+their only statics are const tables, every result goes to buffers the
+caller passes in, and the counter from which the threads of one batch claim
+its points is the caller's too.  ctypes releases the GIL for each call, so
+threads run them in parallel (run_batch does).
 
   build   gcc -O2 -ffp-contract=off -fPIC -shared -lm.  -ffp-contract=off
           keeps gcc from fusing a multiply and an add into one FMA, which
@@ -38,12 +39,13 @@ Each formula has one home:
   batch   run_batch, many runs of one scalar runner at once: what the
           runner returns for each run, on threads over C and on forked
           processes over the Python reference, which holds the GIL.  C's
-          Verlet runs go to _run_verlet_lanes, whose threads claim the runs
-          from one shared counter and advance two at a time in one loop,
-          each with _run_verlet's operations in their order; any other
-          runner is called once per run by threads that claim the runs
-          under one lock (two RK4 lanes in one loop measured slower than
-          one).
+          Verlet runs go to _run_verlet_lanes, with the addresses of the
+          arrays run_batch packs them into (starts, budgets, ends, counts
+          and one counter); its threads claim the runs from that counter
+          and advance two at a time in one loop, each with _run_verlet's
+          operations in their order.  Any other runner is called once per
+          run by threads that claim the runs under one lock (two RK4 lanes
+          in one loop measured slower than one).
   energy  pair_energy, used by dynamics.total_energy, by derived_column and
           by the tail.  In C it is the static pair_energy, which after_step
           and derived_column call; parity tests pin both to the Python
@@ -76,9 +78,9 @@ five of them).  float64_views checks each one before C sees its address,
 and C gets nothing that is not aligned and C-contiguous: the runners' five
 must also be writable and of one length, derived_column's four state
 columns of one length, and format_rows's columns long enough.  A batch's
-step budgets, counter and counts are int64 buffers (format 'q' or 'l'),
-checked by int64_views, and its buffers must hold its points.  Both sides of
-derived_column return a new read-only buffer.  Nothing here imports numpy.
+float64 and int64 arrays go unchecked: run_batch makes them, in the sizes C
+needs, in the call that passes them.  Both sides of derived_column return a
+new read-only buffer.  Nothing here imports numpy.
 
 Division: the runners take every force and energy at a separation >= floor,
 so floor ** (n + 2) > 0 keeps the repulsion's divisor nonzero; integrate's
@@ -367,13 +369,22 @@ def run_batch(runner, runs, workers) -> list:
     if runner is _run_verlet:
         from array import array
 
+        # run i starts from starts[5i:5i + 5] = (x1, v1, x2, v2, e0) with a
+        # budget of nsteps[i] steps, and C writes its (x1, v1, x2, v2,
+        # max_abs_drift) to ends[5i:5i + 5] and its (steps, nrec, status) to
+        # counts[3i:3i + 3]; this batch's threads claim the runs from counter
         starts, nsteps = array("d"), array("q")
-        for x1, v1, x2, v2, _t0, dt, budget, *shared, e0, _stride in (args[:16] for args in runs):
+        for x1, v1, x2, v2, _, _, budget, *_, e0, _ in (args[:16] for args in runs):
             starts.extend((x1, v1, x2, v2, e0))
             nsteps.append(budget)
         ends, counts = array("d", bytes(40 * len(runs))), array("q", bytes(24 * len(runs)))
-        batch = (starts, nsteps, dt, *shared, array("q", [0]), ends, counts)
-        on_threads(lambda: _run_verlet_lanes(*batch))
+        counter = array("q", [0])
+        starts_at, nsteps_at, counter_at, ends_at, counts_at = (
+            a.buffer_info()[0] for a in (starts, nsteps, counter, ends, counts))
+        _, _, _, _, _, dt, _, k, alpha, n, A, beta, floor, exit_radius = runs[0][:14]
+        on_threads(lambda: _run_verlet_lanes(starts_at, nsteps_at, len(runs), dt, k, alpha, n,
+                                             A, beta, floor, exit_radius,
+                                             counter_at, ends_at, counts_at))
         return [(counts[3 * i + 2], counts[3 * i], *ends[5 * i:5 * i + 5], counts[3 * i + 1])
                 for i in range(len(runs))]
 
@@ -405,6 +416,11 @@ _ARGTYPES = (
     [_D] * 6 + [_I] + [_D, _D, _I] + [_D] * 5  # x1 .. dt, nsteps, k .. e0
     + [_I, _I] + [ctypes.c_void_p] * 5          # rec_stride, capacity, buffers
     + [ctypes.POINTER(_D), ctypes.POINTER(_I)]  # out: state and drift; steps, nrec
+)
+_LANES_ARGTYPES = (
+    [ctypes.c_void_p] * 2 + [_I]                 # starts, nsteps, npoints
+    + [_D] * 3 + [_I] + [_D] * 4                 # dt, k, alpha, n, A .. exit_radius
+    + [ctypes.c_void_p] * 3                      # counter, ends, counts
 )
 
 
@@ -483,25 +499,16 @@ def float64_views(buffers, what, *, writable=False) -> list:
     its _address: C-contiguous and aligned, and writable if asked; for
     anything else ValueError says what was wanted.  All checked before C
     reads or writes them."""
-    return _views(buffers, what, writable, ("d",), "float64")
-
-
-def int64_views(buffers, what, *, writable=False) -> list:
-    """float64_views for int64 buffers (format 'q', or numpy's 'l')."""
-    return _views(buffers, what, writable, ("q", "l"), "int64")
-
-
-def _views(buffers, what, writable, formats, kind) -> list:
     views = []
     for b in buffers:
         try:
             m = memoryview(b)
         except TypeError:
             m = None
-        if not (m is not None and m.format in formats and m.itemsize == 8 and m.ndim == 1
+        if not (m is not None and m.format == "d" and m.itemsize == 8 and m.ndim == 1
                 and not (writable and m.readonly) and m.c_contiguous and _address(m) % 8 == 0):
             raise ValueError(f"{what} must be {'writable, ' if writable else ''}aligned, "
-                             f"C-contiguous 1-D {kind} buffers")
+                             f"C-contiguous 1-D float64 buffers")
         views.append(m)
     return views
 
@@ -533,41 +540,6 @@ def _c_runner(fn):
         return status, counts[0], out[0], out[1], out[2], out[3], out[4], counts[1]
 
     return run
-
-
-def _c_lanes(fn):
-    """A ctypes wrapper of fn, which runs a batch of unrecorded _run_verlet
-    runs: (starts, nsteps, dt, k, alpha, n, A, beta, floor, exit_radius,
-    claim, ends, counts).  Run i starts from (x1, v1, x2, v2, e0) =
-    starts[5i:5i + 5] with a budget of nsteps[i] steps, and writes its (x1,
-    v1, x2, v2, max_abs_drift) to ends[5i:5i + 5] and its (steps, nrec,
-    status) to counts[3i:3i + 3].  Callers on other threads may share claim,
-    the counter the runs are claimed from, so each run runs once.  Every
-    buffer is checked before C runs, and so is claim[0]: from 0 up to a
-    bound that no number of claims reaches, so that C's adds on it never
-    wrap to a negative index."""
-    fn.argtypes = ([ctypes.c_void_p] * 2 + [_I] + [_D] * 3 + [_I] + [_D] * 4
-                   + [ctypes.c_void_p] * 3)
-    fn.restype = None
-
-    def lanes(starts, nsteps, dt, k, alpha, n, A, beta, floor, exit_radius,
-              claim, ends, counts):
-        (starts,) = float64_views((starts,), "starts")
-        (ends,) = float64_views((ends,), "ends", writable=True)
-        (nsteps,) = int64_views((nsteps,), "nsteps")
-        claim, counts = int64_views((claim, counts), "claim and counts", writable=True)
-        npoints = len(nsteps)
-        lengths = len(starts), len(ends), len(counts), len(claim)
-        if lengths != (5 * npoints, 5 * npoints, 3 * npoints, 1):
-            raise ValueError(f"starts, ends, counts and claim of {npoints} points must hold "
-                             f"{5 * npoints}, {5 * npoints}, {3 * npoints} and 1 entries, "
-                             f"not {lengths}")
-        if not 0 <= claim[0] < 2**62:
-            raise ValueError(f"claim must hold a count from 0 to 2**62, got {claim[0]}")
-        fn(_address(starts), _address(nsteps), npoints, dt, k, alpha, n, A, beta,
-           floor, exit_radius, _address(claim), _address(ends), _address(counts))
-
-    return lanes
 
 
 def _c_derived_column(fn):
@@ -649,6 +621,7 @@ else:
     BACKEND = "c"
     _run_verlet = _bind(_c_runner(_LIB.run_verlet), _run_verlet)
     _run_rk4 = _bind(_c_runner(_LIB.run_rk4), _run_rk4)
-    _run_verlet_lanes = _c_lanes(_LIB.run_verlet_lanes)
+    _run_verlet_lanes = _LIB.run_verlet_lanes
+    _run_verlet_lanes.argtypes, _run_verlet_lanes.restype = _LANES_ARGTYPES, None
     derived_column = _bind(_c_derived_column(_LIB.derived_column), derived_column)
     format_rows = _bind(_c_format_rows(_LIB.format_rows), format_rows)

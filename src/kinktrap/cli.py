@@ -37,11 +37,10 @@ from enum import Enum
 from . import __version__, _kernels
 from .dynamics import (
     CMState,
-    CoincidentParticles,
     ModelParams,
     equilibrium_separation,
 )
-from .integrator import IntegratorConfig, NonFiniteState, Scheme, StepBudgetExhausted
+from .integrator import RUN_ERRORS, IntegratorConfig, Scheme
 from .linearized import (
     InsufficientOscillations,
     in_well_equilibrium_separation,
@@ -517,7 +516,7 @@ def main(argv=None) -> int:
         # _check_out can tell
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CoincidentParticles, StepBudgetExhausted, NonFiniteState) as exc:
+    except RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

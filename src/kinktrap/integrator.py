@@ -69,6 +69,11 @@ class NonFiniteState(RuntimeError):
                          f"{(state.x1, state.v1, state.x2, state.v2)!r}; the arithmetic overflowed")
 
 
+# The failures that end a run with no result: an Error row in a sweep, and
+# exit status 2 from the command line.
+RUN_ERRORS = (CoincidentParticles, StepBudgetExhausted, NonFiniteState)
+
+
 @record
 class IntegratorConfig:
     scheme: Scheme = Scheme.VELOCITY_VERLET

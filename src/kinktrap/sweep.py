@@ -18,9 +18,8 @@ import os
 
 from . import _kernels
 from ._record import fields, record, replace
-from .dynamics import CoincidentParticles, ModelParams
-from .integrator import (IntegratorConfig, NonFiniteState, StepBudgetExhausted, integrate,
-                         sample_stride)
+from .dynamics import ModelParams
+from .integrator import RUN_ERRORS, IntegratorConfig, integrate, sample_stride
 from .scattering import (Outcome, OutcomeRecord, Scenario, _check_exit_radius, _launch,
                          initial_state, run_scattering)
 
@@ -93,10 +92,6 @@ def grid_v0(spec: SweepSpec, i: int) -> float:
     return spec.v_min + i * spec.dv
 
 
-# The failures that end one point as an Error row.
-_POINT_ERRORS = (CoincidentParticles, StepBudgetExhausted, NonFiniteState)
-
-
 def _error_row(v0: float, exc: Exception) -> OutcomeRecord:
     return OutcomeRecord(
         v0=v0,
@@ -112,7 +107,7 @@ def _error_row(v0: float, exc: Exception) -> OutcomeRecord:
 def _classify_point(spec: SweepSpec, v0: float) -> OutcomeRecord:
     try:
         return run_scattering(spec.scenario(v0), spec.cfg)
-    except _POINT_ERRORS as exc:
+    except RUN_ERRORS as exc:
         return _error_row(v0, exc)
 
 
@@ -125,14 +120,14 @@ def _classify_in_batch(spec: SweepSpec, v0s: list, size: int) -> list[OutcomeRec
     for i, v0 in enumerate(v0s):
         try:
             launched.append((i, *_launch(spec.scenario(v0), spec.cfg)))
-        except _POINT_ERRORS as exc:
+        except RUN_ERRORS as exc:
             records[i] = _error_row(v0, exc)
     runner = launched[0][1] if launched else None  # one scheme, so one runner
     results = _kernels.run_batch(runner, [args for _, _, args, _ in launched], size)
     for (i, _, _, finish), result in zip(launched, results):
         try:
             records[i] = finish(result)
-        except _POINT_ERRORS as exc:
+        except RUN_ERRORS as exc:
             records[i] = _error_row(v0s[i], exc)
     return records
 
