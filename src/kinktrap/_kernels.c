@@ -24,11 +24,19 @@
  * aside first, so that nothing is written past its capacity.
  *
  * run_verlet_lanes runs the points of a batch as run_verlet runs each one,
- * LANES of them at a time in one loop: a Verlet step is one serial chain of
- * a divide and two exp calls, so a core left idle by one chain works on the
- * other.  Each lane does run_verlet's operations in run_verlet's order, so
- * each point's results are run_verlet's bit for bit.  Threads share a batch
- * through a counter that the caller owns, and the library keeps no state.
+ * two at a time in one loop.  While both of its lanes hold a point, one step
+ * advances both in SSE2 vectors of two doubles (GCC's vector extensions;
+ * SSE2 is the x86-64 baseline, so the flags stay as they are): kick, drift,
+ * the floor test, the power loop, the divide, the force, the energy, the
+ * drift peak and the exit test run packed, two lanes per instruction, and
+ * exp is libm's, called once per lane and coordinate.  The force, energy and step
+ * are written once, in STEP_FUNCTIONS, for double and for the vector, so
+ * each lane does run_verlet's operations in run_verlet's order and each
+ * point's results are run_verlet's bit for bit.  A step whose drift breaches
+ * the floor in either lane is taken again on the scalar verlet_step in each
+ * lane, so no force is taken below the floor, and the last point left
+ * finishes alone on the scalar step.  Threads share a batch through a
+ * counter that the caller owns, and the library keeps no state.
  *
  * The five functions without static are the library's whole interface:
  * _kernels.py binds each of them, and nothing else.
@@ -52,34 +60,122 @@ typedef struct {
     double *t, *x1, *v1, *x2, *v2;
 } Tail;
 
-/* _accel. */
-static inline void accel(const Model *m, double x1, double x2,
-                         double *a1, double *a2, double *g1, double *g2)
+/* Two doubles, one per lane, and what comparing two of them gives (all ones
+ * where true): GCC vector types, which SSE2 computes both lanes of at once. */
+typedef double v2d __attribute__((vector_size(16)));
+typedef int64_t v2m __attribute__((vector_size(16)));
+
+/* The per-type helpers of STEP_FUNCTIONS for v2d: fabs, exp, c ? a : b and
+ * "true in either lane".  abs_v2 clears the sign bits as fabs does, and
+ * exp_v2 calls libm's exp once per lane. */
+static inline v2d abs_v2(v2d x)
 {
-    double dx = x1 - x2;
-    double sep = fabs(dx);
-    double p = 1.0;
-    for (int64_t j = 0; j < m->n + 2; j++)
-        p *= sep;
-    *g1 = exp(-m->beta * x1 * x1);
-    *g2 = exp(-m->beta * x2 * x2);
-    double internal = -m->k * dx + m->n * m->alpha * dx / p;
-    double coef = -2.0 * m->A * m->beta;
-    *a1 = internal + coef * x1 * *g1;
-    *a2 = -internal + coef * x2 * *g2;
+    return (v2d)((v2m)x & INT64_MAX);
 }
 
-/* pair_energy, with dx = x1 - x2 and the Gaussian factors g = exp(-beta x^2). */
-static inline double pair_energy(const Model *m, double dx, double v1, double v2,
-                                 double g1, double g2)
+static inline v2d exp_v2(v2d x)
 {
-    double sep = fabs(dx);
-    double p = 1.0;
-    for (int64_t j = 0; j < m->n; j++)
-        p *= sep;
-    return 0.5 * (v1 * v1 + v2 * v2) + 0.5 * m->k * dx * dx + m->alpha / p
-           + ((-m->A * g1) + (-m->A * g2));
+    return (v2d){exp(x[0]), exp(x[1])};
 }
+
+static inline v2d select_v2(v2m c, v2d a, v2d b)
+{
+    return (v2d)((c & (v2m)a) | (~c & (v2m)b));
+}
+
+static inline int any_v2(v2m c)
+{
+    return (c[0] | c[1]) != 0;
+}
+
+/* ... and for double. */
+#define SELECT(c, a, b) ((c) ? (a) : (b))
+#define ONLY(c) (c)
+
+/* The force, the energy, the Verlet step and the checks after it, written
+ * once for T, which is double or v2d: S is the suffix of their names (none
+ * for double), M the type of a comparison, ONE the T whose lanes are 1.0,
+ * and ABS, EXP, SELECT and ANY the helpers above.  Each lane of a v2d gets
+ * the double version's operations in its order, basic IEEE operations that
+ * SSE2 rounds as the scalar unit does, so every lane's bits are the double
+ * version's.
+ *
+ *   Pair         a pair's state and the force there: the accelerations and
+ *                the Gaussian factors of _accel.
+ *   accel        _accel.
+ *   pair_energy  pair_energy, with dx = x1 - x2 and g = exp(-beta x^2).
+ *   verlet_step  one step of _run_verlet on p: kick, drift, the floor check,
+ *                the force at the new positions, kick.  Returns COINCIDENT,
+ *                with the positions drifted and the velocities kicked once,
+ *                when the drift breaches the floor in any lane, before any
+ *                force is taken there; RAN_ALL otherwise.  dx is x1 - x2.
+ *   drift_peak   after_step's drift peak: maxd becomes |E - e0| where that
+ *                is larger.
+ *   leaving      after_step's exit test, for exit_radius > 0: true where the
+ *                pair is past the exit radius and moving outward. */
+#define STEP_FUNCTIONS(T, S, M, ONE, ABS, EXP, SELECT, ANY)                      \
+    typedef struct {                                                             \
+        T x1, v1, x2, v2, a1, a2, g1, g2;                                        \
+    } Pair##S;                                                                   \
+                                                                                 \
+    static inline void accel##S(const Model *m, T x1, T x2,                      \
+                                T *a1, T *a2, T *g1, T *g2)                      \
+    {                                                                            \
+        T dx = x1 - x2;                                                          \
+        T sep = ABS(dx);                                                         \
+        T p = ONE;                                                               \
+        for (int64_t j = 0; j < m->n + 2; j++)                                   \
+            p *= sep;                                                            \
+        *g1 = EXP(-m->beta * x1 * x1);                                           \
+        *g2 = EXP(-m->beta * x2 * x2);                                           \
+        T internal = -m->k * dx + m->n * m->alpha * dx / p;                      \
+        double coef = -2.0 * m->A * m->beta;                                     \
+        *a1 = internal + coef * x1 * *g1;                                        \
+        *a2 = -internal + coef * x2 * *g2;                                       \
+    }                                                                            \
+                                                                                 \
+    static inline T pair_energy##S(const Model *m, T dx, T v1, T v2, T g1, T g2) \
+    {                                                                            \
+        T sep = ABS(dx);                                                         \
+        T p = ONE;                                                               \
+        for (int64_t j = 0; j < m->n; j++)                                       \
+            p *= sep;                                                            \
+        return 0.5 * (v1 * v1 + v2 * v2) + 0.5 * m->k * dx * dx + m->alpha / p   \
+               + ((-m->A * g1) + (-m->A * g2));                                  \
+    }                                                                            \
+                                                                                 \
+    static inline int verlet_step##S(const Model *m, double dt, double h2,       \
+                                     double floor_, Pair##S *p, T *dx)           \
+    {                                                                            \
+        p->v1 += h2 * p->a1;                                                     \
+        p->v2 += h2 * p->a2;                                                     \
+        p->x1 += dt * p->v1;                                                     \
+        p->x2 += dt * p->v2;                                                     \
+        *dx = p->x1 - p->x2;                                                     \
+        if (ANY(ABS(*dx) < floor_))                                              \
+            return COINCIDENT;                                                   \
+        accel##S(m, p->x1, p->x2, &p->a1, &p->a2, &p->g1, &p->g2);               \
+        p->v1 += h2 * p->a1;                                                     \
+        p->v2 += h2 * p->a2;                                                     \
+        return RAN_ALL;                                                          \
+    }                                                                            \
+                                                                                 \
+    static inline void drift_peak##S(const Model *m, T e0, T dx, T v1, T v2,     \
+                                     T g1, T g2, T *maxd)                        \
+    {                                                                            \
+        T d = ABS(pair_energy##S(m, dx, v1, v2, g1, g2) - e0);                   \
+        *maxd = SELECT(d > *maxd, d, *maxd);                                     \
+    }                                                                            \
+                                                                                 \
+    static inline M leaving##S(double exit_radius, T x1, T v1, T x2, T v2)       \
+    {                                                                            \
+        T R = 0.5 * (x1 + x2);                                                   \
+        T V = 0.5 * (v1 + v2);                                                   \
+        return ((R >= exit_radius) | (R <= -exit_radius)) & (R * V > 0.0);       \
+    }
+
+STEP_FUNCTIONS(double, , int, 1.0, fabs, exp, SELECT, ONLY)
+STEP_FUNCTIONS(v2d, _v2, v2m, ((v2d){1.0, 1.0}), abs_v2, exp_v2, select_v2, any_v2)
 
 /* _tail's after_step, the runners' shared bookkeeping after a completed
  * step: the drift peak, the recording test and the exit test.  Model and
@@ -89,9 +185,7 @@ static inline int after_step(const Model *m, const Tail *r, int64_t steps,
                              double dx, double g1, double g2,
                              double *maxd, int64_t *nrec)
 {
-    double d = fabs(pair_energy(m, dx, v1, v2, g1, g2) - r->e0);
-    if (d > *maxd)
-        *maxd = d;
+    drift_peak(m, r->e0, dx, v1, v2, g1, g2, maxd);
     if (r->stride > 0 && steps % r->stride == 0 && *nrec < r->cap) {
         r->t[*nrec] = r->t0 + steps * r->dt;
         r->x1[*nrec] = x1;
@@ -100,12 +194,8 @@ static inline int after_step(const Model *m, const Tail *r, int64_t steps,
         r->v2[*nrec] = v2;
         *nrec += 1;
     }
-    if (r->exit_radius > 0.0) {
-        double R = 0.5 * (x1 + x2);
-        double V = 0.5 * (v1 + v2);
-        if ((R >= r->exit_radius || R <= -r->exit_radius) && R * V > 0.0)
-            return EXIT;
-    }
+    if (r->exit_radius > 0.0 && leaving(r->exit_radius, x1, v1, x2, v2))
+        return EXIT;
     return RAN_ALL;
 }
 
@@ -147,32 +237,6 @@ static int done(int status, int64_t steps, double x1, double v1, double x2, doub
 #define RETURN(status, steps, x1, v1, x2, v2)                                    \
     return done(status, steps, x1, v1, x2, v2, maxd, nrec, out, counts)
 
-/* A pair's state and the force there: the accelerations and the Gaussian
- * factors of _accel. */
-typedef struct {
-    double x1, v1, x2, v2, a1, a2, g1, g2;
-} Pair;
-
-/* One step of _run_verlet on p: kick, drift, the floor check, the force at
- * the new positions, kick.  Returns COINCIDENT, with the positions drifted
- * and the velocities kicked once, when the drift breaches the floor, and
- * RAN_ALL otherwise; dx is then x1 - x2. */
-static inline int verlet_step(const Model *m, double dt, double h2, double floor_,
-                              Pair *p, double *dx)
-{
-    p->v1 += h2 * p->a1;
-    p->v2 += h2 * p->a2;
-    p->x1 += dt * p->v1;
-    p->x2 += dt * p->v2;
-    *dx = p->x1 - p->x2;
-    if (fabs(*dx) < floor_)
-        return COINCIDENT;
-    accel(m, p->x1, p->x2, &p->a1, &p->a2, &p->g1, &p->g2);
-    p->v1 += h2 * p->a1;
-    p->v2 += h2 * p->a2;
-    return RAN_ALL;
-}
-
 /* _run_verlet: velocity Verlet (kick-drift-kick), force reused across steps. */
 SIGNATURE(run_verlet)
 {
@@ -195,9 +259,18 @@ SIGNATURE(run_verlet)
     RETURN(status, steps, p.x1, p.v1, p.x2, p.v2);
 }
 
-/* The number of points run_verlet_lanes advances together.  Two measured
- * faster than one, and three or four no faster than two. */
-enum { LANES = 2 };
+/* What the points of one run_verlet_lanes call share: the model, dt, floor
+ * and exit radius, and the arrays and counter of the batch. */
+typedef struct {
+    Model m;
+    double dt, h2, floor_, exit_radius;
+    const double *starts;
+    const int64_t *nsteps;
+    int64_t npoints;
+    int64_t *next;
+    double *ends;
+    int64_t *counts;
+} Batch;
 
 /* A point in flight in run_verlet_lanes: its index (-1 for a lane left
  * idle), its state and step budget, and run_verlet's running totals, with
@@ -209,44 +282,109 @@ typedef struct {
     Tail tail;
 } Lane;
 
-/* The points' results, as run_verlet's done gives them: ends holds five
+/* L's point's results, as run_verlet's done gives them: ends holds five
  * doubles a point (x1, v1, x2, v2, maxd), counts three int64s (steps, nrec,
  * status). */
-static void lane_done(const Lane *L, int status, double *ends, int64_t *counts)
+static void lane_done(const Lane *L, int status, const Batch *b)
 {
-    int64_t *c = counts + 3 * L->point;
+    int64_t *c = b->counts + 3 * L->point;
     c[2] = done(status, L->steps, L->p.x1, L->p.v1, L->p.x2, L->p.v2, L->maxd, L->nrec,
-                ends + 5 * L->point, c);
+                b->ends + 5 * L->point, c);
 }
 
-/* Give L the next point that takes a step, claimed from the shared counter
- * next; a point that breaches the floor at its start, or has no steps to
- * run, ends at once, as in run_verlet.  L->point is -1 once the points are
- * all claimed. */
-static void lane_start(Lane *L, const Model *m, const double *starts, const int64_t *nsteps,
-                       int64_t npoints, double floor_, int64_t *next,
-                       double *ends, int64_t *counts)
+/* Give L the next point that takes a step, claimed from the shared counter;
+ * a point that breaches the floor at its start, or has no steps to run,
+ * ends at once, as in run_verlet.  L->point is -1 once the points are all
+ * claimed. */
+static void lane_start(Lane *L, const Batch *b)
 {
     for (;;) {
-        L->point = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED);
-        if (L->point >= npoints) {
+        L->point = __atomic_fetch_add(b->next, 1, __ATOMIC_RELAXED);
+        if (L->point >= b->npoints) {
             L->point = -1;
             return;
         }
-        const double *s = starts + 5 * L->point;
+        const double *s = b->starts + 5 * L->point;
         L->p = (Pair){s[0], s[1], s[2], s[3], 0.0, 0.0, 0.0, 0.0};
-        L->tail.e0 = s[4];
-        L->nsteps = nsteps[L->point];
+        L->tail = (Tail){0.0, b->dt, b->exit_radius, s[4], 0, 0, NULL, NULL, NULL, NULL, NULL};
+        L->nsteps = b->nsteps[L->point];
         L->steps = L->nrec = 0;
         L->maxd = 0.0;
-        if (fabs(L->p.x1 - L->p.x2) < floor_) {
-            lane_done(L, COINCIDENT, ends, counts);
+        if (fabs(L->p.x1 - L->p.x2) < b->floor_) {
+            lane_done(L, COINCIDENT, b);
             continue;
         }
-        accel(m, L->p.x1, L->p.x2, &L->p.a1, &L->p.a2, &L->p.g1, &L->p.g2);
+        accel(&b->m, L->p.x1, L->p.x2, &L->p.a1, &L->p.a2, &L->p.g1, &L->p.g2);
         if (L->nsteps > 0)
             return;
-        lane_done(L, RAN_ALL, ends, counts);
+        lane_done(L, RAN_ALL, b);
+    }
+}
+
+static void lane_end(Lane *L, int status, const Batch *b)
+{
+    lane_done(L, status, b);
+    lane_start(L, b);
+}
+
+/* One step of L's point on the scalar verlet_step, as run_verlet takes it. */
+static void lane_step(Lane *L, const Batch *b)
+{
+    double dx;
+    int status = verlet_step(&b->m, b->dt, b->h2, b->floor_, &L->p, &dx);
+    L->steps += 1;
+    if (status == RAN_ALL)
+        status = after_step(&b->m, &L->tail, L->steps, L->p.x1, L->p.v1, L->p.x2,
+                            L->p.v2, dx, L->p.g1, L->p.g2, &L->maxd, &L->nrec);
+    if (status != RAN_ALL || L->steps == L->nsteps)
+        lane_end(L, status, b);
+}
+
+/* Steps of both lanes' points at once, each verlet_step_v2, drift_peak_v2
+ * and leaving_v2, until one of the points ends: it leaves, spends its
+ * budget, or breaches the floor.  A breaching step is taken again from the
+ * state before it, by lane_step in each lane, so that the breaching lane
+ * ends as run_verlet ends and the other takes its step with its force. */
+static void run_packed(Lane *lane, const Batch *b)
+{
+    Lane *L0 = &lane[0], *L1 = &lane[1];
+    Pair_v2 p = {{L0->p.x1, L1->p.x1}, {L0->p.v1, L1->p.v1}, {L0->p.x2, L1->p.x2},
+                 {L0->p.v2, L1->p.v2}, {L0->p.a1, L1->p.a1}, {L0->p.a2, L1->p.a2},
+                 {L0->p.g1, L1->p.g1}, {L0->p.g2, L1->p.g2}};
+    const v2d e0 = {L0->tail.e0, L1->tail.e0};
+    v2d maxd = {L0->maxd, L1->maxd};
+    const int64_t left0 = L0->nsteps - L0->steps, left1 = L1->nsteps - L1->steps;
+    const int64_t left = left0 < left1 ? left0 : left1;
+    v2m exits = {0, 0};
+    int breached = 0;
+    int64_t i = 0;
+    while (i < left) {
+        const Pair_v2 before = p;
+        v2d dx;
+        if (verlet_step_v2(&b->m, b->dt, b->h2, b->floor_, &p, &dx) != RAN_ALL) {
+            p = before;
+            breached = 1;
+            break;
+        }
+        i++;
+        drift_peak_v2(&b->m, e0, dx, p.v1, p.v2, p.g1, p.g2, &maxd);
+        if (b->exit_radius > 0.0) {
+            exits = leaving_v2(b->exit_radius, p.x1, p.v1, p.x2, p.v2);
+            if (any_v2(exits))
+                break;
+        }
+    }
+    for (int j = 0; j < 2; j++) {
+        Lane *L = &lane[j];
+        L->p = (Pair){p.x1[j], p.v1[j], p.x2[j], p.v2[j], p.a1[j], p.a2[j], p.g1[j], p.g2[j]};
+        L->maxd = maxd[j];
+        L->steps += i;
+        if (breached)
+            lane_step(L, b);
+        else if (exits[j])
+            lane_end(L, EXIT, b);
+        else if (L->steps == L->nsteps)
+            lane_end(L, RAN_ALL, b);
     }
 }
 
@@ -255,39 +393,24 @@ static void lane_start(Lane *L, const Model *m, const double *starts, const int6
  * floor and exit radius, with t0 = 0 and no recording; its results go to
  * ends and counts (see lane_done).  Points are claimed one at a time from
  * *next, which callers on other threads may share: every point is run
- * once, by whichever lane is free first. */
+ * once, by whichever of the two lanes is free first.  While both lanes hold
+ * a point, run_packed advances them together; the last point left finishes
+ * alone on lane_step. */
 void run_verlet_lanes(const double *starts, const int64_t *nsteps, int64_t npoints,
                       double dt, double k, double alpha, int64_t n, double A, double beta,
                       double floor_, double exit_radius, int64_t *next,
                       double *ends, int64_t *counts)
 {
-    const Model m = {k, alpha, A, beta, n};
-    const double h2 = 0.5 * dt;
-    Lane lane[LANES];
-    int active = 0;
-    for (int j = 0; j < LANES; j++) {
-        lane[j].tail = (Tail){0.0, dt, exit_radius, 0.0, 0, 0, NULL, NULL, NULL, NULL, NULL};
-        lane_start(&lane[j], &m, starts, nsteps, npoints, floor_, next, ends, counts);
-        active += lane[j].point >= 0;
-    }
-    while (active > 0) {
-        for (int j = 0; j < LANES; j++) {
-            Lane *L = &lane[j];
-            if (L->point < 0)
-                continue;
-            double dx;
-            int status = verlet_step(&m, dt, h2, floor_, &L->p, &dx);
-            L->steps += 1;
-            if (status == RAN_ALL)
-                status = after_step(&m, &L->tail, L->steps, L->p.x1, L->p.v1, L->p.x2,
-                                    L->p.v2, dx, L->p.g1, L->p.g2, &L->maxd, &L->nrec);
-            if (status != RAN_ALL || L->steps == L->nsteps) {
-                lane_done(L, status, ends, counts);
-                lane_start(L, &m, starts, nsteps, npoints, floor_, next, ends, counts);
-                active -= L->point < 0;
-            }
-        }
-    }
+    const Batch b = {{k, alpha, A, beta, n}, dt, 0.5 * dt, floor_, exit_radius,
+                     starts, nsteps, npoints, next, ends, counts};
+    Lane lane[2];
+    lane_start(&lane[0], &b);
+    lane_start(&lane[1], &b);
+    while (lane[0].point >= 0 && lane[1].point >= 0)
+        run_packed(lane, &b);
+    for (int j = 0; j < 2; j++)
+        while (lane[j].point >= 0)
+            lane_step(&lane[j], &b);
 }
 
 /* A stage of _run_rk4: the floor check on its positions, then its force. */

@@ -34,18 +34,24 @@ Each formula has one home:
   force   _accel.  dynamics.accelerations is the floor check plus _accel;
           linearized.in_well_equilibrium_separation bisects it.
   step    _run_verlet and _run_rk4, which take the same 21 arguments and
-          return the same 8-tuple as their C wrappers.  In C, verlet_step
-          is the one Verlet step, of run_verlet and of run_verlet_lanes.
-  batch   run_batch, many runs of one scalar runner at once: what the
-          runner returns for each run, on threads over C and on forked
-          processes over the Python reference, which holds the GIL.  C's
-          Verlet runs go to _run_verlet_lanes, with the addresses of the
-          arrays run_batch packs them into (starts, budgets, ends, counts
-          and one counter); its threads claim the runs from that counter
-          and advance two at a time in one loop, each with _run_verlet's
-          operations in their order.  Any other runner is called once per
-          run by threads that claim the runs under one lock (two RK4 lanes
-          in one loop measured slower than one).
+          return the same 8-tuple as their C wrappers.  In C, the force,
+          energy and Verlet step are written once (STEP_FUNCTIONS) for a
+          double and for a vector of two, one per lane.
+  batch   run_batch, many runs of one scalar runner that record nothing:
+          what the runner returns for each run, on threads over C and on
+          forked processes over the Python reference, which holds the GIL.
+          C's Verlet runs go to _run_verlet_lanes, one call per group of
+          runs that share dt, model, floor and exit radius, with the
+          addresses of the arrays run_batch packs them into (starts,
+          budgets, ends, counts and one counter).  Its threads claim the
+          runs from that counter, two lanes each: while both hold a run,
+          one packed step advances both in SSE2 vectors of two doubles,
+          each lane with _run_verlet's operations in their order and exp
+          called per lane; a step that breaches the floor is taken again
+          on the scalar step, and the last run left finishes alone on it.
+          Any other runner is called once per run by threads that claim
+          the runs under one lock (two RK4 lanes in one loop measured
+          slower than one).
   energy  pair_energy, used by dynamics.total_energy, by derived_column and
           by the tail.  In C it is the static pair_energy, which after_step
           and derived_column call; parity tests pin both to the Python
@@ -332,16 +338,24 @@ def _run_rk4(
 
 
 def run_batch(runner, runs, workers) -> list:
-    """[runner(*args) for args in runs], for runs of one scalar runner that
-    record nothing and share one model, dt, floor and exit radius, on up to
-    workers threads or processes at once, this thread included.
+    """[runner(*args) for args in runs], for runs of one scalar runner, on up
+    to workers threads or processes at once, this thread included.
+
+    Precondition: no run records.  A run whose rec_stride is > 0 raises
+    ValueError before any run starts.
 
     Over the Python reference the runs go to forked processes, since the
     reference holds the GIL.  Over C the runs of _run_verlet go to
-    _run_verlet_lanes on threads that claim them from one counter, and any
-    other runner's are claimed one at a time by threads under one lock.
-    An empty batch starts no thread or process.
+    _run_verlet_lanes, one call per group of runs that share dt, k, alpha,
+    n, A, beta, floor and exit radius (by their bits, groups in first-seen
+    order): threads claim the group's runs from one counter, and each
+    thread's two lanes advance in one SSE2 vector step while both hold a run
+    and on the scalar step when one is left.  Any other runner's runs are
+    claimed one at a time by threads under one lock.  An empty batch starts
+    no thread or process.
     """
+    if any(args[15] > 0 for args in runs):
+        raise ValueError("run_batch runs record nothing: every rec_stride must be <= 0")
     if not runs:
         return []
     workers = min(workers, len(runs))
@@ -356,37 +370,22 @@ def run_batch(runner, runs, workers) -> list:
             # the recording buffers are empty memoryviews, which do not pickle
             return list(pool.map(functools.partial(_unrecorded, runner),
                                  [args[:16] for args in runs]))
-    import threading  # only a batch starts threads
-
-    def on_threads(work):
-        helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-        for thread in helpers:
-            thread.start()
-        work()
-        for thread in helpers:
-            thread.join()
-
     if runner is _run_verlet:
         from array import array
 
-        # run i starts from starts[5i:5i + 5] = (x1, v1, x2, v2, e0) with a
-        # budget of nsteps[i] steps, and C writes its (x1, v1, x2, v2,
-        # max_abs_drift) to ends[5i:5i + 5] and its (steps, nrec, status) to
-        # counts[3i:3i + 3]; this batch's threads claim the runs from counter
-        starts, nsteps = array("d"), array("q")
-        for x1, v1, x2, v2, _, _, budget, *_, e0, _ in (args[:16] for args in runs):
-            starts.extend((x1, v1, x2, v2, e0))
-            nsteps.append(budget)
-        ends, counts = array("d", bytes(40 * len(runs))), array("q", bytes(24 * len(runs)))
-        counter = array("q", [0])
-        starts_at, nsteps_at, counter_at, ends_at, counts_at = (
-            a.buffer_info()[0] for a in (starts, nsteps, counter, ends, counts))
-        _, _, _, _, _, dt, _, k, alpha, n, A, beta, floor, exit_radius = runs[0][:14]
-        on_threads(lambda: _run_verlet_lanes(starts_at, nsteps_at, len(runs), dt, k, alpha, n,
-                                             A, beta, floor, exit_radius,
-                                             counter_at, ends_at, counts_at))
-        return [(counts[3 * i + 2], counts[3 * i], *ends[5 * i:5 * i + 5], counts[3 * i + 1])
-                for i in range(len(runs))]
+        groups = {}  # what a group's runs share, as bits: their indices in runs
+        for i, (*_, dt, _, k, alpha, n, A, beta, floor, exit_radius) in enumerate(
+                args[:14] for args in runs):
+            shared = array("d", (dt, k, alpha, A, beta, floor, exit_radius)).tobytes(), n
+            groups.setdefault(shared, []).append(i)
+        results = [None] * len(runs)
+        for indices in groups.values():
+            group = [runs[i] for i in indices]
+            for i, result in zip(indices, _lanes(group, min(workers, len(group)))):
+                results[i] = result
+        return results
+
+    import threading
 
     results = [None] * len(runs)
     claim, unclaimed = threading.Lock(), iter(range(len(runs)))
@@ -399,8 +398,45 @@ def run_batch(runner, runs, workers) -> list:
                 return
             results[i] = runner(*runs[i])
 
-    on_threads(claim_and_run)
+    _on_threads(claim_and_run, workers)
     return results
+
+
+def _on_threads(work, count):
+    """work() on this thread and on count - 1 started threads at once."""
+    import threading  # only a batch starts threads
+
+    helpers = [threading.Thread(target=work) for _ in range(count - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+
+
+def _lanes(runs, workers) -> list:
+    """_run_verlet's result for each of runs, which share their dt, model,
+    floor and exit radius, from _run_verlet_lanes on workers threads."""
+    from array import array
+
+    # run i starts from starts[5i:5i + 5] = (x1, v1, x2, v2, e0) with a budget
+    # of nsteps[i] steps, and C writes its (x1, v1, x2, v2, max_abs_drift) to
+    # ends[5i:5i + 5] and its (steps, nrec, status) to counts[3i:3i + 3]; the
+    # threads claim the runs from counter
+    starts, nsteps = array("d"), array("q")
+    for x1, v1, x2, v2, _, _, budget, *_, e0, _ in (args[:16] for args in runs):
+        starts.extend((x1, v1, x2, v2, e0))
+        nsteps.append(budget)
+    ends, counts = array("d", bytes(40 * len(runs))), array("q", bytes(24 * len(runs)))
+    counter = array("q", [0])
+    starts_at, nsteps_at, counter_at, ends_at, counts_at = (
+        a.buffer_info()[0] for a in (starts, nsteps, counter, ends, counts))
+    _, _, _, _, _, dt, _, k, alpha, n, A, beta, floor, exit_radius = runs[0][:14]
+    _on_threads(lambda: _run_verlet_lanes(starts_at, nsteps_at, len(runs), dt, k, alpha, n,
+                                          A, beta, floor, exit_radius,
+                                          counter_at, ends_at, counts_at), workers)
+    return [(counts[3 * i + 2], counts[3 * i], *ends[5 * i:5 * i + 5], counts[3 * i + 1])
+            for i in range(len(runs))]
 
 
 def _unrecorded(runner, args):

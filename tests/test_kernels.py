@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from kinktrap import IntegratorConfig, ModelParams, Scenario, _kernels, cli, integrator
+from kinktrap.dynamics import MAX_EXPONENT
 from kinktrap.scattering import initial_state
 from kinktrap.sweep import DIVERGENCE_SCALE, divergence, sensitivity
 
@@ -244,14 +245,16 @@ def test_a_wrong_recording_buffer_raises(c_backend, scheme, bad):
         getattr(_kernels, RUNNERS[scheme])(*args, good, good, bad, good, good)
 
 
-def _batch(rng, npoints, exit_radius=None):
+def _batch(rng, npoints, exit_radius=None, **model):
     """A random batch: the shared model, dt, floor and exit radius as in
-    _scenario, and per run a launch, a step budget and its e0; a quarter of
+    _scenario, with any of k, alpha, n, A and beta given in model instead
+    of drawn, and per run a launch, a step budget and its e0; a quarter of
     the runs come at each other head-on, so that some breach the floor.
     Returns each run's 21 runner arguments, recording nothing, as integrate
     passes them."""
-    k, alpha = rng.uniform(0.5, 2.0), rng.uniform(1e-6, 2.0)
-    n, A, beta = rng.randint(1, 4), rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.0)
+    drawn = {"k": rng.uniform(0.5, 2.0), "alpha": rng.uniform(1e-6, 2.0),
+             "n": rng.randint(1, 4), "A": rng.uniform(-1.0, 3.0), "beta": rng.uniform(0.1, 2.0)}
+    k, alpha, n, A, beta = {**drawn, **model}.values()
     dt = rng.uniform(1e-3, 2e-2)
     floor = rng.choice((1e-12, 1e-3, 0.05))
     if exit_radius is None:
@@ -301,14 +304,24 @@ def test_random_batches_match_the_scalar_runner_bit_for_bit(c_backend, exit_radi
         assert (_kernels.STATUS_RAN_ALL, False) in seen  # a run with no steps
 
 
+def _runs(launches, p=ModelParams(), dt=1e-3, floor=0.05, exit_radius=2.0):
+    """Each launch (x1, v1, x2, v2, budget) as its run's 21 runner arguments
+    under model p, with its e0 and recording nothing."""
+    runs = []
+    for x1, v1, x2, v2, budget in launches:
+        g1, g2 = math.exp(-p.beta * x1 * x1), math.exp(-p.beta * x2 * x2)
+        e0 = _kernels.pair_energy(x1 - x2, v1, v2, g1, g2, p.k, p.alpha, p.n, p.A)
+        runs.append((x1, v1, x2, v2, 0.0, dt, budget, p.k, p.alpha, p.n, p.A, p.beta,
+                     floor, exit_radius, e0, 0, *_kernels.float_buffers(5, 0)))
+    return runs
+
+
 def test_lanes_that_end_at_different_steps_match_the_scalar_runner(c_backend):
     """One batch whose runs end every way, each at its own step: an exit,
     a breach mid-run, a spent budget, a breach before the first step, no
     steps, and a long run that outlasts them, so that C's lanes refill while
     the other lane is mid-run.  Both schemes end each run at the same step."""
-    p = ModelParams()
-    floor, exit_radius, dt = 0.05, 2.0, 1e-3
-    launches = [
+    runs = _runs([
         (0.5, 2.0, 1.5, 2.0, 2000),       # exits to the right at step 577
         (-0.5, 50.0, 0.5, -50.0, 2000),   # head-on: breaches the floor at step 10
         (-0.5, 0.1, 0.5, 0.1, 37),        # spends its 37 steps
@@ -316,18 +329,106 @@ def test_lanes_that_end_at_different_steps_match_the_scalar_runner(c_backend):
         (-1.0, 0.0, 0.0, 0.0, 0),         # no steps
         (-0.7, 0.0, 0.3, 0.0, 3000),      # runs its whole budget
         (-2.0, -2.5, -1.0, -2.5, 2500),   # exits to the left at step 206
-    ]
-    runs = []
-    for x1, v1, x2, v2, budget in launches:
-        g1, g2 = math.exp(-p.beta * x1 * x1), math.exp(-p.beta * x2 * x2)
-        e0 = _kernels.pair_energy(x1 - x2, v1, v2, g1, g2, p.k, p.alpha, p.n, p.A)
-        runs.append((x1, v1, x2, v2, 0.0, dt, budget, p.k, p.alpha, p.n, p.A, p.beta,
-                     floor, exit_radius, e0, 0, *_kernels.float_buffers(5, 0)))
+    ])
     for name in RUNNERS.values():
         for workers in (1, 2):
             results = _batch_results(getattr(_kernels, name), runs, workers)
             assert [(status, steps) for status, steps, *_ in results] == \
                 [(1, 577), (2, 10), (0, 37), (2, 0), (0, 0), (0, 3000), (1, 206)]
+
+
+# Launches under _runs' defaults that each end at step 10, each their own way.
+EXITS_RIGHT = (1.481, 2.0, 2.481, 2.0, 2000)
+EXITS_LEFT = (-2.481, -2.0, -1.481, -2.0, 2000)
+BREACHES = (-0.5, 50.0, 0.5, -50.0, 2000)
+BREACHES_TOO = (-0.6, 60.0, 0.4, -40.0, 2000)
+SPENDS = (-0.5, 0.1, 0.5, 0.1, 10)
+
+
+@pytest.mark.parametrize("pair, ends", [
+    ((EXITS_RIGHT, EXITS_LEFT), (1, 1)),
+    ((BREACHES, BREACHES_TOO), (2, 2)),
+    ((BREACHES, EXITS_RIGHT), (2, 1)),
+    ((EXITS_LEFT, BREACHES_TOO), (1, 2)),
+    ((BREACHES, SPENDS), (2, 0)),
+    ((SPENDS, EXITS_LEFT), (0, 1)),
+], ids=["both-exit", "both-breach", "breach-exit", "exit-breach", "breach-spent",
+        "spent-exit"])
+def test_two_lanes_that_end_at_one_step_match_the_scalar_runner(c_backend, pair, ends):
+    """On one thread the first two runs of a batch share a packed step, and
+    here both end at step 10: they both exit, both breach the floor, or one
+    of them breaches (so that the step is taken again on the scalar step in
+    each lane) while the other exits or spends its budget.  A third run
+    then takes the first lane freed, and two threads split the runs."""
+    runs = _runs([*pair, (-0.7, 0.0, 0.3, 0.0, 300)])
+    for name in RUNNERS.values():
+        for workers in (1, 2):
+            results = _batch_results(getattr(_kernels, name), runs, workers)
+            assert [(status, steps) for status, steps, *_ in results] == \
+                [(ends[0], 10), (ends[1], 10), (0, 300)]
+
+
+@pytest.mark.parametrize("launches", [
+    [(-0.7, 0.0, 0.3, 0.0, 3000)],
+    [(-0.5, 0.1, 0.5, 0.1, 37), (0.5, 2.0, 1.5, 2.0, 2000), (-0.7, 0.0, 0.3, 0.0, 3000)],
+], ids=["one-run", "tail-of-three"])
+def test_a_lone_lane_finishes_its_run_on_the_scalar_step(c_backend, launches):
+    """A one-run batch runs alone from its first step.  In the batch of
+    three on one thread, the long run takes the first lane at step 37, is
+    left alone once the exit at step 577 frees the other lane, and finishes
+    alone; on two threads each thread ends on a lone lane."""
+    runs = _runs(launches)
+    for name in RUNNERS.values():
+        for workers in (1, 2):
+            results = _batch_results(getattr(_kernels, name), runs, workers)
+            assert results[-1][:2] == (0, 3000)
+
+
+@pytest.mark.parametrize("model", [{"n": 1}, {"n": MAX_EXPONENT}, {"A": 0.0}],
+                         ids=["n=1", "n=max", "A=0"])
+def test_batches_at_the_edges_of_the_model_match_the_scalar_runner(c_backend, model):
+    """The lowest and highest repulsion exponents, whose power loops run 3
+    and MAX_EXPONENT + 2 products packed, and a model with no well."""
+    rng = random.Random(20261021)
+    for _ in range(8):
+        runs = _batch(rng, rng.randint(2, 9), **model)
+        for name in RUNNERS.values():
+            _batch_results(getattr(_kernels, name), runs, rng.choice((1, 2)))
+
+
+def test_a_mixed_batch_gives_each_run_its_own_model_and_dt(c_backend, monkeypatch):
+    """Runs at A = 2 and A = 0, each at dt and dt/2, interleaved in one batch:
+    each gets the scalar runner's result in its place, on threads and on
+    the forked workers, and the four kinds differ in their results."""
+    launches = [(-1.0, 0.3, 0.0, 0.3, 3000), (0.5, 2.0, 1.5, 2.0, 2000), BREACHES,
+                (-0.7, 0.0, 0.3, 0.0, 1500)]
+    kinds = [_runs(launches, ModelParams(A=A), dt) for A in (2.0, 0.0) for dt in (1e-3, 5e-4)]
+    runs = [kind[i] for i in range(len(launches)) for kind in kinds]
+    for name in RUNNERS.values():
+        for workers in (1, 2):
+            results = _batch_results(getattr(_kernels, name), runs, workers)
+            assert len(set(results[:4])) == 4
+    monkeypatch.setattr(_kernels, "BACKEND", "python")
+    for name in RUNNERS.values():
+        runner = getattr(_kernels, name)
+        assert _kernels.run_batch(runner, runs, 2) == [runner(*args) for args in runs]
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("scheme", RUNNERS)
+def test_a_batch_refuses_a_run_that_records(monkeypatch, backend, scheme):
+    """A run with rec_stride > 0 fails the whole batch before any run,
+    thread or pool starts, on either backend."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused batch started a thread or a pool")
+
+    runs = _batch(random.Random(3), 3)
+    recorded = (*runs[1][:15], 1000, *_kernels.float_buffers(5, 50))
+    monkeypatch.setattr(_kernels, "BACKEND", backend)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    with pytest.raises(ValueError, match="rec_stride"):
+        _kernels.run_batch(getattr(_kernels, RUNNERS[scheme]), [runs[0], recorded, runs[2]], 2)
 
 
 @pytest.mark.parametrize("threads", [3, 4])
@@ -715,6 +816,15 @@ def test_the_build_is_cached_under_a_key_of_the_source(c_backend, tmp_path):
     source.write_text(source.read_text() + "/* edited */\n")
     assert _kernels._load(str(source), str(cache)) is not None
     assert len(list(cache.iterdir())) == 2
+
+
+def test_the_build_flags_keep_ieee_double_arithmetic():
+    """No contraction into FMA and no flag that lets gcc reassociate, turn on
+    FMA or widen the vectors: the packed lanes' SSE2 steps, like the scalar
+    ones, must round each operation as the Python reference does."""
+    assert "-ffp-contract=off" in _kernels._FLAGS
+    assert [flag for flag in _kernels._FLAGS
+            if flag.startswith(("-march", "-mavx", "-mfma", "-ffast-math", "-Ofast"))] == []
 
 
 def test_the_source_compiles_without_a_warning(tmp_path):
