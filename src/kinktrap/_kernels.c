@@ -19,24 +19,10 @@
  * format_rows writes each float as the bytes of Python's repr: the shortest
  * digits that read back to the same double, found with Ryu (U. Adams, "Ryu:
  * fast float-to-string conversion", PLDI 2018), laid out as repr lays them out.
- * The digits go straight into the caller's buffer, in the 8-, 4- and 2-digit
- * groups of Ryu's d2s; only cells near the end of the buffer are formatted
- * aside first, so that nothing is written past its capacity.
  *
  * run_verlet_lanes runs the points of a batch as run_verlet runs each one,
- * two at a time in one loop.  While both of its lanes hold a point, one step
- * advances both in SSE2 vectors of two doubles (GCC's vector extensions;
- * SSE2 is the x86-64 baseline, so the flags stay as they are): kick, drift,
- * the floor test, the power loop, the divide, the force, the energy, the
- * drift peak and the exit test run packed, two lanes per instruction, and
- * exp is libm's, called once per lane and coordinate.  The force, energy and step
- * are written once, in STEP_FUNCTIONS, for double and for the vector, so
- * each lane does run_verlet's operations in run_verlet's order and each
- * point's results are run_verlet's bit for bit.  A step whose drift breaches
- * the floor in either lane is taken again on the scalar verlet_step in each
- * lane, so no force is taken below the floor, and the last point left
- * finishes alone on the scalar step.  Threads share a batch through a
- * counter that the caller owns, and the library keeps no state.
+ * on two lanes per thread that advance together in SSE2 vectors while both
+ * hold a point; its comment says how each point keeps run_verlet's bits.
  *
  * The five functions without static are the library's whole interface:
  * _kernels.py binds each of them, and nothing else.
@@ -392,10 +378,20 @@ static void run_packed(Lane *lane, const Batch *b)
  * = (x1, v1, x2, v2, e0) for nsteps[i] steps under the shared model, dt,
  * floor and exit radius, with t0 = 0 and no recording; its results go to
  * ends and counts (see lane_done).  Points are claimed one at a time from
- * *next, which callers on other threads may share: every point is run
- * once, by whichever of the two lanes is free first.  While both lanes hold
- * a point, run_packed advances them together; the last point left finishes
- * alone on lane_step. */
+ * *next, which the caller owns (the library keeps no state) and callers on
+ * other threads may share: every point is run once, by whichever of the two
+ * lanes is free first.
+ * While both lanes hold a point, run_packed advances them together in SSE2
+ * vectors of two doubles (GCC's vector extensions; SSE2 is the x86-64
+ * baseline, so the flags stay as they are): kick, drift, the floor test,
+ * the power loop, the divide, the force, the energy, the drift peak and the
+ * exit test run packed, and exp is libm's, called once per lane and
+ * coordinate.  STEP_FUNCTIONS writes them once for double and for the
+ * vector, so each lane does run_verlet's operations in run_verlet's order
+ * and each point's results are run_verlet's bit for bit.  A step that
+ * breaches the floor in either lane is taken again on the scalar step in
+ * each (see run_packed), so no force is taken below the floor, and the last
+ * point left finishes alone on lane_step. */
 void run_verlet_lanes(const double *starts, const int64_t *nsteps, int64_t npoints,
                       double dt, double k, double alpha, int64_t n, double A, double beta,
                       double floor_, double exit_radius, int64_t *next,
@@ -463,32 +459,23 @@ SIGNATURE(run_rk4)
 }
 
 /* derived_column: at each of len recorded states, the column DERIVED[which]
- * into out: R, V, r or w (cm_coordinates) for which 0 to 3, and for 4 E
- * (pair_energy), whose Gaussian factors come from exp as in the runners. */
+ * into out: cm_coordinates' R, V, r and w for which 0 to 3, indexed as the
+ * reference indexes its tuple, and for any other which E (pair_energy),
+ * whose Gaussian factors come from exp as in the runners. */
 void derived_column(const double *x1, const double *v1, const double *x2, const double *v2,
                     int64_t len, double k, double alpha, int64_t n, double A, double beta,
                     int64_t which, double *out)
 {
     const Model m = {k, alpha, A, beta, n};
     for (int64_t i = 0; i < len; i++) {
-        switch (which) {
-        case 0:
-            out[i] = 0.5 * (x1[i] + x2[i]);
-            break;
-        case 1:
-            out[i] = 0.5 * (v1[i] + v2[i]);
-            break;
-        case 2:
-            out[i] = 0.5 * (x2[i] - x1[i]);
-            break;
-        case 3:
-            out[i] = 0.5 * (v2[i] - v1[i]);
-            break;
-        default: {
+        if ((uint64_t)which < 4) {
+            const double cm[4] = {0.5 * (x1[i] + x2[i]), 0.5 * (v1[i] + v2[i]),
+                                  0.5 * (x2[i] - x1[i]), 0.5 * (v2[i] - v1[i])};
+            out[i] = cm[which];
+        } else {
             double g1 = exp(-beta * x1[i] * x1[i]);
             double g2 = exp(-beta * x2[i] * x2[i]);
             out[i] = pair_energy(&m, x1[i] - x2[i], v1[i], v2[i], g1, g2);
-        }
         }
     }
 }
@@ -785,28 +772,23 @@ static int format_double(char *out, double x, const uint64_t *pow5_inv, const ui
     return (int)(p - out);
 }
 
+/* The most a cell takes: the longest repr of a double,
+ * "-2.2250738585072014e-308", and the ',' or '\n' after it. */
+enum { CELL_BYTES = 25 };
+
 /* format_rows: rows start..stop of the ncols columns as CSV text, cells
  * joined by ',' and each row ended by '\n', into buf.  Returns the number of
- * bytes written, or -1, having written nothing past buf + cap, when the text
- * does not fit.  A cell is formatted in place while a whole cell fits in
- * what is left, and through cell, then copied if it fits, near cap. */
+ * bytes written, or -1, having written nothing, when cap is short of
+ * CELL_BYTES a cell: with that room every cell is formatted in place. */
 int64_t format_rows(const double *const *cols, int64_t ncols, int64_t start, int64_t stop,
                     const uint64_t *pow5_inv, const uint64_t *pow5, char *buf, int64_t cap)
 {
-    char cell[32];
+    if (ncols > 0 && stop - start > cap / CELL_BYTES / ncols)  /* divides: no overflow */
+        return -1;
     int64_t pos = 0;
     for (int64_t i = start; i < stop; i++) {
         for (int64_t j = 0; j < ncols; j++) {
-            int len;
-            if (cap - pos >= (int64_t)sizeof cell) {
-                len = format_double(buf + pos, cols[j][i], pow5_inv, pow5);
-            } else {
-                len = format_double(cell, cols[j][i], pow5_inv, pow5);
-                if (len + 1 > cap - pos)
-                    return -1;
-                memcpy(buf + pos, cell, len);
-            }
-            pos += len;
+            pos += format_double(buf + pos, cols[j][i], pow5_inv, pow5);
             buf[pos++] = j + 1 < ncols ? ',' : '\n';
         }
     }

@@ -37,21 +37,11 @@ Each formula has one home:
           return the same 8-tuple as their C wrappers.  In C, the force,
           energy and Verlet step are written once (STEP_FUNCTIONS) for a
           double and for a vector of two, one per lane.
-  batch   run_batch, many runs of one scalar runner that record nothing:
-          what the runner returns for each run, on threads over C and on
-          forked processes over the Python reference, which holds the GIL.
-          C's Verlet runs go to _run_verlet_lanes, one call per group of
-          runs that share dt, model, floor and exit radius, with the
-          addresses of the arrays run_batch packs them into (starts,
-          budgets, ends, counts and one counter).  Its threads claim the
-          runs from that counter, two lanes each: while both hold a run,
-          one packed step advances both in SSE2 vectors of two doubles,
-          each lane with _run_verlet's operations in their order and exp
-          called per lane; a step that breaches the floor is taken again
-          on the scalar step, and the last run left finishes alone on it.
-          Any other runner is called once per run by threads that claim
-          the runs under one lock (two RK4 lanes in one loop measured
-          slower than one).
+  batch   run_batch, many runs of one scalar runner that record nothing,
+          on threads over C and on forked processes over the Python
+          reference, which holds the GIL; its docstring says how the runs
+          are shared out, and run_verlet_lanes's comment in _kernels.c how
+          C's Verlet runs advance two at a time.
   energy  pair_energy, used by dynamics.total_energy, by derived_column and
           by the tail.  In C it is the static pair_energy, which after_step
           and derived_column call; parity tests pin both to the Python
@@ -61,9 +51,10 @@ Each formula has one home:
   column  derived_column, what a trajectory derives from its recorded
           states: one named column of DERIVED (R, V, r, w or E), from
           cm_coordinates or pair_energy of each state (integrator.Trajectory
-          asks for a column on its first read).  In C its loop spells out
-          the coordinate that C's which index names; a parity test pins
-          each of the five to the Python loop bit for bit.
+          asks for a column on its first read).  In C, which indexes the
+          four coordinates, built as cm_coordinates builds them, and any
+          other which gives E; a parity test pins each of the five to the
+          Python loop bit for bit.
   tail    _tail, the bookkeeping both runners do after a completed step:
           the drift peak, the recording test and the exit test.  after_step
           and done in _kernels.c mirror its two closures.
@@ -71,11 +62,13 @@ Each formula has one home:
           bytes: repr of each cell.  The C copy finds the shortest
           round-trip digits with Ryu (U. Adams, PLDI 2018), ties to even,
           and writes them as repr lays them out straight into its buffer,
-          which it returns as a read-only memoryview; the reference returns
-          bytes.  Its 128-bit power-of-5 tables are computed exactly from
-          Python ints by _ryu_tables on the first call and passed in.  A
-          tier-1 test compares it with repr on a million random doubles and
-          the edge cases.
+          whose capacity it checks once, against _CELL_BYTES a cell, the
+          size the wrapper allocates.  The wrapper returns a read-only
+          memoryview of it; the reference returns bytes.  Its 128-bit
+          power-of-5 tables are computed exactly from Python ints by
+          _ryu_tables on the first call and passed in.  A tier-1 test
+          compares it with repr on a million random doubles and the edge
+          cases.
 
 Buffers: every column C reads or writes is a 1-D float64 buffer, any object
 with the buffer protocol and memoryview format 'd': a numpy array, or a
@@ -351,8 +344,9 @@ def run_batch(runner, runs, workers) -> list:
     order): threads claim the group's runs from one counter, and each
     thread's two lanes advance in one SSE2 vector step while both hold a run
     and on the scalar step when one is left.  Any other runner's runs are
-    claimed one at a time by threads under one lock.  An empty batch starts
-    no thread or process.
+    claimed one at a time by threads under one lock (two RK4 lanes in one
+    loop measured slower than one).  An empty batch starts no thread or
+    process.
     """
     if any(args[15] > 0 for args in runs):
         raise ValueError("run_batch runs record nothing: every rec_stride must be <= 0")
@@ -594,7 +588,8 @@ def _c_derived_column(fn):
 
 
 # The longest repr of a float64 ("-2.2250738585072014e-308") is 24 bytes; a
-# cell adds its ',' or newline.
+# cell adds its ',' or newline.  _kernels.c holds the same bound as
+# CELL_BYTES, and its format_rows refuses a buffer of fewer bytes a cell.
 _CELL_BYTES = 25
 
 

@@ -151,7 +151,7 @@ def load_config(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     values: dict = {}
     for lineno, line in enumerate(lines, start=1):

@@ -112,6 +112,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.cfg"), "sweep")
 
+    def test_a_file_that_is_not_utf8_names_its_path(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfek = 2\n")
+        code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read config file {str(cfg)!r}: 'utf-8' codec ")
+
     def test_a_key_of_another_subcommand_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 1.0\nseed_delta = 1e-3\n")
@@ -839,10 +846,22 @@ NUMBER_WORDS = ["zero", "one", "two", "three", "four", "five", "six", "seven", "
 
 class TestReadme:
     @staticmethod
-    def command_line():
+    def text():
+        return (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    @classmethod
+    def command_line(cls):
         """The "Command line" section of the README, up to the next section."""
-        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        return text.split("\n## Command line\n")[1].split("\n## ")[0]
+        return cls.text().split("\n## Command line\n")[1].split("\n## ")[0]
+
+    def test_the_fallback_command_runs_every_test_file_but_acceptance(self):
+        """The no-gcc pytest command names each tests/test_*.py but
+        test_acceptance.py, so that a new test file cannot drop out of it."""
+        [command] = re.findall(r"^    env PATH=<dir without gcc> .*?(?=\n\n)", self.text(),
+                               re.M | re.S)
+        named = re.findall(r"tests/(test_\w+\.py)", command)
+        files = sorted(path.name for path in Path(__file__).resolve().parent.glob("test_*.py"))
+        assert sorted(named) == [name for name in files if name != "test_acceptance.py"]
 
     def test_the_subcommands_are_those_of_the_parser(self):
         """The count in 'One executable, N subcommands' and the subcommands

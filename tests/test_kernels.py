@@ -304,14 +304,14 @@ def test_random_batches_match_the_scalar_runner_bit_for_bit(c_backend, exit_radi
         assert (_kernels.STATUS_RAN_ALL, False) in seen  # a run with no steps
 
 
-def _runs(launches, p=ModelParams(), dt=1e-3, floor=0.05, exit_radius=2.0):
+def _runs(launches, p=ModelParams(), dt=1e-3, floor=0.05, exit_radius=2.0, t0=0.0):
     """Each launch (x1, v1, x2, v2, budget) as its run's 21 runner arguments
-    under model p, with its e0 and recording nothing."""
+    under model p, from time t0, with its e0 and recording nothing."""
     runs = []
     for x1, v1, x2, v2, budget in launches:
         g1, g2 = math.exp(-p.beta * x1 * x1), math.exp(-p.beta * x2 * x2)
         e0 = _kernels.pair_energy(x1 - x2, v1, v2, g1, g2, p.k, p.alpha, p.n, p.A)
-        runs.append((x1, v1, x2, v2, 0.0, dt, budget, p.k, p.alpha, p.n, p.A, p.beta,
+        runs.append((x1, v1, x2, v2, t0, dt, budget, p.k, p.alpha, p.n, p.A, p.beta,
                      floor, exit_radius, e0, 0, *_kernels.float_buffers(5, 0)))
     return runs
 
@@ -320,8 +320,10 @@ def test_lanes_that_end_at_different_steps_match_the_scalar_runner(c_backend):
     """One batch whose runs end every way, each at its own step: an exit,
     a breach mid-run, a spent budget, a breach before the first step, no
     steps, and a long run that outlasts them, so that C's lanes refill while
-    the other lane is mid-run.  Both schemes end each run at the same step."""
-    runs = _runs([
+    the other lane is mid-run.  Both schemes end each run at the same step,
+    also for runs continued from t0 = 5000 as a Trapped run is continued
+    from t_max: C's lanes take no t0, since they record nothing."""
+    launches = [
         (0.5, 2.0, 1.5, 2.0, 2000),       # exits to the right at step 577
         (-0.5, 50.0, 0.5, -50.0, 2000),   # head-on: breaches the floor at step 10
         (-0.5, 0.1, 0.5, 0.1, 37),        # spends its 37 steps
@@ -329,12 +331,14 @@ def test_lanes_that_end_at_different_steps_match_the_scalar_runner(c_backend):
         (-1.0, 0.0, 0.0, 0.0, 0),         # no steps
         (-0.7, 0.0, 0.3, 0.0, 3000),      # runs its whole budget
         (-2.0, -2.5, -1.0, -2.5, 2500),   # exits to the left at step 206
-    ])
-    for name in RUNNERS.values():
-        for workers in (1, 2):
-            results = _batch_results(getattr(_kernels, name), runs, workers)
-            assert [(status, steps) for status, steps, *_ in results] == \
-                [(1, 577), (2, 10), (0, 37), (2, 0), (0, 0), (0, 3000), (1, 206)]
+    ]
+    for t0 in (0.0, 5000.0):
+        runs = _runs(launches, t0=t0)
+        for name in RUNNERS.values():
+            for workers in (1, 2):
+                results = _batch_results(getattr(_kernels, name), runs, workers)
+                assert [(status, steps) for status, steps, *_ in results] == \
+                    [(1, 577), (2, 10), (0, 37), (2, 0), (0, 0), (0, 3000), (1, 206)]
 
 
 # Launches under _runs' defaults that each end at step 10, each their own way.
@@ -570,10 +574,12 @@ def test_format_rows_writes_the_bytes_of_repr_on_edge_values(c_backend):
 
 
 def test_format_rows_writes_nothing_past_its_capacity(c_backend):
-    """At every capacity up to the length of the text, through the switch
-    from cells written in place to cells written near the end: a buffer too
-    short for the text makes C return -1, and the bytes after the capacity
-    it was given stay as they were."""
+    """C checks its capacity once, against _CELL_BYTES a cell, the size the
+    wrapper allocates: at every capacity below that bound, one byte below
+    included, it returns -1 and writes nothing, and at the bound and above
+    it writes the reference text, the longest repr of each length from 3 to
+    24 bytes among its cells.  At every capacity the bytes past it stay as
+    they were."""
     by_length = {len(repr(v)): v for v in np.concatenate([EDGE_VALUES, -EDGE_VALUES]).tolist()}
     assert set(range(3, 25)) <= set(by_length)
     cells = [by_length[n] for n in range(3, 25)]
@@ -582,15 +588,16 @@ def test_format_rows_writes_nothing_past_its_capacity(c_backend):
     text = _kernels.format_rows.py_func(columns, 0, rows)
     inverse, power = _kernels._ryu_tables()
     pointers = (ctypes.c_void_p * 2)(*(c.ctypes.data for c in columns))
-    size = len(text) + 32
-    for cap in range(len(text) + 1):
+    bound = _kernels._CELL_BYTES * 2 * rows
+    size = bound + 32
+    for cap in range(size + 1):
         buf = ctypes.create_string_buffer(b"#" * size, size)
         written = _kernels._LIB.format_rows(pointers, 2, 0, rows, np.asarray(inverse).ctypes.data,
                                            np.asarray(power).ctypes.data, buf, cap)
-        if cap < len(text):
-            assert written == -1, cap
+        if cap < bound:
+            assert written == -1 and buf.raw == b"#" * size, cap
         else:
-            assert written == len(text) and buf.raw[:written] == text
+            assert written == len(text) and buf.raw[:written] == text, cap
         assert buf.raw[cap:] == b"#" * (size - cap), cap
 
 
@@ -670,6 +677,18 @@ def test_cm_columns_match_the_reference_bit_for_bit(c_backend):
     pairing of the special values, and no states at all."""
     for trial, n, name, got, expected in _derived_trials(["R", "V", "r", "w"]):
         assert got.tobytes() == expected.tobytes(), (trial, n, name)
+
+
+@pytest.mark.parametrize("which", [-1, 5])
+def test_a_which_past_the_cm_coordinates_gives_the_energy_column(c_backend, which):
+    """C's derived_column indexes its four center-of-mass coordinates only
+    for which 0 to 3; any other which writes the E column, bit for bit."""
+    for trial, states, model in _derived_inputs(trials=3):
+        energy = _kernels.derived_column(*states, *model, "E")
+        out = np.full(len(energy), SENTINEL)
+        _kernels._LIB.derived_column(*(np.asarray(s).ctypes.data for s in states), len(out),
+                                     *model, which, out.ctypes.data)
+        assert out.tobytes() == energy.tobytes(), trial
 
 
 @pytest.mark.parametrize("name", ["t", "e", ("R",)], ids=["recorded", "unknown", "tuple"])
@@ -838,6 +857,104 @@ def test_the_source_compiles_without_a_warning(tmp_path):
          "-o", str(tmp_path / "k.so"), _kernels._SOURCE, "-lm"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# Runs in a child under AddressSanitizer, given the sanitized library and the
+# src directory: it calls all five exports on buffers whose bounds ASan knows
+# (malloc'd at each capacity, and arrays, which PYTHONMALLOC=malloc allocates
+# with malloc) and checks each result against the Python reference.
+SANITIZED_CALLS = """
+import ctypes, math, sys
+from array import array
+sys.path.insert(0, sys.argv[2])
+from kinktrap import _kernels as K
+
+libc = ctypes.CDLL(None)
+assert hasattr(libc, "__asan_init"), "AddressSanitizer is not loaded"
+libc.malloc.restype, libc.malloc.argtypes = ctypes.c_void_p, [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+lib = ctypes.CDLL(sys.argv[1])
+verlet, rk4 = K._c_runner(lib.run_verlet), K._c_runner(lib.run_rk4)
+format_rows = K._c_format_rows(lib.format_rows)
+K._c_derived_column(lib.derived_column)  # for its argument types
+lanes = lib.run_verlet_lanes
+lanes.argtypes, lanes.restype = K._LANES_ARGTYPES, None
+
+cells = [-2.2250738585072014e-308, 5e-324, 1e16, -0.0, math.nan, 1234567891234567.8]
+columns = [array("d", cells[0::2]), array("d", cells[1::2])]
+text = K.format_rows.py_func(columns, 0, 3)
+inverse, power = K._ryu_tables()
+pointers = (ctypes.c_void_p * 2)(*(c.buffer_info()[0] for c in columns))
+bound = K._CELL_BYTES * len(cells)
+for cap in range(bound + 2):
+    buf = libc.malloc(cap)
+    size = lib.format_rows(pointers, 2, 0, 3, inverse.buffer_info()[0],
+                           power.buffer_info()[0], buf, cap)
+    assert size == (-1 if cap < bound else len(text)), cap
+    assert size < 0 or ctypes.string_at(buf, size) == text, cap
+    libc.free(buf)
+assert bytes(format_rows(columns, 0, 3)) == text
+
+states = [array("d", [0.25 * i * (j + 1) - 1.0 for i in range(7)]) for j in range(4)]
+model = (1.0, 1.0, 2, 2.0, 1.0)
+for which in range(-1, 6):
+    out = array("d", bytes(8 * 7))
+    lib.derived_column(*(s.buffer_info()[0] for s in states), 7, *model, which,
+                       out.buffer_info()[0])
+    name = K.DERIVED[which] if 0 <= which < 4 else "E"
+    assert out.tobytes() == K.derived_column.py_func(*states, *model, name).tobytes(), which
+
+def launch(x1, v1, x2, v2, nsteps, stride):
+    e0 = K.pair_energy(x1 - x2, v1, v2, math.exp(-x1 * x1), math.exp(-x2 * x2), 1.0, 1.0, 2, 2.0)
+    return (x1, v1, x2, v2, 0.0, 1e-3, nsteps, *model, 0.05, 2.0, e0, stride)
+
+for runner, reference in ((verlet, K._run_verlet.py_func), (rk4, K._run_rk4.py_func)):
+    for args, cap in ((launch(-0.7, 0.0, 0.3, 0.0, 3000, 1), 50),
+                      (launch(-0.5, 50.0, 0.5, -50.0, 2000, 7), 3),
+                      (launch(0.5, 2.0, 1.5, 2.0, 3000, 100), 40)):
+        both = []
+        for fn in (runner, reference):
+            rec = [array("d", bytes(8 * cap)) for _ in range(5)]
+            both.append((fn(*args, *rec), b"".join(r.tobytes() for r in rec)))
+        assert both[0] == both[1], args
+
+reference = K._run_verlet.py_func
+K._run_verlet, K._run_verlet_lanes = verlet, lanes
+runs = [(*launch(*start, 0), *K.float_buffers(5, 0)) for start in
+        [(0.5, 2.0, 1.5, 2.0, 2000), (-0.5, 50.0, 0.5, -50.0, 2000), (-0.5, 0.1, 0.5, 0.1, 37),
+         (0.0, 0.0, 0.01, 0.0, 50), (-0.7, 0.0, 0.3, 0.0, 3000)]]
+assert K.run_batch(verlet, runs, 2) == [reference(*args) for args in runs]
+print("ok")
+"""
+
+
+def test_the_library_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
+    """_kernels.c built with ASan and UBSan, every finding fatal, and loaded
+    into a child Python: format_rows at every capacity up to one byte past
+    the most its text can take, derived_column for which -1 to 5, both
+    runners recording into buffers shorter than their runs, and a batch on
+    C's lanes read and write nothing out of bounds and give the reference
+    results."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("no gcc")
+    asan, ubsan = (subprocess.run([gcc, f"-print-file-name={name}"], capture_output=True,
+                                  text=True).stdout.strip()
+                   for name in ("libasan.so", "libubsan.so"))
+    if not (os.path.isabs(asan) and os.path.isabs(ubsan)):
+        pytest.skip("no sanitizer runtime")
+    lib = tmp_path / "kernels-sanitized.so"
+    proc = subprocess.run(
+        [gcc, "-O1", "-g", "-ffp-contract=off", "-fPIC", "-shared",
+         "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         "-o", str(lib), _kernels._SOURCE, "-lm"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    env = {**os.environ, "LD_PRELOAD": asan, "PYTHONMALLOC": "malloc",
+           "ASAN_OPTIONS": "detect_leaks=0"}
+    src = str(Path(_kernels.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_CALLS, str(lib), src], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr[-4000:]
 
 
 # Small sweeps on two workers (forked processes without gcc, threads over C
